@@ -64,7 +64,7 @@ def decode_reveal_token(token: str) -> tuple[list[tuple[str, Label, Fraction, Fr
             for x, y, start, end in payload
         ]
         next_reveal = Fraction(tail)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise MalformedTokenError(f"not a self-revealing stream: {exc}") from exc
     return schedule, next_reveal
 
@@ -179,6 +179,8 @@ def exact_blind_error(
     of every blind prediction.  Query placement must respect the per-unit
     cap |queries in [n-1, n)| <= budget(n).
     """
+    if units < 1:
+        raise ValueError(f"units must be a positive integer, got {units}")
     times = sorted(as_fraction(t) for t in query_times)
     total = Fraction(0)
     for n in range(1, units + 1):

@@ -76,21 +76,32 @@ def _weighted_one_center(vectors: list[int], weights: list[int], width: int) -> 
     """Minimize over candidates c the max of weights[j] + H(c, vectors[j]).
 
     Returns (value, candidate) with the lexicographically smallest optimal
-    candidate on the exhaustive path.  The branch-and-bound path (width >
-    _EXHAUSTIVE_BITS) prunes on the running partial maximum, which only ever
-    grows, so it is admissible.
+    candidate on both paths: each visits candidates in ascending order and
+    only a strict improvement replaces the best.  The exhaustive path
+    (width <= _EXHAUSTIVE_BITS) merges identical vectors, keeping the largest
+    weight, and stops scoring a candidate once it reaches the best value.
+    The branch-and-bound path prunes on the running partial maximum, which
+    only ever grows, so it is admissible.
     """
     if not vectors:
         return 0, 0
     if width <= _EXHAUSTIVE_BITS:
-        best_val, best_cand = None, 0
+        heaviest: dict[int, int] = {}
+        for v, w in zip(vectors, weights):
+            if v not in heaviest or w > heaviest[v]:
+                heaviest[v] = w
+        # heaviest first, so a losing candidate reaches best_val sooner
+        pairs = sorted(heaviest.items(), key=lambda vw: -vw[1])
+        best_val, best_cand = max(weights) + width + 1, 0
         for cand in range(1 << width):
             worst = 0
-            for v, w in zip(vectors, weights):
+            for v, w in pairs:
                 d = w + ((cand ^ v).bit_count())
                 if d > worst:
                     worst = d
-            if best_val is None or worst < best_val:
+                    if worst >= best_val:
+                        break
+            else:  # never reached best_val, so a strict improvement
                 best_val, best_cand = worst, cand
         return best_val, best_cand
 
@@ -217,9 +228,11 @@ class _Plan:
 class QldSolver:
     """Backward-induction solver over information sets of one pattern class.
 
-    Values and stage plans are memoized on (accrued-normalized state, queries
-    left, last query time); the subtracted minimum accrual is added back, so
-    states differing by a constant share one entry.
+    Patterns whose remaining rounds agree are merged into one entry carrying
+    the largest accrual, represented by the smallest pattern id of that
+    future group.  Values and stage plans are memoized on (accrual-normalized
+    merged state, queries left, last query time); the subtracted minimum
+    accrual is added back, so states differing by a constant share one entry.
     """
 
     def __init__(self, P: PatternClass):
@@ -230,6 +243,16 @@ class QldSolver:
         self.L = P.horizon
         self.labels = [p.labels for p in P.patterns]
         self.insts = [p.instances for p in P.patterns]
+        # _group[t][pid]: smallest pattern id whose rounds t+1..L equal pid's
+        self._group: list[list[int]] = []
+        for t in range(self.L + 1):
+            first: dict[tuple, int] = {}
+            self._group.append(
+                [
+                    first.setdefault((xs[t:], ys[t:]), pid)
+                    for pid, (xs, ys) in enumerate(zip(self.insts, self.labels))
+                ]
+            )
         self._memo: dict[tuple[State, int, int], tuple[int, _Plan]] = {}
 
     def initial_state(self) -> State:
@@ -239,17 +262,14 @@ class QldSolver:
 
     def _canonical(self, state: State, t_prev: int) -> tuple[State, int]:
         """Merge future-identical patterns (max accrual wins), shift to 0."""
-        merged: dict[tuple, int] = {}
-        rep: dict[tuple, int] = {}
+        group = self._group[t_prev]
+        merged: dict[int, int] = {}
         for pid, acc in state:
-            tail = (self.insts[pid][t_prev:], self.labels[pid][t_prev:])
-            if tail not in merged or acc > merged[tail]:
-                merged[tail] = acc
-                rep[tail] = pid
-            elif acc == merged[tail]:
-                rep[tail] = min(rep[tail], pid)
+            g = group[pid]
+            if acc > merged.get(g, -1):
+                merged[g] = acc
         offset = min(merged.values())
-        canon = tuple(sorted((rep[tail], acc - offset) for tail, acc in merged.items()))
+        canon = tuple(sorted((g, acc - offset) for g, acc in merged.items()))
         return canon, offset
 
     def advance(
@@ -293,40 +313,46 @@ class QldSolver:
         if q_left == 0 or t_prev == self.L:
             return blind_val, blind_plan
 
-        best_val: int | None = None
+        # Only strict improvements replace, so the first optimum in (t, yh, r)
+        # order wins; the t = L plans always reach blind_val.
+        best_val = blind_val + 1
         best_plan = blind_plan
         for t in range(t_prev + 1, self.L + 1):
             gap_len = t - t_prev - 1
-            gaps = {
-                pid: _bits_to_int(self.labels[pid][t_prev : t - 1]) for pid, _ in state
-            }
-            branches: dict[tuple[str, Label], list[tuple[int, int]]] = {}
+            # per observation (x, b): members in pid order with their gap vectors
+            branches: dict[tuple[str, Label], list[tuple[int, int, int]]] = {}
             for pid, acc in state:
                 obs = (self.insts[pid][t - 1], self.labels[pid][t - 1])
-                branches.setdefault(obs, []).append((pid, acc))
-            branch_items = sorted(branches.items())
+                gap = _bits_to_int(self.labels[pid][t_prev : t - 1])
+                branches.setdefault(obs, []).append((pid, acc, gap))
+            # The query-round mistake r != b is common to a branch, so each
+            # child is solved once per interim distance vector and r is added.
+            branch_items = [
+                (b, members, {}) for (_, b), members in sorted(branches.items())
+            ]
             for yh in range(1 << gap_len):
-                for r in (0, 1):
-                    cutoff = blind_val if best_val is None else min(best_val, blind_val)
-                    worst = 0
-                    feasible = True
-                    for (x, b), members in branch_items:
+                worst0 = worst1 = 0
+                for b, members, solved in branch_items:
+                    dists = tuple((yh ^ gap).bit_count() for _, _, gap in members)
+                    value = solved.get(dists)
+                    if value is None:
                         child = tuple(
-                            sorted(
-                                (pid, acc + ((yh ^ gaps[pid]).bit_count()) + (r != b))
-                                for pid, acc in members
-                            )
+                            (pid, acc + d) for (pid, acc, _), d in zip(members, dists)
                         )
                         value, _ = self.solve(child, q_left - 1, t)
-                        if value > worst:
-                            worst = value
-                        if worst > cutoff:
-                            feasible = False
-                            break
-                    if feasible and (best_val is None or worst < best_val):
-                        best_val = worst
-                        best_plan = _Plan(t, _int_to_bits(yh, gap_len), r)
-        assert best_val is not None  # the t = L plan always reproduces blind_val
+                        solved[dists] = value
+                    if value + b > worst0:
+                        worst0 = value + b
+                    if value + 1 - b > worst1:
+                        worst1 = value + 1 - b
+                    if worst0 >= best_val and worst1 >= best_val:
+                        break
+                else:
+                    for r, worst in ((0, worst0), (1, worst1)):
+                        if worst < best_val:
+                            best_val = worst
+                            best_plan = _Plan(t, _int_to_bits(yh, gap_len), r)
+        assert best_val <= blind_val
         return best_val, best_plan
 
     # -- witness serialization ----------------------------------------------

@@ -65,7 +65,7 @@ def _load_stream(path: str) -> model.PiecewiseStream:
     doc = _load_json(path)
     try:
         stream = model.stream_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad stream in {path}: {exc}")
     problems = model.validate(stream)
     if problems:
@@ -123,10 +123,13 @@ def _fill_from_config(args: argparse.Namespace, keys: dict[str, type]) -> None:
     for key, conv in keys.items():
         if getattr(args, key, None) is None and key in config:
             value = config[key]
-            if conv is Fraction:
-                value = model.as_fraction(value)
-            elif conv is int:
-                value = int(value)
+            try:
+                if conv is Fraction:
+                    value = model.as_fraction(value)
+                elif conv is int:
+                    value = int(value)
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise CliError(f"bad {key} in config {os.environ[CONFIG_ENV]}: {exc}")
             setattr(args, key, value)
 
 
@@ -249,6 +252,8 @@ def cmd_adversary(args: argparse.Namespace) -> int:
             reveals = [model.as_fraction(t) for t in args.reveal_times.split(",")]
         else:
             step = args.reveal_every if args.reveal_every is not None else Fraction(1)
+            if step <= 0:
+                raise CliError(f"--reveal-every must be > 0, got {step}")
             reveals = []
             t = Fraction(0)
             while t < args.horizon:
@@ -279,7 +284,7 @@ def cmd_blind_bound(args: argparse.Namespace) -> int:
         doc = _load_json(args.placement)
         try:
             times = [model.as_fraction(t) for t in doc["query_times"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise CliError(f"bad placement file {args.placement}: {exc}")
     else:
         times = []

@@ -59,6 +59,15 @@ def test_token_decode_rejects_garbage():
         decode_reveal_token("SEG(oops)|next=1/2")
 
 
+def test_token_decode_rejects_zero_denominators():
+    from qstream.model import MalformedTokenError
+
+    with pytest.raises(MalformedTokenError):
+        decode_reveal_token('SEG([["a",0,"0","1"]])|next=1/0')
+    with pytest.raises(MalformedTokenError):
+        decode_reveal_token('SEG([["a",0,"0","1/0"]])|next=1')
+
+
 # --- littlestone-branch streams --------------------------------------------------
 
 def test_branch_stream_interval_widths():

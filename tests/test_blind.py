@@ -1,5 +1,7 @@
+import json
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,8 @@ from qstream.model import (
     InstanceSpace,
     PatternClass,
     QstreamError,
+    pattern_class_from_json,
+    pattern_class_to_json,
 )
 
 AB = InstanceSpace(("a", "b"))
@@ -160,6 +164,40 @@ def test_weighted_one_center_branch_and_bound_agrees(monkeypatch):
     got = [_weighted_one_center(v, w, width) for v, w, width in cases]
     for (ev, _), (gv, _) in zip(expected, got):
         assert ev == gv
+
+
+def one_center_naive(vectors, weights, width):
+    """Plain loop over candidate bit tuples in lexicographic order; the first
+    optimum found is the lexicographically smallest."""
+    def bits(v):
+        return tuple((v >> (width - 1 - i)) & 1 for i in range(width))
+
+    best = None
+    for cand in product((0, 1), repeat=width):
+        worst = max(w + sum(a != b for a, b in zip(cand, bits(v)))
+                    for v, w in zip(vectors, weights))
+        if best is None or worst < best[0]:
+            best = (worst, cand)
+    return best
+
+
+@pytest.mark.parametrize("exhaustive_bits", [blind_mod._EXHAUSTIVE_BITS, 0])
+def test_weighted_one_center_matches_naive_oracle(monkeypatch, exhaustive_bits):
+    # Both search paths must return the oracle's value and its lexicographically
+    # smallest optimal candidate, also when vectors repeat with other weights.
+    monkeypatch.setattr(blind_mod, "_EXHAUSTIVE_BITS", exhaustive_bits)
+    rng = random.Random(41)
+    for width in range(9):
+        for _ in range(25):
+            n = rng.randint(1, 7)
+            vectors = [rng.getrandbits(width) for _ in range(n)]
+            vectors += rng.sample(vectors, rng.randint(0, n))
+            weights = [rng.randint(0, 4) for _ in vectors]
+            value, cand = _weighted_one_center(vectors, weights, width)
+            want_value, want_cand = one_center_naive(vectors, weights, width)
+            assert value == want_value, (vectors, weights, width)
+            want_int = int("".join(map(str, want_cand)), 2) if width else 0
+            assert cand == want_int, (vectors, weights, width)
 
 
 # --- qld ----------------------------------------------------------------------------
@@ -363,3 +401,54 @@ def test_strategy_records_observation_history():
     assert len(strat.history) == 1 and strat.history[0][0] == 1
     strat.reset()
     assert strat.history == ()
+
+
+# --- frozen witnesses -----------------------------------------------------------------
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "qld_golden.json"
+
+
+def _golden_classes():
+    """The frozen set: four 24-pattern two-instance classes at L = 8 solved
+    with Q = 2, then 50 random two-instance classes with L <= 6 solved with
+    Q in {0, 1, 2}."""
+    rng = random.Random(4101)
+    for _ in range(4):
+        pats = set()
+        while len(pats) < 24:
+            pats.add(tuple((rng.choice("ab"), rng.randint(0, 1)) for _ in range(8)))
+        yield PatternClass(AB, 8, tuple(DiscretePattern(p) for p in sorted(pats))), (2,)
+    for _ in range(50):
+        yield random_class(rng, max_L=6, max_P=12), (0, 1, 2)
+
+
+def _golden_records():
+    return [
+        {"class": pattern_class_to_json(P), "budget": Q, **qld(P, Q).to_json()}
+        for P, budgets in _golden_classes()
+        for Q in budgets
+    ]
+
+
+def test_qld_witnesses_match_frozen_goldens():
+    # Any change to a value, to the tie-break or to one witness node fails here.
+    frozen = json.loads(GOLDEN_PATH.read_text())
+    assert len(frozen) == 4 + 50 * 3
+    for rec in frozen:
+        P = pattern_class_from_json(rec["class"])
+        got = qld(P, rec["budget"]).to_json()
+        assert got == {"value": rec["value"], "witness": rec["witness"]}, rec["class"]
+
+
+def test_frozen_golden_classes_are_the_seeded_set():
+    frozen = json.loads(GOLDEN_PATH.read_text())
+    classes = [
+        (pattern_class_to_json(P), Q) for P, budgets in _golden_classes() for Q in budgets
+    ]
+    assert [(rec["class"], rec["budget"]) for rec in frozen] == classes
+
+
+if __name__ == "__main__":
+    # Regenerate the frozen witnesses: python tests/test_blind.py
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(_golden_records(), sort_keys=True) + "\n")

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -254,3 +258,64 @@ def test_config_env_supplies_defaults(files, capsys, monkeypatch):
     path = write("p.json", PatternClass(InstanceSpace(("a",)), 3, pats))
     code, out, _ = run(capsys, "qld", "--patterns", path)
     assert code == 0 and json.loads(out)["value"] == 1
+
+
+# --- zero denominators and bad numeric flags: exit 2, one error line -----------------
+
+ZERO_DEN = {"num": 1, "den": 0}
+
+
+def assert_single_error(code, err):
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def test_unif_sim_zero_denominator_in_stream_exit_2(files, capsys):
+    _, write = files
+    path = write("cls.json", SINGLETON)
+    stream = write("s.json", json.dumps(
+        {"horizon": ZERO_DEN, "segments": [{"start": 0, "end": 1, "x": "a", "y": 0}]}
+    ))
+    code, _, err = run(capsys, "unif-sim", "--class", path, "--stream", stream,
+                       "--trials", "2", "--seed", "0")
+    assert_single_error(code, err)
+
+
+def test_blind_bound_zero_denominator_in_placement_exit_2(files, capsys):
+    _, write = files
+    placement = write("pl.json", json.dumps({"query_times": [ZERO_DEN]}))
+    code, _, err = run(capsys, "blind-bound", "--units", "1", "--slope", "1",
+                       "--placement", placement)
+    assert_single_error(code, err)
+
+
+def test_config_zero_denominator_exit_2(files, capsys, monkeypatch):
+    _, write = files
+    monkeypatch.setenv("QSTREAM_CONFIG", write("cfg.json", json.dumps({"slope": ZERO_DEN})))
+    code, _, err = run(capsys, "blind-bound", "--units", "1")
+    assert_single_error(code, err)
+
+
+def test_blind_bound_negative_units_exit_2(capsys):
+    code, out, err = run(capsys, "blind-bound", "--units", "-3", "--slope", "1")
+    assert_single_error(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("step", ["0", "-1/2"])
+def test_adversary_reveal_every_not_positive_exit_2(tmp_path, step):
+    # A child process with a timeout, so an endless reveal loop fails the test
+    # instead of hanging the suite.
+    cls = tmp_path / "cls.json"
+    cls.write_text(model.dumps(FULL_AB))
+    src = str(Path(model.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "qstream.cli", "adversary", "--kind", "self-revealing",
+         "--class", str(cls), "--horizon", "4", f"--reveal-every={step}",
+         "--seed", "0", "--out", str(tmp_path / "s.json")],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert_single_error(proc.returncode, proc.stderr)
+    assert not (tmp_path / "s.json").exists()
