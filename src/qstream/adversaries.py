@@ -181,23 +181,24 @@ def exact_blind_error(
     """
     if units < 1:
         raise ValueError(f"units must be a positive integer, got {units}")
-    times = sorted(as_fraction(t) for t in query_times)
+    # unit [u, u + 1) holds the times t with floor(t) = u
+    by_unit: dict[int, list[Fraction]] = {}
+    for t in map(as_fraction, query_times):
+        u = t.numerator // t.denominator
+        if 0 <= u < units:
+            by_unit.setdefault(u, []).append(t)
     total = Fraction(0)
-    for n in range(1, units + 1):
-        lo_unit, hi_unit = Fraction(n - 1), Fraction(n)
-        in_unit = [t for t in times if lo_unit <= t < hi_unit]
-        k = budget.budget(n)
+    for u in range(units):
+        in_unit = by_unit.get(u, ())
+        k = budget.budget(u + 1)
         if len(in_unit) > k:
             raise BudgetViolationError(
-                f"{len(in_unit)} queries in [{n - 1}, {n}) exceed budget({n}) = {k}"
+                f"{len(in_unit)} queries in [{u}, {u + 1}) exceed budget({u + 1}) = {k}"
             )
         pieces = 2 * k if k >= 1 else 1
-        width = Fraction(1, pieces)
-        for j in range(pieces):
-            lo = lo_unit + width * j
-            hi = lo + width
-            if not any(lo <= t < hi for t in in_unit):
-                total += width / 2
+        # sub-interval j is [u + j/pieces, u + (j+1)/pieces)
+        hit = {(t.numerator - u * t.denominator) * pieces // t.denominator for t in in_unit}
+        total += Fraction(pieces - len(hit), 2 * pieces)
     return total
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .adversaries import decode_reveal_token, is_reveal_token
-from .littlestone import VersionSpace, soa_predict
+from .littlestone import LittlestoneSolver, VersionSpace, soa_predict
 from .model import (
     ConceptClass,
     Label,
@@ -24,6 +24,7 @@ from .model import (
     NonRealizableError,
     PiecewiseStream,
     RationalLike,
+    Segment,
     as_fraction,
     fraction_to_json,
 )
@@ -144,7 +145,27 @@ def run_uniform_sampler(
     not restrict the version space.  ``on_empty`` decides what an
     observation inconsistent with every surviving concept means: ``error``
     raises NonRealizableError (concept-class contract), ``reset`` restores
-    the full class and continues (pattern-class streams).
+    the full class and continues (pattern-class streams).  A stream that
+    does not cover [0, horizon) raises ValueError at its first gap.
+    """
+    return _run_uniform(LittlestoneSolver(H), stream, delta, seed, on_empty)
+
+
+def _run_uniform(
+    solver: LittlestoneSolver,
+    stream: PiecewiseStream,
+    delta: RationalLike,
+    seed,
+    on_empty: str,
+) -> RunReport:
+    """``run_uniform_sampler`` over ``solver.root``, reusing the solver's
+    dimension memo and SOA tables.
+
+    One segment cursor moves forward over the whole run.  Between queries
+    the deployed predictor is the SOA table of the current version space,
+    so the error of a segment is accounted once, when the cursor leaves it,
+    and the open part of the current segment only when a query ends an
+    epoch or changes the table.
     """
     if on_empty not in ("error", "reset"):
         raise ValueError(f"on_empty must be 'error' or 'reset', got {on_empty!r}")
@@ -152,30 +173,55 @@ def run_uniform_sampler(
     if delta_f <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     rng = np.random.default_rng(seed)
-    V = VersionSpace(H)
-
-    def predict(x: str) -> Label:
-        if x not in H.space:
-            return 0
-        return soa_predict(V, x)
+    horizon = stream.horizon
+    segments = stream.segments
+    # position of each segment's instance in the space; -1 (outside the
+    # space) indexes the trailing 0 of every padded label table
+    position = {x: i for i, x in enumerate(solver.root.space.instances)}
+    seg_xi = [position.get(seg.x, -1) for seg in segments]
+    # ends as exact integer ratios: a query time is a binary float n / d, and
+    # n / d >= p / q exactly when n * q >= p * d
+    hp, hq = horizon.numerator, horizon.denominator
+    ends = [(seg.end.numerator, seg.end.denominator) for seg in segments]
+    V = VersionSpace(solver)
+    labels = solver.soa_labels(V.ids) + (0,)
 
     epoch_acc: list[Fraction] = [Fraction(0)]
     events: list[QueryEvent] = []
-    cursor = Fraction(0)
+    si = 0  # the cursor: the segment holding `mark`
+    mark = Fraction(0)  # error before `mark` is already in epoch_acc
+
+    def enter() -> None:
+        """Check that segment si exists and starts by ``mark``."""
+        if si == len(segments):
+            raise ValueError(f"coverage ends before horizon at {mark}")
+        if segments[si].start > mark:
+            raise ValueError(f"coverage gap at {mark}")
+
+    def seek(n: int, d: int) -> Segment:
+        """Account every segment that ends by n / d and return the one holding it."""
+        nonlocal si, mark
+        p, q = ends[si]
+        while p * d <= n * q:
+            seg = segments[si]
+            if labels[seg_xi[si]] != seg.y:
+                epoch_acc[-1] += seg.end - mark
+            mark = seg.end
+            si += 1
+            enter()
+            p, q = ends[si]
+        return segments[si]
+
+    def settle(seg: Segment, t: Fraction) -> None:
+        """Account [mark, t) inside ``seg``, the segment holding both."""
+        nonlocal mark
+        if labels[seg_xi[si]] != seg.y:
+            epoch_acc[-1] += t - mark
+        mark = t
+
+    if horizon > 0:
+        enter()
     anchor = 0.0
-
-    def accumulate(stop: Fraction) -> None:
-        nonlocal cursor
-        si = 0
-        while cursor < stop:
-            while stream.segments[si].end <= cursor:
-                si += 1
-            seg = stream.segments[si]
-            piece_end = min(seg.end, stop)
-            if predict(seg.x) != seg.y:
-                epoch_acc[-1] += piece_end - cursor
-            cursor = piece_end
-
     queried = False
     while True:
         t_float = float(rng.uniform(anchor, anchor + delta_f))
@@ -183,27 +229,36 @@ def run_uniform_sampler(
             # numpy's uniform includes the lower endpoint; query times must
             # strictly increase
             t_float = float(rng.uniform(anchor, anchor + delta_f))
-        t_q = _float_to_fraction(t_float)
-        if t_q >= stream.horizon:
-            accumulate(stream.horizon)
+        n, d = t_float.as_integer_ratio()
+        if n * hq >= hp * d:
             break
-        accumulate(t_q)
-        x, y = stream.value_at(t_q)
-        success = predict(x) != y
+        t_q = _float_to_fraction(t_float)
+        seg = seek(n, d)
+        x, y, xi = seg.x, seg.y, seg_xi[si]
+        success = (soa_predict(V, x) if xi >= 0 else 0) != y
         events.append(QueryEvent(t_q, x, y, success))
-        if x in H.space:
-            nxt = V.restrict(x, y)
-            if nxt.is_empty:
+        ids = V.ids
+        if xi >= 0:
+            ids = solver.restrict_ids(ids, xi, y)
+            if not ids:
                 if on_empty == "error":
                     raise NonRealizableError(
                         f"stream not realizable: ({x!r}, {y}) at {t_q} empties the version space"
                     )
-                nxt = VersionSpace(H)
-            V = nxt
-        if success:
-            epoch_acc.append(Fraction(0))
+                ids = solver.full()
+        if success or ids != V.ids:
+            settle(seg, t_q)
+            if ids != V.ids:
+                V = VersionSpace(solver, ids)
+                labels = solver.soa_labels(ids) + (0,)
+            if success:
+                epoch_acc.append(Fraction(0))
         anchor = t_float
         queried = True
+
+    while mark < horizon:
+        seg = seek(mark.numerator, mark.denominator)
+        settle(seg, min(seg.end, horizon))
 
     # a trailing zero-error epoch carries no information and would push the
     # epoch count past LD(H) after the final successful query
@@ -264,6 +319,7 @@ def monte_carlo_uniform(
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    solver = LittlestoneSolver(H)
     integrals: list[Fraction] = []
     epoch_values: dict[int, list[Fraction]] = {}
     for child in root.spawn(trials):
@@ -272,7 +328,7 @@ def monte_carlo_uniform(
             stream = stream_or_generator(stream_seed)
         else:
             stream = stream_or_generator
-        report = run_uniform_sampler(H, stream, delta, run_seed, on_empty=on_empty)
+        report = _run_uniform(solver, stream, delta, run_seed, on_empty)
         integrals.append(report.mistake_integral)
         for rec in report.epoch_errors:
             epoch_values.setdefault(rec.epoch, []).append(rec.error)

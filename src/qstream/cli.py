@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -19,6 +20,10 @@ from fractions import Fraction
 from . import adversaries, arena, blind, littlestone, model
 
 CONFIG_ENV = "QSTREAM_CONFIG"
+
+# Upper limit on the reveals `adversary --kind self-revealing --reveal-every`
+# generates; the stream, and the output file, grow linearly with the count.
+MAX_REVEALS = 100_000
 
 
 class CliError(Exception):
@@ -254,11 +259,14 @@ def cmd_adversary(args: argparse.Namespace) -> int:
             step = args.reveal_every if args.reveal_every is not None else Fraction(1)
             if step <= 0:
                 raise CliError(f"--reveal-every must be > 0, got {step}")
-            reveals = []
-            t = Fraction(0)
-            while t < args.horizon:
-                reveals.append(t)
-                t += step
+            # reveals at 0, step, 2 step, ... below the horizon
+            count = max(0, math.ceil(args.horizon / step))
+            if count > MAX_REVEALS:
+                raise CliError(
+                    f"--reveal-every {step} gives {count} reveals before horizon "
+                    f"{args.horizon}; at most {MAX_REVEALS} are allowed"
+                )
+            reveals = [step * i for i in range(count)]
         stream = adversaries.gen_self_revealing_stream(cls, reveals, args.horizon, seed)
         params.update(
             {"class": args.class_file, "reveal_times": [str(t) for t in reveals]}

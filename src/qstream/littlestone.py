@@ -1,8 +1,11 @@
 """Littlestone dimension, shattered trees, and the standard optimal predictor.
 
-The dimension recursion is memoized on canonical concept-index subsets of a
-fixed root class, so exhaustive property sweeps over all subsets stay cheap.
-Classes here are small by design; clarity beats asymptotics.
+A subset of a fixed root class is an int bitmask over its concept indices,
+and restriction to an (instance, label) pair is one ``&`` with a precomputed
+mask.  The dimension recursion and the SOA predictions are memoized on those
+masks, so exhaustive property sweeps over all subsets and repeated sampler
+runs stay cheap.  Classes here are small by design; clarity beats
+asymptotics.
 """
 
 from __future__ import annotations
@@ -50,32 +53,44 @@ class ShatteredTree:
 
 def restrict(H: ConceptClass, x: str, y: Label) -> ConceptClass:
     """Concepts of H consistent with (x, y).  The result may be empty."""
-    xi = H.space.index_of(x)
-    keep = [i for i, c in enumerate(H.concepts) if c[xi] == y]
-    return ConceptClass(
-        H.space,
-        tuple(H.concepts[i] for i in keep),
-        tuple(H.names[i] for i in keep),
-    )
+    return VersionSpace(H).restrict(x, y).concept_class()
 
 
 class LittlestoneSolver:
-    """Dimension queries over subsets of one root class, with shared memo."""
+    """Dimension and SOA queries over subsets of one root class.
+
+    A subset is an int bitmask over concept indices: bit i set means
+    ``root.concepts[i]`` survives.  Restricting to a label is one ``&`` with
+    a mask precomputed per (instance, label), and the dimension memo and the
+    SOA label tables are keyed by the subset mask, so every run that shares
+    the solver shares them.
+    """
 
     def __init__(self, root: ConceptClass):
-        if root.is_empty:
-            raise QstreamError("Littlestone dimension of an empty class")
         self.root = root
         self.n_instances = len(root.space.instances)
-        self._memo: dict[frozenset[int], int] = {}
+        # label_masks[xi][y]: the concepts labelling instance xi with y
+        self.label_masks: tuple[tuple[int, int], ...] = tuple(
+            tuple(
+                sum(1 << i for i, c in enumerate(root.concepts) if c[xi] == y)
+                for y in (0, 1)
+            )
+            for xi in range(self.n_instances)
+        )
+        self._memo: dict[int, int] = {}
+        self._soa: dict[int, tuple[Label, ...]] = {}
 
-    def full(self) -> frozenset[int]:
-        return frozenset(range(len(self.root.concepts)))
+    def full(self) -> int:
+        """The mask of the whole root class."""
+        return (1 << len(self.root.concepts)) - 1
 
-    def restrict_ids(self, ids: frozenset[int], xi: int, y: Label) -> frozenset[int]:
-        return frozenset(i for i in ids if self.root.concepts[i][xi] == y)
+    def restrict_ids(self, ids: int, xi: int, y: Label) -> int:
+        """The concepts of ``ids`` labelling instance ``xi`` with ``y``."""
+        return ids & self.label_masks[xi][y] if y in (0, 1) else 0
 
-    def dimension(self, ids: frozenset[int] | None = None) -> int:
+    def dimension(self, ids: int | None = None) -> int:
+        """LD of the subset whose int mask is ``ids`` (default: the whole
+        root class); QstreamError for the empty mask 0."""
         ids = self.full() if ids is None else ids
         if not ids:
             raise QstreamError("Littlestone dimension of an empty class")
@@ -83,16 +98,38 @@ class LittlestoneSolver:
         if cached is not None:
             return cached
         best = 0
-        if len(ids) > 1:
-            for xi in range(self.n_instances):
-                zeros = self.restrict_ids(ids, xi, 0)
-                ones = ids - zeros
+        if ids & (ids - 1):  # two or more concepts
+            for zeros_mask, ones_mask in self.label_masks:
+                zeros = ids & zeros_mask
+                ones = ids & ones_mask
                 if zeros and ones:
                     score = 1 + min(self.dimension(zeros), self.dimension(ones))
                     if score > best:
                         best = score
         self._memo[ids] = best
         return best
+
+    def soa_labels(self, ids: int) -> tuple[Label, ...]:
+        """SOA prediction for every instance (space order) from the subset
+        whose int mask is ``ids``; QstreamError for the empty mask 0.
+
+        Computed once per mask.  The label whose restriction has the larger
+        dimension wins; an empty restriction scores -1, so a consistent
+        label always beats an inconsistent one, and ties go to 0.
+        """
+        table = self._soa.get(ids)
+        if table is None:
+            if not ids:
+                raise QstreamError("SOA prediction from an empty version space")
+            labels = []
+            for zeros_mask, ones_mask in self.label_masks:
+                zeros = ids & zeros_mask
+                ones = ids & ones_mask
+                s0 = self.dimension(zeros) if zeros else -1
+                s1 = self.dimension(ones) if ones else -1
+                labels.append(0 if s0 >= s1 else 1)
+            table = self._soa[ids] = tuple(labels)
+        return table
 
 
 def littlestone_dimension(H: ConceptClass) -> int:
@@ -110,10 +147,10 @@ def build_littlestone_tree(H: ConceptClass, d: int) -> ShatteredTree | None:
         raise ValueError(f"tree depth must be positive, got {d}")
     solver = LittlestoneSolver(H)
 
-    def grow(ids: frozenset[int], depth: int) -> ShatteredTree | None:
+    def grow(ids: int, depth: int) -> ShatteredTree | None:
         for xi in range(solver.n_instances):
             zeros = solver.restrict_ids(ids, xi, 0)
-            ones = ids - zeros
+            ones = solver.restrict_ids(ids, xi, 1)
             if not (zeros and ones):
                 continue
             if depth == 1:
@@ -129,22 +166,34 @@ def build_littlestone_tree(H: ConceptClass, d: int) -> ShatteredTree | None:
 
 
 class VersionSpace:
-    """Surviving concepts during a run, sharing one dimension memo table."""
+    """Surviving concepts during a run: a solver and a subset mask of its root.
 
-    def __init__(self, source: ConceptClass | "VersionSpace", ids: frozenset[int] | None = None):
+    ``ids`` is an int bitmask over the root's concept indices.  Every
+    version space derived from another shares its solver, hence its
+    dimension memo and SOA tables.
+    """
+
+    def __init__(
+        self,
+        source: ConceptClass | "VersionSpace" | LittlestoneSolver,
+        ids: int | None = None,
+    ):
         if isinstance(source, VersionSpace):
             self.solver = source.solver
-            self.ids = source.ids if ids is None else ids
+        elif isinstance(source, LittlestoneSolver):
+            self.solver = source
         else:
             self.solver = LittlestoneSolver(source)
-            self.ids = self.solver.full() if ids is None else ids
+        if ids is None:
+            ids = source.ids if isinstance(source, VersionSpace) else self.solver.full()
+        self.ids = ids
 
     @property
     def is_empty(self) -> bool:
         return not self.ids
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return self.ids.bit_count()
 
     def dimension(self) -> int:
         return self.solver.dimension(self.ids)
@@ -155,7 +204,7 @@ class VersionSpace:
 
     def concept_class(self) -> ConceptClass:
         root = self.solver.root
-        keep = sorted(self.ids)
+        keep = [i for i in range(len(root.concepts)) if self.ids >> i & 1]
         return ConceptClass(
             root.space,
             tuple(root.concepts[i] for i in keep),
@@ -167,18 +216,13 @@ def soa_predict(V: VersionSpace | ConceptClass, x: str) -> Label:
     """Predict the label whose consistent restriction has larger dimension.
 
     An empty restriction scores -1 so consistent labels always win; ties
-    break toward label 0.
+    break toward label 0.  The answer is a lookup in the solver's SOA table
+    for the mask ``V.ids``, computed the first time that mask is asked
+    about.  An empty version space raises QstreamError.
     """
     if isinstance(V, ConceptClass):
         V = VersionSpace(V)
-    if V.is_empty:
-        raise QstreamError("SOA prediction from an empty version space")
-    xi = V.solver.root.space.index_of(x)
-    scores = []
-    for y in (0, 1):
-        ids = V.solver.restrict_ids(V.ids, xi, y)
-        scores.append(V.solver.dimension(ids) if ids else -1)
-    return 0 if scores[0] >= scores[1] else 1
+    return V.solver.soa_labels(V.ids)[V.solver.root.space.index_of(x)]
 
 
 def soa_run(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -189,6 +190,78 @@ def test_blind_error_optimal_placement_hits_quarter_per_unit():
 def test_blind_error_budget_violation():
     with pytest.raises(BudgetViolationError):
         exact_blind_error(1, SLOPE1, [Fraction(1, 8), Fraction(3, 8)])
+
+
+def _blind_error_naive(units, budget, query_times):
+    """Reference: scan every time for every unit, every time in the unit for
+    every sub-interval."""
+    times = sorted(Fraction(t) for t in query_times)
+    total = Fraction(0)
+    for n in range(1, units + 1):
+        lo_unit, hi_unit = Fraction(n - 1), Fraction(n)
+        in_unit = [t for t in times if lo_unit <= t < hi_unit]
+        k = budget.budget(n)
+        if len(in_unit) > k:
+            raise BudgetViolationError(
+                f"{len(in_unit)} queries in [{n - 1}, {n}) exceed budget({n}) = {k}"
+            )
+        pieces = 2 * k if k >= 1 else 1
+        width = Fraction(1, pieces)
+        for j in range(pieces):
+            lo = lo_unit + width * j
+            if not any(lo <= t < lo + width for t in in_unit):
+                total += width / 2
+    return total
+
+
+def _seeded_placement(rng, units, budget):
+    """Up to budget(n) (sometimes one more) times per unit: sub-interval
+    edges, points just inside an edge, random rationals and repeats, plus a
+    few times outside [0, units)."""
+    times = []
+    for n in range(1, units + 1):
+        k = budget.budget(n)
+        pieces = 2 * k if k >= 1 else 1
+        take = rng.randint(0, k + (1 if rng.random() < 0.2 else 0))
+        for _ in range(take):
+            j = rng.randrange(pieces)
+            edge = Fraction(n - 1) + Fraction(j, pieces)
+            kind = rng.randrange(4)
+            if kind == 0:
+                times.append(edge)
+            elif kind == 1:
+                times.append(edge + Fraction(1, pieces) - Fraction(1, 10**9))
+            elif kind == 2:
+                times.append(edge + Fraction(rng.randrange(1, 97), 97 * pieces))
+            else:
+                times.append(times[-1] if times else edge)
+    if rng.random() < 0.5:
+        times.extend([Fraction(-1, 3), Fraction(units), Fraction(2 * units + 1, 2)])
+    rng.shuffle(times)
+    return times
+
+
+def test_blind_error_matches_naive_reference():
+    rng = random.Random(7)
+    violations = 0
+    for _ in range(300):
+        units = rng.randint(1, 12)
+        slope = rng.choice([Fraction(1, 4), Fraction(1, 2), 1, Fraction(3, 2), 3])
+        budget = QueryBudgetPolicy(slope)
+        times = _seeded_placement(rng, units, budget)
+        try:
+            expected = _blind_error_naive(units, budget, times)
+        except BudgetViolationError as exc:
+            violations += 1
+            with pytest.raises(BudgetViolationError) as got:
+                exact_blind_error(units, budget, times)
+            assert str(got.value) == str(exc)
+        else:
+            assert exact_blind_error(units, budget, times) == expected
+            assert exact_blind_error(units, budget, set(times)) == _blind_error_naive(
+                units, budget, set(times)
+            )
+    assert 0 < violations < 300
 
 
 # --- self-revealing streams -------------------------------------------------------------

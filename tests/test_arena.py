@@ -1,5 +1,7 @@
+import json
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from qstream.model import (
     PiecewiseStream,
     QueryBudgetPolicy,
     Segment,
+    fraction_to_json,
     validate,
 )
 
@@ -132,6 +135,22 @@ def test_uniform_reset_mode_survives_inconsistency():
     assert report.mistake_integral >= 0
 
 
+def test_uniform_rejects_coverage_gap():
+    # [1, 2) is covered by no segment; it must not be counted under the
+    # next segment's label
+    stream = PiecewiseStream(3, (Segment(0, 1, "a", 0), Segment(2, 3, "b", 1)))
+    with pytest.raises(ValueError, match="coverage gap at 1"):
+        run_uniform_sampler(FULL_AB, stream, 3, 3)
+
+
+@pytest.mark.parametrize("segments, end", [((Segment(0, 1, "a", 0),), 1), ((), 0)])
+def test_uniform_rejects_stream_ending_before_horizon(segments, end):
+    stream = PiecewiseStream(3, segments)
+    for seed in range(5):
+        with pytest.raises(ValueError, match=f"coverage ends before horizon at {end}"):
+            run_uniform_sampler(FULL_AB, stream, 1, seed)
+
+
 def test_monte_carlo_singleton_zero():
     stream = PiecewiseStream(4, (Segment(0, 4, "a", 0),))
     stats = monte_carlo_uniform(SINGLETON, stream, 1, 20, 0)
@@ -172,3 +191,52 @@ def test_adaptive_rejects_plain_stream():
     stream = PiecewiseStream(2, (Segment(0, 2, "a", 0),))
     with pytest.raises(MalformedTokenError, match="not a self-revealing stream"):
         run_adaptive_sampler(stream)
+
+
+# --- frozen sampler goldens ----------------------------------------------------
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "arena_golden.json"
+FULL_4 = ConceptClass(InstanceSpace(("a", "b", "c", "d")), tuple(product((0, 1), repeat=4)))
+LONG_HORIZON = 16
+
+
+def _long_stream(seed):
+    reveals = [Fraction(k) for k in range(LONG_HORIZON)]
+    return gen_self_revealing_stream(FULL_4, reveals, LONG_HORIZON, seed)
+
+
+def _golden_records():
+    """Full reports of the criterion 1 shape (20 seeds) and the criterion 4
+    shape (10 seeds), and the integrals of one 50-trial Monte Carlo run."""
+    return {
+        "branch": [
+            run_uniform_sampler(FULL_AB, branch_stream(seed), 1, 1000 + seed).to_json()
+            for seed in range(20)
+        ],
+        "self_revealing": [
+            run_uniform_sampler(
+                FULL_4, _long_stream(seed), 1, 2000 + seed, on_empty="reset"
+            ).to_json()
+            for seed in range(10)
+        ],
+        "monte_carlo": [
+            fraction_to_json(v)
+            for v in monte_carlo_uniform(FULL_AB, branch_stream, 1, 50, 31).integrals
+        ],
+    }
+
+
+def test_uniform_sampler_matches_frozen_goldens():
+    # Any change to a query time, a success flag, an epoch error or an
+    # integral fails here.
+    frozen = json.loads(GOLDEN_PATH.read_text())
+    assert (len(frozen["branch"]), len(frozen["self_revealing"]), len(frozen["monte_carlo"])) == (
+        20, 10, 50
+    )
+    assert json.loads(json.dumps(_golden_records())) == frozen
+
+
+if __name__ == "__main__":
+    # Regenerate the frozen reports: python tests/test_arena.py
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(_golden_records(), sort_keys=True) + "\n")

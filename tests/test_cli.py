@@ -319,3 +319,38 @@ def test_adversary_reveal_every_not_positive_exit_2(tmp_path, step):
     )
     assert_single_error(proc.returncode, proc.stderr)
     assert not (tmp_path / "s.json").exists()
+
+
+def test_adversary_reveal_every_too_many_reveals_exit_2(tmp_path):
+    # 4 * 10^8 reveals would run and allocate without bound; the count is
+    # refused before any is generated (child process, 10 s timeout)
+    cls = tmp_path / "cls.json"
+    cls.write_text(model.dumps(FULL_AB))
+    src = str(Path(model.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "qstream.cli", "adversary", "--kind", "self-revealing",
+         "--class", str(cls), "--horizon", "4", "--reveal-every=1/100000000",
+         "--seed", "0", "--out", str(tmp_path / "s.json")],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert_single_error(proc.returncode, proc.stderr)
+    assert "at most 100000" in proc.stderr
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("step, reveals", [
+    ("1/4", ["0", "1/4", "1/2", "3/4"]),
+    ("3/10", ["0", "3/10", "3/5", "9/10"]),
+    ("2", ["0"]),
+])
+def test_adversary_reveal_every_schedule(files, capsys, step, reveals):
+    tmp, write = files
+    path = write("cls.json", FULL_AB)
+    code, _, _ = run(capsys, "adversary", "--kind", "self-revealing", "--class", path,
+                     "--horizon", "1", "--reveal-every", step, "--seed", "2",
+                     "--out", str(tmp / "sr.json"))
+    assert code == 0
+    stream = model.stream_from_json(json.loads((tmp / "sr.json").read_text()))
+    times = [e.time for e in run_adaptive_sampler(stream).query_events]
+    assert times == [Fraction(r) for r in reveals]
