@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from operator import add
 from typing import Callable, Mapping
 
 from .model import (
@@ -233,10 +234,13 @@ class QldSolver:
     future group.  Values and stage plans are memoized on (accrual-normalized
     merged state, queries left, last query time); the subtracted minimum
     accrual is added back, so states differing by a constant share one entry.
+    Interim vectors are searched as a bounded search tree: no play undoes an
+    accrued mistake, so a prefix that cannot beat the best plan so far on
+    accruals alone is dropped before any of its children is solved.
     """
 
     def __init__(self, P: PatternClass):
-        violations = [v for v in _pattern_class_problems(P)]
+        violations = _pattern_class_problems(P)
         if violations:
             raise QstreamError("; ".join(violations))
         self.P = P
@@ -293,13 +297,15 @@ class QldSolver:
         if not state:
             raise QstreamError("solve on an empty information set")
         canon, offset = self._canonical(state, t_prev)
+        value, plan = self._memoized(canon, q_left, t_prev)
+        return value + offset, plan
+
+    def _memoized(self, canon: State, q_left: int, t_prev: int) -> tuple[int, _Plan]:
         key = (canon, q_left, t_prev)
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._solve_canonical(canon, q_left, t_prev)
-            self._memo[key] = hit
-        value, plan = hit
-        return value + offset, plan
+            hit = self._memo[key] = self._solve_canonical(canon, q_left, t_prev)
+        return hit
 
     def _blind(self, state: State, t_prev: int) -> tuple[int, _Plan]:
         width = self.L - t_prev
@@ -309,49 +315,67 @@ class QldSolver:
         return value, _Plan(None, _int_to_bits(cand, width), None)
 
     def _solve_canonical(self, state: State, q_left: int, t_prev: int) -> tuple[int, _Plan]:
+        """Blind plan, or the first best (query time t, interim yh, prediction r).
+
+        Per t, a depth-first search over the bits of yh, 0 first, meets yh in
+        ascending order.  A prefix with partial distances d is dropped once
+        lb_r = max(acc + d + (r != b)) over the members is >= best_val for
+        both r, since no completion can then strictly improve; as only a
+        strict improvement replaces the best, the first optimum in (t, yh, r)
+        order wins, as in a flat scan.  The t = L plans reach blind_val.
+        """
         blind_val, blind_plan = self._blind(state, t_prev)
         if q_left == 0 or t_prev == self.L:
             return blind_val, blind_plan
 
-        # Only strict improvements replace, so the first optimum in (t, yh, r)
-        # order wins; the t = L plans always reach blind_val.
         best_val = blind_val + 1
         best_plan = blind_plan
         for t in range(t_prev + 1, self.L + 1):
             gap_len = t - t_prev - 1
-            # per observation (x, b): members in pid order with their gap vectors
-            branches: dict[tuple[str, Label], list[tuple[int, int, int]]] = {}
-            for pid, acc in state:
-                obs = (self.insts[pid][t - 1], self.labels[pid][t - 1])
-                gap = _bits_to_int(self.labels[pid][t_prev : t - 1])
-                branches.setdefault(obs, []).append((pid, acc, gap))
-            # The query-round mistake r != b is common to a branch, so each
-            # child is solved once per interim distance vector and r is added.
-            branch_items = [
-                (b, members, {}) for (_, b), members in sorted(branches.items())
+            # flips[k][v][i]: member i's label in round t_prev + k + 1 is not v;
+            # k = gap_len is the query round, where it is the mistake r != b
+            flips = [
+                [[self.labels[pid][t_prev + k] != v for pid, _ in state] for v in (0, 1)]
+                for k in range(gap_len + 1)
             ]
-            for yh in range(1 << gap_len):
+            miss0, miss1 = flips[gap_len]
+            # per observation (x, b): member indices per future group at t
+            branches: dict[tuple[str, Label], dict[int, list[int]]] = {}
+            for i, (pid, _) in enumerate(state):
+                obs = (self.insts[pid][t - 1], self.labels[pid][t - 1])
+                branches.setdefault(obs, {}).setdefault(self._group[t][pid], []).append(i)
+            leaves = [
+                (b, sorted(groups), [groups[g] for g in sorted(groups)])
+                for (_, b), groups in sorted(branches.items())
+            ]
+
+            def descend(k: int, yh: int, accs: list[int]) -> None:
+                nonlocal best_val, best_plan
+                if (max(map(add, accs, miss0)) >= best_val
+                        and max(map(add, accs, miss1)) >= best_val):
+                    return
+                if k < gap_len:
+                    descend(k + 1, yh << 1, list(map(add, accs, flips[k][0])))
+                    descend(k + 1, yh << 1 | 1, list(map(add, accs, flips[k][1])))
+                    return
                 worst0 = worst1 = 0
-                for b, members, solved in branch_items:
-                    dists = tuple((yh ^ gap).bit_count() for _, _, gap in members)
-                    value = solved.get(dists)
-                    if value is None:
-                        child = tuple(
-                            (pid, acc + d) for (pid, acc, _), d in zip(members, dists)
-                        )
-                        value, _ = self.solve(child, q_left - 1, t)
-                        solved[dists] = value
+                for b, gids, idxs in leaves:
+                    vals = [max([accs[i] for i in ids]) for ids in idxs]
+                    offset = min(vals)
+                    canon = tuple(zip(gids, [v - offset for v in vals]))
+                    value = self._memoized(canon, q_left - 1, t)[0] + offset
                     if value + b > worst0:
                         worst0 = value + b
                     if value + 1 - b > worst1:
                         worst1 = value + 1 - b
                     if worst0 >= best_val and worst1 >= best_val:
-                        break
-                else:
-                    for r, worst in ((0, worst0), (1, worst1)):
-                        if worst < best_val:
-                            best_val = worst
-                            best_plan = _Plan(t, _int_to_bits(yh, gap_len), r)
+                        return
+                for r, worst in ((0, worst0), (1, worst1)):
+                    if worst < best_val:
+                        best_val = worst
+                        best_plan = _Plan(t, _int_to_bits(yh, gap_len), r)
+
+            descend(0, 0, [acc for _, acc in state])
         assert best_val <= blind_val
         return best_val, best_plan
 

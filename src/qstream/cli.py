@@ -123,6 +123,15 @@ def _config_defaults() -> dict:
     return doc
 
 
+def _budget_policy(args: argparse.Namespace) -> model.QueryBudgetPolicy:
+    """The query budget from --slope or the config (default slope 1), validated."""
+    budget = model.QueryBudgetPolicy(args.slope if args.slope is not None else Fraction(1))
+    problems = model.validate(budget)
+    if problems:
+        raise CliError("invalid query budget: " + "; ".join(problems))
+    return budget
+
+
 def _fill_from_config(args: argparse.Namespace, keys: dict[str, type]) -> None:
     config = _config_defaults()
     for key, conv in keys.items():
@@ -162,8 +171,7 @@ def cmd_unif_sim(args: argparse.Namespace) -> int:
     if args.stream:
         source = _load_stream(args.stream)
     elif args.adversary == "littlestone-branch":
-        slope = args.slope if args.slope is not None else Fraction(1)
-        budget = model.QueryBudgetPolicy(slope)
+        budget = _budget_policy(args)
         n = args.n if args.n is not None else 1
 
         def source(stream_seed):
@@ -230,9 +238,8 @@ def cmd_qld(args: argparse.Namespace) -> int:
 def cmd_adversary(args: argparse.Namespace) -> int:
     _fill_from_config(args, {"slope": Fraction, "horizon": Fraction})
     seed = _require_seed(args)
-    slope = args.slope if args.slope is not None else Fraction(1)
-    budget = model.QueryBudgetPolicy(slope)
-    params: dict = {"slope": str(slope)}
+    budget = _budget_policy(args)
+    params: dict = {"slope": str(budget.slope)}
 
     if args.kind == "littlestone-branch":
         if not args.class_file:
@@ -286,8 +293,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
 
 def cmd_blind_bound(args: argparse.Namespace) -> int:
     _fill_from_config(args, {"slope": Fraction})
-    slope = args.slope if args.slope is not None else Fraction(1)
-    budget = model.QueryBudgetPolicy(slope)
+    budget = _budget_policy(args)
     if args.placement:
         doc = _load_json(args.placement)
         try:

@@ -9,6 +9,8 @@ import qstream.blind as blind_mod
 from qstream.blind import (
     BlindStrategy,
     ConstantVectorStrategy,
+    QldSolver,
+    _Plan,
     _weighted_one_center,
     blind_learning_dimension,
     bp_soa_strategy,
@@ -301,6 +303,42 @@ def test_oracle_equality_random():
             assert qld(P, Q).value == game_value(P, Q)
 
 
+@pytest.mark.parametrize("alphabet", ["a", "abc"])
+def test_oracle_equality_random_alphabets(alphabet):
+    # Three instances split a round into up to six observation branches; one
+    # instance puts many patterns of a branch into one future group, whose
+    # merged accrual must be the largest of its members'.
+    rng = random.Random(47)
+    for _ in range(60):
+        P = random_class(rng, max_L=5, max_P=8, alphabet=alphabet)
+        for Q in (0, 1, 2):
+            assert qld(P, Q).value == game_value(P, Q)
+
+
+def test_qld_value_at_least_largest_accrual():
+    # The interim search prunes on this bound: no play can undo a mistake a
+    # pattern has already accrued.  States come from advance under random
+    # plans, so accruals spread well beyond those of optimal play.
+    rng = random.Random(43)
+    checked = 0
+    for _ in range(40):
+        P = random_class(rng, max_L=5, max_P=8, alphabet="abc")
+        solver = QldSolver(P)
+        stack = [(solver.initial_state(), rng.randint(1, 3), 0)]
+        while stack:
+            state, q, t_prev = stack.pop()
+            assert solver.solve(state, q, t_prev)[0] >= max(acc for _, acc in state)
+            checked += 1
+            if q == 0 or t_prev == P.horizon:
+                continue
+            t = rng.randint(t_prev + 1, P.horizon)
+            interim = tuple(rng.randint(0, 1) for _ in range(t - t_prev - 1))
+            plan = _Plan(t, interim, rng.randint(0, 1))
+            for x, y in sorted({P.patterns[pid].steps[t - 1] for pid, _ in state}):
+                stack.append((solver.advance(state, plan, t, x, y), q - 1, t))
+    assert checked > 200
+
+
 def test_oracle_equality_on_instance_order_sensitive_class():
     # the class where collapsing accrued mistakes understates the optimum
     labels = [(1, 0, 0, 1), (0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 0, 1), (1, 0, 1, 1), (1, 0, 1, 1)]
@@ -422,22 +460,26 @@ def _golden_classes():
         yield random_class(rng, max_L=6, max_P=12), (0, 1, 2)
 
 
-def _golden_records():
+def _golden_records(classes):
     return [
         {"class": pattern_class_to_json(P), "budget": Q, **qld(P, Q).to_json()}
-        for P, budgets in _golden_classes()
+        for P, budgets in classes
         for Q in budgets
     ]
+
+
+def _assert_matches_frozen(frozen):
+    for rec in frozen:
+        P = pattern_class_from_json(rec["class"])
+        got = qld(P, rec["budget"]).to_json()
+        assert got == {"value": rec["value"], "witness": rec["witness"]}, rec["class"]
 
 
 def test_qld_witnesses_match_frozen_goldens():
     # Any change to a value, to the tie-break or to one witness node fails here.
     frozen = json.loads(GOLDEN_PATH.read_text())
     assert len(frozen) == 4 + 50 * 3
-    for rec in frozen:
-        P = pattern_class_from_json(rec["class"])
-        got = qld(P, rec["budget"]).to_json()
-        assert got == {"value": rec["value"], "witness": rec["witness"]}, rec["class"]
+    _assert_matches_frozen(frozen)
 
 
 def test_frozen_golden_classes_are_the_seeded_set():
@@ -448,7 +490,43 @@ def test_frozen_golden_classes_are_the_seeded_set():
     assert [(rec["class"], rec["budget"]) for rec in frozen] == classes
 
 
+FRONTIER_GOLDEN_PATH = Path(__file__).parent / "data" / "qld_golden_frontier.json"
+
+
+def _frontier_golden_classes():
+    """The frozen frontier set: three 24-pattern two-instance classes each at
+    L = 11 and L = 12 solved with Q = 2, where the interim search prunes
+    most, then 30 random three-instance classes with L <= 6 solved with
+    Q in {0, 1, 2, 3}, where a round can have up to six observation branches."""
+    rng = random.Random(4102)
+    for L in (11, 11, 11, 12, 12, 12):
+        pats = set()
+        while len(pats) < 24:
+            pats.add(tuple((rng.choice("ab"), rng.randint(0, 1)) for _ in range(L)))
+        yield PatternClass(AB, L, tuple(DiscretePattern(p) for p in sorted(pats))), (2,)
+    for _ in range(30):
+        yield random_class(rng, max_L=6, max_P=12, alphabet="abc"), (0, 1, 2, 3)
+
+
+def test_qld_witnesses_match_frozen_frontier_goldens():
+    frozen = json.loads(FRONTIER_GOLDEN_PATH.read_text())
+    classes = [
+        (pattern_class_to_json(P), Q)
+        for P, budgets in _frontier_golden_classes()
+        for Q in budgets
+    ]
+    assert [(rec["class"], rec["budget"]) for rec in frozen] == classes
+    _assert_matches_frozen(frozen)
+
+
 if __name__ == "__main__":
     # Regenerate the frozen witnesses: python tests/test_blind.py
-    GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(_golden_records(), sort_keys=True) + "\n")
+    # or, for the frontier set, python tests/test_blind.py frontier
+    import sys
+
+    if sys.argv[1:] == ["frontier"]:
+        path, classes = FRONTIER_GOLDEN_PATH, _frontier_golden_classes()
+    else:
+        path, classes = GOLDEN_PATH, _golden_classes()
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(_golden_records(classes), sort_keys=True) + "\n")

@@ -303,6 +303,32 @@ def test_blind_bound_negative_units_exit_2(capsys):
     assert out == ""
 
 
+SLOPE_COMMANDS = {
+    "unif-sim": ["unif-sim", "--class", "{cls}", "--adversary", "littlestone-branch",
+                 "--n", "2", "--trials", "2", "--seed", "0"],
+    "adversary": ["adversary", "--kind", "two-point", "--units", "2", "--seed", "0",
+                  "--out", "{out}"],
+    "blind-bound": ["blind-bound", "--units", "2"],
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("slope", ["0", "-1/2"])
+@pytest.mark.parametrize("command", sorted(SLOPE_COMMANDS))
+def test_slope_not_positive_exit_2(files, capsys, monkeypatch, command, slope, source):
+    tmp, write = files
+    cls = write("cls.json", FULL_AB)
+    argv = [a.format(cls=cls, out=tmp / "s.json") for a in SLOPE_COMMANDS[command]]
+    if source == "flag":
+        argv.append(f"--slope={slope}")
+    else:
+        monkeypatch.setenv("QSTREAM_CONFIG", write("cfg.json", json.dumps({"slope": slope})))
+    code, out, err = run(capsys, *argv)
+    assert_single_error(code, err)
+    assert "slope must be positive" in err
+    assert out == "" and not (tmp / "s.json").exists()
+
+
 @pytest.mark.parametrize("step", ["0", "-1/2"])
 def test_adversary_reveal_every_not_positive_exit_2(tmp_path, step):
     # A child process with a timeout, so an endless reveal loop fails the test
