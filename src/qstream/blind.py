@@ -28,10 +28,8 @@ from .model import (
     LabelVector,
     PatternClass,
     QstreamError,
+    validate,
 )
-
-# Exhaustive candidate sweep up to this window width; branch and bound beyond.
-_EXHAUSTIVE_BITS = 20
 
 # state: tuple of (pattern id, accrued mistakes), sorted by pattern id
 State = tuple[tuple[int, int], ...]
@@ -77,55 +75,46 @@ def _weighted_one_center(vectors: list[int], weights: list[int], width: int) -> 
     """Minimize over candidates c the max of weights[j] + H(c, vectors[j]).
 
     Returns (value, candidate) with the lexicographically smallest optimal
-    candidate on both paths: each visits candidates in ascending order and
-    only a strict improvement replaces the best.  The exhaustive path
-    (width <= _EXHAUSTIVE_BITS) merges identical vectors, keeping the largest
-    weight, and stops scoring a candidate once it reaches the best value.
-    The branch-and-bound path prunes on the running partial maximum, which
-    only ever grows, so it is admissible.
+    candidate.  Identical vectors are merged, keeping the largest weight, and
+    one scan visits candidates in ascending order.  A candidate fails on the
+    first vector v whose weight w plus distance reaches the best value; then
+    every candidate sharing the shortest prefix (high bits) of cand that
+    already carries best_val - w mismatches with v fails on v too, so the scan
+    jumps past them.  Only a strict improvement replaces the best and no
+    skipped candidate could make one, so the first optimum in ascending order
+    wins.  The scan stops once the best value equals the largest weight,
+    which no candidate can go below.
     """
     if not vectors:
         return 0, 0
-    if width <= _EXHAUSTIVE_BITS:
-        heaviest: dict[int, int] = {}
-        for v, w in zip(vectors, weights):
-            if v not in heaviest or w > heaviest[v]:
-                heaviest[v] = w
-        # heaviest first, so a losing candidate reaches best_val sooner
-        pairs = sorted(heaviest.items(), key=lambda vw: -vw[1])
-        best_val, best_cand = max(weights) + width + 1, 0
-        for cand in range(1 << width):
-            worst = 0
-            for v, w in pairs:
-                d = w + ((cand ^ v).bit_count())
-                if d > worst:
-                    worst = d
-                    if worst >= best_val:
-                        break
-            else:  # never reached best_val, so a strict improvement
-                best_val, best_cand = worst, cand
-        return best_val, best_cand
-
-    best_val = max(weights) + width + 1
-    best_cand = 0
-
-    def descend(pos: int, prefix: int, dists: list[int]) -> None:
-        nonlocal best_val, best_cand
-        bound = max(w + d for w, d in zip(weights, dists))
-        if bound >= best_val:
-            return
-        if pos == width:
-            best_val, best_cand = bound, prefix
-            return
-        shift = width - 1 - pos
-        for bit in (0, 1):
-            nxt = [
-                d + (((v >> shift) & 1) != bit)
-                for v, d in zip(vectors, dists)
-            ]
-            descend(pos + 1, (prefix << 1) | bit, nxt)
-
-    descend(0, 0, [0] * len(vectors))
+    heaviest: dict[int, int] = {}
+    for v, w in zip(vectors, weights):
+        if v not in heaviest or w > heaviest[v]:
+            heaviest[v] = w
+    # heaviest first, so a losing candidate reaches best_val sooner
+    pairs = sorted(heaviest.items(), key=lambda vw: -vw[1])
+    floor = pairs[0][1]
+    best_val, best_cand = floor + width + 1, 0
+    cand, end = 0, 1 << width
+    while cand < end:
+        worst = 0
+        for v, w in pairs:
+            x = cand ^ v
+            d = w + x.bit_count()
+            if d > worst:
+                worst = d
+                if d >= best_val:
+                    # keep the best_val - w highest mismatches: the lowest
+                    # kept bit ends the prefix that already fails on v
+                    for _ in range(d - best_val):
+                        x &= x - 1
+                    cand = (cand | ((x & -x) - 1)) + 1
+                    break
+        else:  # never reached best_val, so a strict improvement
+            best_val, best_cand = worst, cand
+            if worst == floor:
+                break
+            cand += 1
     return best_val, best_cand
 
 
@@ -240,9 +229,9 @@ class QldSolver:
     """
 
     def __init__(self, P: PatternClass):
-        violations = _pattern_class_problems(P)
-        if violations:
-            raise QstreamError("; ".join(violations))
+        problems = validate(P)
+        if problems:
+            raise QstreamError("; ".join(problems))
         self.P = P
         self.L = P.horizon
         self.labels = [p.labels for p in P.patterns]
@@ -460,16 +449,6 @@ class TreeReplanStrategy(BlindStrategy):
         self.q_left -= 1
         self.t_prev = t
         _, self.plan = self.solver.solve(self.state, self.q_left, t)
-
-
-def _pattern_class_problems(P: PatternClass) -> list[str]:
-    out = []
-    if P.is_empty:
-        out.append("pattern class is empty")
-    for i, p in enumerate(P.patterns):
-        if len(p) != P.horizon:
-            out.append(f"pattern {i} has length {len(p)}, horizon {P.horizon}")
-    return out
 
 
 def qld(P: PatternClass, Q: int) -> DimensionWitness:

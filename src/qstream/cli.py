@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from typing import Any, Callable
 
 from . import adversaries, arena, blind, littlestone, model
 
@@ -40,42 +41,21 @@ def _load_json(path: str) -> dict:
         raise CliError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path}: {exc}")
+    except RecursionError:
+        raise CliError(f"malformed JSON in {path}: nested too deeply")
 
 
-def _load_concept_class(path: str) -> model.ConceptClass:
+def _load(path: str, from_json: Callable[[dict], Any], what: str) -> Any:
+    """Read, convert and validate one input file; any defect is a CliError."""
     doc = _load_json(path)
     try:
-        cls = model.concept_class_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"bad concept class in {path}: {exc}")
-    problems = model.validate(cls)
-    if problems:
-        raise CliError(f"invalid concept class in {path}: " + "; ".join(problems))
-    return cls
-
-
-def _load_pattern_class(path: str) -> model.PatternClass:
-    doc = _load_json(path)
-    try:
-        P = model.pattern_class_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"bad pattern class in {path}: {exc}")
-    problems = model.validate(P)
-    if problems:
-        raise CliError(f"invalid pattern class in {path}: " + "; ".join(problems))
-    return P
-
-
-def _load_stream(path: str) -> model.PiecewiseStream:
-    doc = _load_json(path)
-    try:
-        stream = model.stream_from_json(doc)
+        obj = from_json(doc)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad stream in {path}: {exc}")
-    problems = model.validate(stream)
+        raise CliError(f"bad {what} in {path}: {exc}")
+    problems = model.validate(obj)
     if problems:
-        raise CliError(f"invalid stream in {path}: " + "; ".join(problems))
-    return stream
+        raise CliError(f"invalid {what} in {path}: " + "; ".join(problems))
+    return obj
 
 
 def _fraction(text: str) -> Fraction:
@@ -141,7 +121,7 @@ def _fill_from_config(args: argparse.Namespace, keys: dict[str, type]) -> None:
                 if conv is Fraction:
                     value = model.as_fraction(value)
                 elif conv is int:
-                    value = int(value)
+                    value = model.as_int(value)
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise CliError(f"bad {key} in config {os.environ[CONFIG_ENV]}: {exc}")
             setattr(args, key, value)
@@ -152,7 +132,7 @@ def _fill_from_config(args: argparse.Namespace, keys: dict[str, type]) -> None:
 
 
 def cmd_ld(args: argparse.Namespace) -> int:
-    cls = _load_concept_class(args.class_file)
+    cls = _load(args.class_file, model.concept_class_from_json, "concept class")
     print(littlestone.littlestone_dimension(cls))
     return 0
 
@@ -164,12 +144,12 @@ def _format_float(x: float) -> str:
 def cmd_unif_sim(args: argparse.Namespace) -> int:
     _fill_from_config(args, {"delta": Fraction, "trials": int, "slope": Fraction})
     seed = _require_seed(args)
-    cls = _load_concept_class(args.class_file)
+    cls = _load(args.class_file, model.concept_class_from_json, "concept class")
     delta = args.delta if args.delta is not None else Fraction(1)
     trials = args.trials if args.trials is not None else 10000
 
     if args.stream:
-        source = _load_stream(args.stream)
+        source = _load(args.stream, model.stream_from_json, "stream")
     elif args.adversary == "littlestone-branch":
         budget = _budget_policy(args)
         n = args.n if args.n is not None else 1
@@ -216,7 +196,7 @@ def cmd_qld(args: argparse.Namespace) -> int:
     _fill_from_config(args, {"budget": int})
     if args.budget is None:
         raise CliError("--budget is required")
-    P = _load_pattern_class(args.patterns)
+    P = _load(args.patterns, model.pattern_class_from_json, "pattern class")
     witness = blind.qld(P, args.budget)
     doc = {
         "value": witness.value,
@@ -244,7 +224,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     if args.kind == "littlestone-branch":
         if not args.class_file:
             raise CliError("littlestone-branch needs --class")
-        cls = _load_concept_class(args.class_file)
+        cls = _load(args.class_file, model.concept_class_from_json, "concept class")
         n = args.n if args.n is not None else 1
         stream = adversaries.gen_littlestone_branch_stream(
             cls, n, budget, seed, horizon=args.horizon
@@ -257,7 +237,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     elif args.kind == "self-revealing":
         if not args.class_file:
             raise CliError("self-revealing needs --class")
-        cls = _load_concept_class(args.class_file)
+        cls = _load(args.class_file, model.concept_class_from_json, "concept class")
         if args.horizon is None:
             raise CliError("self-revealing needs --horizon")
         if args.reveal_times:

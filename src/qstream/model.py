@@ -57,8 +57,21 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     if isinstance(value, dict):
-        return Fraction(int(value["num"]), int(value["den"]))
+        return Fraction(as_int(value["num"]), as_int(value["den"]))
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def as_int(value: Any) -> int:
+    """Read a JSON integer exactly: an int, or a float with an integral value.
+
+    Raises ValueError for a bool, a non-finite or fractional float, and any
+    other type, where ``int()`` would round, overflow or parse instead.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"not an integer: {value!r}")
 
 
 def fraction_to_json(value: Fraction) -> Any:
@@ -365,9 +378,15 @@ def concept_class_to_json(cls: ConceptClass) -> dict:
     }
 
 
+def _space_from_json(ids: list) -> InstanceSpace:
+    if not all(isinstance(x, str) for x in ids):
+        raise TypeError(f"instance identifiers must be strings, got {ids!r}")
+    return InstanceSpace(tuple(ids))
+
+
 def concept_class_from_json(doc: dict) -> ConceptClass:
-    space = InstanceSpace(tuple(doc["instances"]))
-    concepts = tuple(tuple(int(y) for y in c["labels"]) for c in doc["concepts"])
+    space = _space_from_json(doc["instances"])
+    concepts = tuple(tuple(as_int(y) for y in c["labels"]) for c in doc["concepts"])
     names = tuple(c.get("name", f"h{i + 1}") for i, c in enumerate(doc["concepts"]))
     return ConceptClass(space, concepts, names)
 
@@ -381,12 +400,12 @@ def pattern_class_to_json(P: PatternClass) -> dict:
 
 
 def pattern_class_from_json(doc: dict) -> PatternClass:
-    space = InstanceSpace(tuple(doc["instances"]))
+    space = _space_from_json(doc["instances"])
     patterns = tuple(
-        DiscretePattern(tuple((str(x), int(y)) for x, y in steps))
+        DiscretePattern(tuple((str(x), as_int(y)) for x, y in steps))
         for steps in doc["patterns"]
     )
-    return PatternClass(space, int(doc["horizon"]), patterns)
+    return PatternClass(space, as_int(doc["horizon"]), patterns)
 
 
 def stream_to_json(stream: PiecewiseStream) -> dict:
@@ -406,7 +425,7 @@ def stream_to_json(stream: PiecewiseStream) -> dict:
 
 def stream_from_json(doc: dict) -> PiecewiseStream:
     segments = tuple(
-        Segment(as_fraction(s["start"]), as_fraction(s["end"]), str(s["x"]), int(s["y"]))
+        Segment(as_fraction(s["start"]), as_fraction(s["end"]), str(s["x"]), as_int(s["y"]))
         for s in doc["segments"]
     )
     return PiecewiseStream(as_fraction(doc["horizon"]), segments)

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-import qstream.blind as blind_mod
 from qstream.blind import (
     BlindStrategy,
     ConstantVectorStrategy,
@@ -152,22 +151,6 @@ def test_bld_witness_replay_matches_value():
         assert worst_case_mistakes(w.to_strategy(), P, 0) == w.value
 
 
-def test_weighted_one_center_branch_and_bound_agrees(monkeypatch):
-    rng = random.Random(3)
-    cases = []
-    for _ in range(60):
-        width = rng.randint(1, 8)
-        n = rng.randint(1, 6)
-        vectors = [rng.getrandbits(width) for _ in range(n)]
-        weights = [rng.randint(0, 3) for _ in range(n)]
-        cases.append((vectors, weights, width))
-    expected = [_weighted_one_center(v, w, width) for v, w, width in cases]
-    monkeypatch.setattr(blind_mod, "_EXHAUSTIVE_BITS", 0)
-    got = [_weighted_one_center(v, w, width) for v, w, width in cases]
-    for (ev, _), (gv, _) in zip(expected, got):
-        assert ev == gv
-
-
 def one_center_naive(vectors, weights, width):
     """Plain loop over candidate bit tuples in lexicographic order; the first
     optimum found is the lexicographically smallest."""
@@ -183,23 +166,30 @@ def one_center_naive(vectors, weights, width):
     return best
 
 
-@pytest.mark.parametrize("exhaustive_bits", [blind_mod._EXHAUSTIVE_BITS, 0])
-def test_weighted_one_center_matches_naive_oracle(monkeypatch, exhaustive_bits):
-    # Both search paths must return the oracle's value and its lexicographically
+@pytest.mark.parametrize("weight_offset", [0, 20])
+def test_weighted_one_center_matches_naive_oracle(weight_offset):
+    # The search must return the oracle's value and its lexicographically
     # smallest optimal candidate, also when vectors repeat with other weights.
-    monkeypatch.setattr(blind_mod, "_EXHAUSTIVE_BITS", exhaustive_bits)
+    # Both offsets draw the same cases; at 20 every weight exceeds any width,
+    # which moves the value by 20 but must leave the candidate unchanged.
     rng = random.Random(41)
-    for width in range(9):
-        for _ in range(25):
+    for width in list(range(9)) + [9, 10, 11]:
+        for _ in range(25 if width < 9 else 4):
             n = rng.randint(1, 7)
             vectors = [rng.getrandbits(width) for _ in range(n)]
             vectors += rng.sample(vectors, rng.randint(0, n))
-            weights = [rng.randint(0, 4) for _ in vectors]
+            weights = [weight_offset + rng.randint(0, 4) for _ in vectors]
             value, cand = _weighted_one_center(vectors, weights, width)
             want_value, want_cand = one_center_naive(vectors, weights, width)
             assert value == want_value, (vectors, weights, width)
             want_int = int("".join(map(str, want_cand)), 2) if width else 0
             assert cand == want_int, (vectors, weights, width)
+
+
+def test_weighted_one_center_wide_complementary_pair():
+    # Two complementary 21-bit vectors: the best candidate splits the
+    # distance 11/10, and the smallest one is eleven zeros then ten ones.
+    assert _weighted_one_center([0, (1 << 21) - 1], [0, 0], 21) == (11, (1 << 10) - 1)
 
 
 # --- qld ----------------------------------------------------------------------------
@@ -280,6 +270,17 @@ def test_qld_value_within_range():
 def test_qld_empty_class_errors():
     with pytest.raises(QstreamError):
         qld(PatternClass(AB, 2, ()), 1)
+
+
+@pytest.mark.parametrize("labels, problem", [
+    ([(0, 2)], "non-binary label"),  # unvalidated, an internal AssertionError
+    ([(2, 0), (1, 1)], "non-binary label"),  # unvalidated, a value of 0
+    ([(0, 1), (0, 1)], "not pairwise distinct"),
+], ids=["label-2-assertion", "label-2-value", "duplicate"])
+def test_qld_rejects_invalid_class(labels, problem):
+    # the solver validates its class like every other entry point
+    with pytest.raises(QstreamError, match=problem):
+        qld(make_class(labels), 1)
 
 
 # --- oracle agreement ----------------------------------------------------------------

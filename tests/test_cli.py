@@ -1,12 +1,18 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qstream import model
 from qstream.arena import run_adaptive_sampler
@@ -380,3 +386,128 @@ def test_adversary_reveal_every_schedule(files, capsys, step, reveals):
     stream = model.stream_from_json(json.loads((tmp / "sr.json").read_text()))
     times = [e.time for e in run_adaptive_sampler(stream).query_events]
     assert times == [Fraction(r) for r in reveals]
+
+
+# --- hostile JSON fields and deep nesting: exit 2, one error line ----------------
+
+INF = float("inf")
+PATTERNS = {"instances": ["a"], "horizon": 2, "patterns": [[["a", 0], ["a", 1]]]}
+STREAM = {"horizon": 1, "segments": [{"start": 0, "end": 1, "x": "a", "y": 0}]}
+
+
+@pytest.mark.parametrize("command, doc, config", [
+    ("qld", {**PATTERNS, "horizon": INF}, None),
+    ("qld", {**PATTERNS, "horizon": 2.5}, None),
+    ("unif-sim", {**STREAM, "segments": [{**STREAM["segments"][0], "y": INF}]}, None),
+    ("unif-sim", {**STREAM, "horizon": {"num": INF, "den": 1}}, None),
+    ("ld", {"instances": ["a"], "concepts": [{"labels": [INF]}]}, None),
+    ("ld", {"instances": ["a"], "concepts": [{"labels": [0.7]}]}, None),
+    ("qld", PATTERNS, {"budget": INF}),
+    ("blind-bound", {"query_times": [{"num": 1, "den": INF}]}, None),
+    ("ld", {"instances": [[]], "concepts": [{"labels": [0]}]}, None),
+    ("qld", {**PATTERNS, "instances": [{"num": 1, "den": 0}]}, None),
+], ids=["horizon-inf", "horizon-2.5", "y-inf", "num-inf", "label-inf", "label-0.7",
+        "config-budget-inf", "den-inf", "instance-list", "instance-dict"])
+def test_hostile_json_field_exit_2(files, capsys, monkeypatch, command, doc, config):
+    _, write = files
+    path = write("doc.json", json.dumps(doc))
+    argv = {
+        "ld": ["ld", "--class", path],
+        "qld": ["qld", "--patterns", path],
+        "unif-sim": ["unif-sim", "--class", write("cls.json", SINGLETON), "--stream", path,
+                     "--trials", "2", "--seed", "0"],
+        "blind-bound": ["blind-bound", "--units", "2", "--slope", "1", "--placement", path],
+    }[command]
+    if config is not None:
+        monkeypatch.setenv("QSTREAM_CONFIG", write("cfg.json", json.dumps(config)))
+    elif command == "qld":
+        argv += ["--budget", "1"]
+    code, out, err = run(capsys, *argv)
+    assert_single_error(code, err)
+    assert out == ""
+
+
+def test_deeply_nested_json_exit_2(files, capsys):
+    _, write = files
+    path = write("cls.json", "[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capsys, "ld", "--class", path)
+    assert_single_error(code, err)
+    assert "malformed JSON" in err
+
+
+HOSTILE = [INF, float("nan"), 0.7, 2.5, True, None, "x", [], -1,
+           {"num": 1, "den": 0}, {"num": INF, "den": 1}]
+
+
+@st.composite
+def cli_documents(draw):
+    """Small valid input documents: concept class, pattern class, stream,
+    query placement and config, named as the commands below read them."""
+    bit = st.integers(0, 1)
+    names = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    concepts = draw(st.lists(st.lists(bit, min_size=len(names), max_size=len(names)),
+                             min_size=1, max_size=4, unique_by=tuple))
+    horizon = draw(st.integers(1, 4))
+    step = st.tuples(st.sampled_from(names), bit).map(list)
+    patterns = draw(st.lists(st.lists(step, min_size=horizon, max_size=horizon),
+                             min_size=1, max_size=4))
+    cuts = draw(st.lists(st.integers(1, 2 * horizon - 1), max_size=3, unique=True))
+    ends = [c / 2 for c in sorted(cuts)] + [horizon]
+    segments = [
+        {"start": lo, "end": hi, "x": draw(st.sampled_from(names)), "y": draw(bit)}
+        for lo, hi in zip([0] + ends[:-1], ends)
+    ]
+    times = draw(st.lists(st.integers(0, 7).map(lambda k: k / 4), max_size=4))
+    return {
+        "cls": {"instances": names,
+                "concepts": [{"name": f"h{i}", "labels": c} for i, c in enumerate(concepts)]},
+        "patterns": {"instances": names, "horizon": horizon, "patterns": patterns},
+        "stream": {"horizon": horizon, "segments": segments},
+        "placement": {"query_times": times},
+        "config": {"slope": 1, "delta": 1},
+    }
+
+
+def json_paths(node, prefix=()):
+    """Every position below the root of a JSON document, as a key path."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from json_paths(child, prefix + (key,))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(docs=cli_documents(), data=st.data())
+def test_cli_input_contract_fuzz(docs, data):
+    # One field of one valid document is swapped for a hostile value; every
+    # command must then exit 0, 2 or 3, with one `error:` line unless it is 0.
+    name = data.draw(st.sampled_from(sorted(docs)))
+    path = data.draw(st.sampled_from(list(json_paths(docs[name]))))
+    value = data.draw(st.sampled_from(HOSTILE))
+    parent = docs[name]
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for doc_name, doc in docs.items():
+            files[doc_name] = os.path.join(tmp, f"{doc_name}.json")
+            with open(files[doc_name], "w") as fh:
+                json.dump(doc, fh)
+        commands = [
+            ["ld", "--class", files["cls"]],
+            ["unif-sim", "--class", files["cls"], "--stream", files["stream"],
+             "--trials", "2", "--seed", "0"],
+            ["qld", "--patterns", files["patterns"], "--budget", "1"],
+            ["blind-bound", "--units", "2", "--placement", files["placement"]],
+        ]
+        with mock.patch.dict(os.environ, {"QSTREAM_CONFIG": files["config"]}):
+            for argv in commands:
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 2, 3), (argv, code)
+                if code:
+                    lines = err.getvalue().splitlines()
+                    assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err.getvalue())
