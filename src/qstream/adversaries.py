@@ -36,6 +36,15 @@ def _frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _parse_frac(value) -> Fraction:
+    """``Fraction(value)``; the ``p/q`` form of ``_frac_str`` skips the regex."""
+    if isinstance(value, str) and value.isascii():
+        p, slash, q = value.partition("/")
+        if slash and q.isdigit() and (p[1:] if p[:1] == "-" else p).isdigit():
+            return Fraction(int(p), int(q))
+    return Fraction(value)
+
+
 def encode_reveal_token(
     schedule: list[tuple[str, Label, Fraction, Fraction]], next_reveal: Fraction
 ) -> str:
@@ -60,10 +69,10 @@ def decode_reveal_token(token: str) -> tuple[list[tuple[str, Label, Fraction, Fr
     try:
         payload = json.loads(body)
         schedule = [
-            (str(x), int(y), Fraction(start), Fraction(end))
+            (str(x), int(y), _parse_frac(start), _parse_frac(end))
             for x, y, start, end in payload
         ]
-        next_reveal = Fraction(tail)
+        next_reveal = _parse_frac(tail)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise MalformedTokenError(f"not a self-revealing stream: {exc}") from exc
     return schedule, next_reveal

@@ -1,9 +1,10 @@
 """Continuous-time game engine: exact integrals and the two samplers.
 
 Mistake integrals are computed on the common refinement of segment
-boundaries with Fraction arithmetic, never by quadrature.  Query times drawn
-from the RNG are binary floats, converted exactly to Fractions, so a seeded
-run has one well-defined exact mistake integral.
+boundaries in integers over one common denominator, never by quadrature.
+Query times drawn from the RNG are binary floats, read as exact integer
+ratios, so a seeded run has one well-defined exact mistake integral.  All
+runs on a class share its one ``LittlestoneSolver``.
 """
 
 from __future__ import annotations
@@ -96,35 +97,37 @@ class RunReport:
 
 
 def mistake_integral(stream: PiecewiseStream, trace: PredictorTrace) -> Fraction:
-    """Exact measure of {t : prediction != label} over the shared horizon."""
+    """Exact measure of {t : prediction != label} over the shared horizon,
+    swept in integers over the least common denominator of all boundaries."""
     if stream.horizon != trace.horizon:
         raise ValueError(
             f"horizon mismatch: stream {stream.horizon}, trace {trace.horizon}"
         )
-    total = Fraction(0)
-    si = ti = 0
-    cursor = Fraction(0)
-    while cursor < stream.horizon:
-        while si < len(stream.segments) and stream.segments[si].end <= cursor:
+    rows = ([(seg.start, seg.end, seg.y) for seg in stream.segments], trace.pieces)
+    den = math.lcm(stream.horizon.denominator,
+                   *(v.denominator for r in rows for a, b, _ in r for v in (a, b)))
+    segs, pieces = (
+        [(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), y)
+         for a, b, y in r] for r in rows
+    )
+    end = stream.horizon.numerator * (den // stream.horizon.denominator)
+    total = cursor = si = ti = 0
+    while cursor < end:
+        while si < len(segs) and segs[si][1] <= cursor:
             si += 1
-        while ti < len(trace.pieces) and trace.pieces[ti][1] <= cursor:
+        while ti < len(pieces) and pieces[ti][1] <= cursor:
             ti += 1
-        if si >= len(stream.segments) or ti >= len(trace.pieces):
-            raise ValueError(f"coverage ends before horizon at {cursor}")
-        seg = stream.segments[si]
-        piece = trace.pieces[ti]
-        if seg.start > cursor or piece[0] > cursor:
-            raise ValueError(f"coverage gap at {cursor}")
-        stop = min(seg.end, piece[1], stream.horizon)
-        if piece[2] != seg.y:
+        if si >= len(segs) or ti >= len(pieces):
+            raise ValueError(f"coverage ends before horizon at {Fraction(cursor, den)}")
+        s_start, s_end, y = segs[si]
+        p_start, p_end, label = pieces[ti]
+        if s_start > cursor or p_start > cursor:
+            raise ValueError(f"coverage gap at {Fraction(cursor, den)}")
+        stop = min(s_end, p_end, end)
+        if label != y:
             total += stop - cursor
         cursor = stop
-    return total
-
-
-def _float_to_fraction(t: float) -> Fraction:
-    # exact binary value; keeps seeded runs reproducible to the bit
-    return Fraction(t)
+    return Fraction(total, den)
 
 
 def run_uniform_sampler(
@@ -137,9 +140,10 @@ def run_uniform_sampler(
     """Uniformly-sampled querying with a standard-optimal predictor.
 
     The next query time is drawn from Unif[t, t + delta] where t is the
-    previous query time (0 initially); each query observes the stream pair,
-    is marked successful when the deployed prediction disagrees, and shrinks
-    the version space.  Queries landing past the horizon are not executed.
+    previous query time (0 initially) and read as the float's exact integer
+    ratio; each query observes the stream pair, is marked successful when
+    the deployed prediction disagrees, and shrinks the version space.
+    Queries landing past the horizon are not executed.
 
     Instances outside H's space (reveal tokens) are predicted as 0 and do
     not restrict the version space.  ``on_empty`` decides what an
@@ -147,25 +151,13 @@ def run_uniform_sampler(
     raises NonRealizableError (concept-class contract), ``reset`` restores
     the full class and continues (pattern-class streams).  A stream that
     does not cover [0, horizon) raises ValueError at its first gap.
-    """
-    return _run_uniform(LittlestoneSolver(H), stream, delta, seed, on_empty)
 
-
-def _run_uniform(
-    solver: LittlestoneSolver,
-    stream: PiecewiseStream,
-    delta: RationalLike,
-    seed,
-    on_empty: str,
-) -> RunReport:
-    """``run_uniform_sampler`` over ``solver.root``, reusing the solver's
-    dimension memo and SOA tables.
-
-    One segment cursor moves forward over the whole run.  Between queries
-    the deployed predictor is the SOA table of the current version space,
-    so the error of a segment is accounted once, when the cursor leaves it,
-    and the open part of the current segment only when a query ends an
-    epoch or changes the table.
+    Every run on H shares ``LittlestoneSolver.of(H)``, its dimension memo
+    and SOA tables.  One segment cursor moves forward over the whole run.
+    Between queries the deployed predictor is the SOA table of the current
+    version space, so the error of a segment is accounted once, when the
+    cursor leaves it, and the open part of the current segment only when a
+    query ends an epoch or changes the table.
     """
     if on_empty not in ("error", "reset"):
         raise ValueError(f"on_empty must be 'error' or 'reset', got {on_empty!r}")
@@ -173,6 +165,7 @@ def _run_uniform(
     if delta_f <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     rng = np.random.default_rng(seed)
+    solver = LittlestoneSolver.of(H)
     horizon = stream.horizon
     segments = stream.segments
     # position of each segment's instance in the space; -1 (outside the
@@ -224,15 +217,16 @@ def _run_uniform(
     anchor = 0.0
     queried = False
     while True:
-        t_float = float(rng.uniform(anchor, anchor + delta_f))
+        # numpy's uniform(anchor, anchor + delta_f) bit for bit; it includes
+        # the lower endpoint, but query times must strictly increase
+        span = (anchor + delta_f) - anchor
+        t_float = anchor + span * rng.random()
         while queried and t_float == anchor:
-            # numpy's uniform includes the lower endpoint; query times must
-            # strictly increase
-            t_float = float(rng.uniform(anchor, anchor + delta_f))
+            t_float = anchor + span * rng.random()
         n, d = t_float.as_integer_ratio()
         if n * hq >= hp * d:
             break
-        t_q = _float_to_fraction(t_float)
+        t_q = Fraction(n, d)
         seg = seek(n, d)
         x, y, xi = seg.x, seg.y, seg_xi[si]
         success = (soa_predict(V, x) if xi >= 0 else 0) != y
@@ -319,7 +313,6 @@ def monte_carlo_uniform(
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    solver = LittlestoneSolver(H)
     integrals: list[Fraction] = []
     epoch_values: dict[int, list[Fraction]] = {}
     for child in root.spawn(trials):
@@ -328,7 +321,7 @@ def monte_carlo_uniform(
             stream = stream_or_generator(stream_seed)
         else:
             stream = stream_or_generator
-        report = _run_uniform(solver, stream, delta, run_seed, on_empty)
+        report = run_uniform_sampler(H, stream, delta, run_seed, on_empty)
         integrals.append(report.mistake_integral)
         for rec in report.epoch_errors:
             epoch_values.setdefault(rec.epoch, []).append(rec.error)

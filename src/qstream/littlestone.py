@@ -3,9 +3,9 @@
 A subset of a fixed root class is an int bitmask over its concept indices,
 and restriction to an (instance, label) pair is one ``&`` with a precomputed
 mask.  The dimension recursion and the SOA predictions are memoized on those
-masks, so exhaustive property sweeps over all subsets and repeated sampler
-runs stay cheap.  Classes here are small by design; clarity beats
-asymptotics.
+masks in one solver per class (``LittlestoneSolver.of``), so exhaustive
+property sweeps and repeated sampler runs stay cheap.  Classes here are
+small by design; clarity beats asymptotics.
 """
 
 from __future__ import annotations
@@ -80,6 +80,15 @@ class LittlestoneSolver:
         self._memo: dict[int, int] = {}
         self._soa: dict[int, tuple[Label, ...]] = {}
 
+    @classmethod
+    def of(cls, H: ConceptClass) -> "LittlestoneSolver":
+        """The one solver of ``H``, kept in ``H.__dict__`` as a cached
+        property would be, so it lives exactly as long as ``H``."""
+        solver = H.__dict__.get("_littlestone_solver")
+        if solver is None:
+            solver = H.__dict__["_littlestone_solver"] = cls(H)
+        return solver
+
     def full(self) -> int:
         """The mask of the whole root class."""
         return (1 << len(self.root.concepts)) - 1
@@ -134,7 +143,7 @@ class LittlestoneSolver:
 
 def littlestone_dimension(H: ConceptClass) -> int:
     """LD(H): depth of the deepest shattered mistake tree of H."""
-    return LittlestoneSolver(H).dimension()
+    return LittlestoneSolver.of(H).dimension()
 
 
 def build_littlestone_tree(H: ConceptClass, d: int) -> ShatteredTree | None:
@@ -145,7 +154,7 @@ def build_littlestone_tree(H: ConceptClass, d: int) -> ShatteredTree | None:
     """
     if d <= 0:
         raise ValueError(f"tree depth must be positive, got {d}")
-    solver = LittlestoneSolver(H)
+    solver = LittlestoneSolver.of(H)
 
     def grow(ids: int, depth: int) -> ShatteredTree | None:
         for xi in range(solver.n_instances):
@@ -183,7 +192,7 @@ class VersionSpace:
         elif isinstance(source, LittlestoneSolver):
             self.solver = source
         else:
-            self.solver = LittlestoneSolver(source)
+            self.solver = LittlestoneSolver.of(source)
         if ids is None:
             ids = source.ids if isinstance(source, VersionSpace) else self.solver.full()
         self.ids = ids

@@ -388,6 +388,8 @@ def concept_class_from_json(doc: dict) -> ConceptClass:
     space = _space_from_json(doc["instances"])
     concepts = tuple(tuple(as_int(y) for y in c["labels"]) for c in doc["concepts"])
     names = tuple(c.get("name", f"h{i + 1}") for i, c in enumerate(doc["concepts"]))
+    if not all(isinstance(name, str) for name in names):
+        raise TypeError(f"concept names must be strings, got {list(names)!r}")
     return ConceptClass(space, concepts, names)
 
 

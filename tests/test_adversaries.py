@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -18,6 +19,7 @@ from qstream.model import (
     BudgetViolationError,
     ConceptClass,
     InstanceSpace,
+    MalformedTokenError,
     QstreamError,
     QueryBudgetPolicy,
     validate,
@@ -67,6 +69,46 @@ def test_token_decode_rejects_zero_denominators():
         decode_reveal_token('SEG([["a",0,"0","1"]])|next=1/0')
     with pytest.raises(MalformedTokenError):
         decode_reveal_token('SEG([["a",0,"0","1/0"]])|next=1')
+
+
+def _decode_reference(token):
+    """Reference decoder: every time read by ``Fraction(str)``."""
+    if not token.startswith("SEG(") or ")|next=" not in token:
+        raise MalformedTokenError("not a self-revealing stream")
+    body, _, tail = token[len("SEG("):].rpartition(")|next=")
+    try:
+        payload = json.loads(body)
+        schedule = [
+            (str(x), int(y), Fraction(start), Fraction(end))
+            for x, y, start, end in payload
+        ]
+        next_reveal = Fraction(tail)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise MalformedTokenError(f"not a self-revealing stream: {exc}") from exc
+    return schedule, next_reveal
+
+
+@pytest.mark.parametrize("time", [
+    "2/4", "-1/2", "+1/2", " 1/2", "1_0/3", "\u0661/\u0662", "1.5", "1e3", "1/0", "/", "1/", "",
+])
+def test_token_decode_agrees_with_fraction_parsing(time):
+    # the time string as a segment start, a segment end and the next reveal
+    tokens = [
+        f'SEG([["a",0,{json.dumps(time)},"1"]])|next=1',
+        f'SEG([["a",0,"0",{json.dumps(time)}]])|next=1',
+        f'SEG([["a",0,"0","1"]])|next={time}',
+    ]
+    for token in tokens:
+        try:
+            expected = _decode_reference(token)
+        except MalformedTokenError as exc:
+            with pytest.raises(MalformedTokenError) as got:
+                decode_reveal_token(token)
+            assert str(got.value) == str(exc)
+        else:
+            got = decode_reveal_token(token)
+            assert got == expected
+            assert all(type(v) is Fraction for _, _, a, b in got[0] for v in (a, b))
 
 
 # --- littlestone-branch streams --------------------------------------------------

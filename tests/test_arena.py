@@ -1,4 +1,7 @@
+import hashlib
 import json
+import random
+import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -15,7 +18,7 @@ from qstream.arena import (
     run_uniform_sampler,
 )
 from qstream.adversaries import gen_littlestone_branch_stream, gen_self_revealing_stream
-from qstream.littlestone import littlestone_dimension
+from qstream.littlestone import LittlestoneSolver, littlestone_dimension
 from qstream.model import (
     ConceptClass,
     InstanceSpace,
@@ -87,6 +90,89 @@ def test_integral_invariant_under_resplitting(widths, cuts, data):
     stream2 = PiecewiseStream(cursor, tuple(refined))
     assert validate(stream2) == []
     assert mistake_integral(stream2, t) == base
+
+
+def _mistake_integral_naive(stream, trace):
+    """Reference: the sweep in Fraction arithmetic, comparing and taking
+    ``min`` over Fractions at every step."""
+    if stream.horizon != trace.horizon:
+        raise ValueError(
+            f"horizon mismatch: stream {stream.horizon}, trace {trace.horizon}"
+        )
+    total = Fraction(0)
+    si = ti = 0
+    cursor = Fraction(0)
+    while cursor < stream.horizon:
+        while si < len(stream.segments) and stream.segments[si].end <= cursor:
+            si += 1
+        while ti < len(trace.pieces) and trace.pieces[ti][1] <= cursor:
+            ti += 1
+        if si >= len(stream.segments) or ti >= len(trace.pieces):
+            raise ValueError(f"coverage ends before horizon at {cursor}")
+        seg = stream.segments[si]
+        piece = trace.pieces[ti]
+        if seg.start > cursor or piece[0] > cursor:
+            raise ValueError(f"coverage gap at {cursor}")
+        stop = min(seg.end, piece[1], stream.horizon)
+        if piece[2] != seg.y:
+            total += stop - cursor
+        cursor = stop
+    return total
+
+
+# small denominators mixed with large pairwise coprime ones
+DENOMINATORS = (1, 2, 3, 4, 6, 10, 10007, 65537, 999983, 2**31 - 1, 2**61 - 1)
+
+
+def _seeded_cover(rng, horizon):
+    """(start, end, label) rows over [0, horizon) at random cuts, sometimes
+    with one row dropped (a gap), the tail cut short (an early end) or the
+    last row running past the horizon."""
+    cuts = set()
+    for _ in range(rng.randint(0, 8)):
+        q = rng.choice(DENOMINATORS)
+        cut = Fraction(rng.randint(1, horizon * q - 1) if horizon * q > 1 else 0, q)
+        if 0 < cut < horizon:
+            cuts.add(cut)
+    bounds = [Fraction(0), *sorted(cuts), Fraction(horizon)]
+    rows = [(a, b, rng.randint(0, 1)) for a, b in zip(bounds, bounds[1:])]
+    roll = rng.random()
+    if roll < 0.1:
+        del rows[rng.randrange(len(rows))]
+    elif roll < 0.2:
+        end = rows[-1][1] - Fraction(1, rng.choice(DENOMINATORS[1:]))
+        if end > rows[-1][0]:
+            rows[-1] = (rows[-1][0], end, rows[-1][2])
+        else:
+            rows.pop()
+    elif roll < 0.3:
+        rows[-1] = (rows[-1][0], rows[-1][1] + Fraction(1, rng.choice(DENOMINATORS)), rows[-1][2])
+    return rows
+
+
+def test_mistake_integral_matches_naive_reference():
+    rng = random.Random(17)
+    outcomes = dict.fromkeys(("value", "mismatch", "ends", "gap"), 0)
+    for _ in range(300):
+        horizon = rng.randint(1, 6)
+        stream = PiecewiseStream(
+            horizon, tuple(Segment(a, b, "a", y) for a, b, y in _seeded_cover(rng, horizon))
+        )
+        trace_horizon = horizon + 1 if rng.random() < 0.05 else horizon
+        t = PredictorTrace(trace_horizon, tuple(_seeded_cover(rng, horizon)))
+        try:
+            expected = _mistake_integral_naive(stream, t)
+        except ValueError as exc:
+            outcomes[next(k for k in outcomes if k in str(exc))] += 1
+            with pytest.raises(ValueError) as got:
+                mistake_integral(stream, t)
+            assert str(got.value) == str(exc)
+        else:
+            outcomes["value"] += 1
+            got = mistake_integral(stream, t)
+            assert got == expected and type(got) is Fraction
+    assert all(outcomes.values()), outcomes
+    assert outcomes["value"] >= 150, outcomes
 
 
 # --- uniform sampler ---------------------------------------------------------
@@ -236,7 +322,90 @@ def test_uniform_sampler_matches_frozen_goldens():
     assert json.loads(json.dumps(_golden_records())) == frozen
 
 
+DELTAS_PATH = Path(__file__).parent / "data" / "arena_golden_deltas.json"
+GOLDEN_DELTAS = ("1/3", "1/10", "7/2", "3/1000")
+# at delta 3/1000 a run makes about 10^4 queries; its events are frozen as a
+# count and a SHA-256 of their JSON, which keeps the file under 2 MB
+DIGEST_DELTAS = ("3/1000",)
+
+
+def _frozen_report(report, delta: str) -> dict:
+    doc = report.to_json()
+    if delta in DIGEST_DELTAS:
+        events = json.dumps(doc["query_events"], sort_keys=True).encode()
+        doc["query_events"] = {
+            "count": len(report.query_events),
+            "sha256": hashlib.sha256(events).hexdigest(),
+        }
+    return doc
+
+
+def _delta_records():
+    """Full reports at step sizes other than 1: both sampler shapes, 5 seeds
+    per delta."""
+    return {
+        delta: {
+            "branch": [
+                _frozen_report(
+                    run_uniform_sampler(FULL_AB, branch_stream(seed), Fraction(delta), 3000 + seed),
+                    delta,
+                )
+                for seed in range(5)
+            ],
+            "self_revealing": [
+                _frozen_report(
+                    run_uniform_sampler(
+                        FULL_4, _long_stream(seed), Fraction(delta), 4000 + seed, on_empty="reset"
+                    ),
+                    delta,
+                )
+                for seed in range(5)
+            ],
+        }
+        for delta in GOLDEN_DELTAS
+    }
+
+
+def test_uniform_sampler_matches_frozen_goldens_at_other_deltas():
+    frozen = json.loads(DELTAS_PATH.read_text())
+    assert sorted(frozen) == sorted(GOLDEN_DELTAS)
+    assert all(len(frozen[d]["branch"]) == len(frozen[d]["self_revealing"]) == 5 for d in frozen)
+    assert json.loads(json.dumps(_delta_records())) == frozen
+
+
+# --- one solver per class ------------------------------------------------------
+
+def _fresh_full_4():
+    return ConceptClass(FULL_4.space, FULL_4.concepts)
+
+
+def test_uniform_sampler_same_on_cold_and_warm_class():
+    cold = run_uniform_sampler(_fresh_full_4(), _long_stream(3), Fraction(1, 3), 77, on_empty="reset")
+    warm = _fresh_full_4()
+    for seed in range(5):
+        run_uniform_sampler(warm, _long_stream(seed), 1, seed, on_empty="reset")
+    monte_carlo_uniform(warm, _long_stream, Fraction(1, 2), 5, 8, on_empty="reset")
+    assert run_uniform_sampler(warm, _long_stream(3), Fraction(1, 3), 77, on_empty="reset") == cold
+    # the shared solver's cached answers equal a fresh solver's
+    shared, fresh = LittlestoneSolver.of(warm), LittlestoneSolver(warm)
+    assert shared._soa and all(shared.soa_labels(ids) == fresh.soa_labels(ids) for ids in shared._soa)
+    assert all(shared.dimension(ids) == fresh.dimension(ids) for ids in shared._memo)
+
+
+def test_uniform_sampler_equal_classes_give_equal_reports():
+    a, b = _fresh_full_4(), _fresh_full_4()
+    assert a == b and LittlestoneSolver.of(a) is not LittlestoneSolver.of(b)
+    for seed in range(3):
+        stream = _long_stream(seed)
+        assert run_uniform_sampler(a, stream, 1, seed, on_empty="reset") == run_uniform_sampler(
+            b, stream, 1, seed, on_empty="reset"
+        )
+
+
 if __name__ == "__main__":
-    # Regenerate the frozen reports: python tests/test_arena.py
+    # Regenerate the frozen reports: python tests/test_arena.py [deltas]
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(_golden_records(), sort_keys=True) + "\n")
+    if sys.argv[1:] == ["deltas"]:
+        DELTAS_PATH.write_text(json.dumps(_delta_records(), sort_keys=True) + "\n")
+    else:
+        GOLDEN_PATH.write_text(json.dumps(_golden_records(), sort_keys=True) + "\n")

@@ -57,6 +57,24 @@ def all_classes(n_instances, max_concepts=None):
             yield ConceptClass(space, combo)
 
 
+# --- one solver per class ------------------------------------------------------
+
+def test_solver_of_is_shared_per_class():
+    H = cls(AB, (0, 0), (0, 1), (1, 1))
+    solver = LittlestoneSolver.of(H)
+    assert LittlestoneSolver.of(H) is solver
+    assert VersionSpace(H).solver is solver
+    assert LittlestoneSolver.of(cls(AB, (0, 0), (0, 1), (1, 1))) is not solver
+    assert solver.dimension() == LittlestoneSolver(H).dimension() == littlestone_dimension(H)
+
+
+def test_solver_of_needs_no_hashable_class():
+    # concept names are not part of any cache key
+    H = ConceptClass(AB, ((0, 1), (1, 0)), ([], {}))
+    assert littlestone_dimension(H) == 1
+    assert soa_predict(H, "a") == 0
+
+
 # --- restrict ----------------------------------------------------------------
 
 def test_restrict_filters():

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +103,13 @@ def test_concept_class_round_trip(n_inst, n_conc):
     cls = ConceptClass(space, tuple(seen))
     doc = json.loads(model.dumps(cls))
     assert model.concept_class_from_json(doc) == cls
+
+
+@pytest.mark.parametrize("name", [[], None, 3, {"n": "h1"}])
+def test_concept_class_from_json_rejects_non_string_names(name):
+    doc = {"instances": ["a"], "concepts": [{"labels": [0], "name": name}]}
+    with pytest.raises(TypeError, match="concept names must be strings"):
+        model.concept_class_from_json(doc)
 
 
 @given(st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 1)), min_size=1, max_size=5),
