@@ -31,10 +31,8 @@ from .blind import (
     ConstantVectorStrategy,
     DimensionWitness,
     blind_learning_dimension,
-    bp_soa_strategy,
     game_value,
     qld,
-    restrict_patterns,
     validate_witness_tree,
     worst_case_mistakes,
 )
@@ -43,9 +41,7 @@ from .littlestone import (
     VersionSpace,
     build_littlestone_tree,
     littlestone_dimension,
-    restrict,
     soa_predict,
-    soa_run,
 )
 from .model import (
     BudgetViolationError,
@@ -62,7 +58,6 @@ from .model import (
     Segment,
     UnknownInstanceError,
     as_fraction,
-    project_labels,
     validate,
 )
 

@@ -26,6 +26,7 @@ from .model import (
     RationalLike,
     Segment,
     as_fraction,
+    as_int,
 )
 
 _TOKEN_PREFIX = "SEG("
@@ -69,12 +70,15 @@ def decode_reveal_token(token: str) -> tuple[list[tuple[str, Label, Fraction, Fr
     try:
         payload = json.loads(body)
         schedule = [
-            (str(x), int(y), _parse_frac(start), _parse_frac(end))
+            (x, as_int(y), _parse_frac(start), _parse_frac(end))
             for x, y, start, end in payload
         ]
         next_reveal = _parse_frac(tail)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError, RecursionError) as exc:
         raise MalformedTokenError(f"not a self-revealing stream: {exc}") from exc
+    for x, y, _, _ in schedule:
+        if not isinstance(x, str) or y not in (0, 1):
+            raise MalformedTokenError(f"not a self-revealing stream: bad step ({x!r}, {y})")
     return schedule, next_reveal
 
 

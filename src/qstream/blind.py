@@ -5,8 +5,8 @@ results; the adversary must stay realizable with respect to the pattern
 class.  ``qld`` computes the optimal worst-case mistake count for a budget of
 Q queries by backward induction over information sets; ``game_value`` is a
 deliberately naive second implementation of the same game used as an
-independent oracle; ``bp_soa_strategy`` turns the solve into a playable
-strategy whose worst-case replay meets the computed value exactly.
+independent oracle; ``qld(P, Q).to_strategy()`` turns the solve into a
+playable strategy whose worst-case replay meets the computed value exactly.
 
 An information set is the set of patterns consistent with the observations
 so far, each carrying the mistakes the learner has already accrued against
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 from operator import add
-from typing import Callable, Mapping
+from typing import Callable
 
 from .model import (
     BudgetViolationError,
@@ -33,30 +33,6 @@ from .model import (
 
 # state: tuple of (pattern id, accrued mistakes), sorted by pattern id
 State = tuple[tuple[int, int], ...]
-
-
-def restrict_patterns(
-    P: PatternClass,
-    label_constraints: Mapping[int, Label] | None = None,
-    instance_constraints: Mapping[int, str] | None = None,
-) -> PatternClass:
-    """Patterns consistent with partial time->label / time->instance maps.
-
-    A missing instance constraint is the wildcard.  The result may be empty;
-    emptiness is a value here, not an error.
-    """
-    labels = dict(label_constraints or {})
-    insts = dict(instance_constraints or {})
-    for t in list(labels) + list(insts):
-        if not 1 <= t <= P.horizon:
-            raise ValueError(f"constraint time {t} outside [1, {P.horizon}]")
-    keep = tuple(
-        p
-        for p in P.patterns
-        if all(p.steps[t - 1][1] == y for t, y in labels.items())
-        and all(p.steps[t - 1][0] == x for t, x in insts.items())
-    )
-    return PatternClass(P.space, P.horizon, keep)
 
 
 def _bits_to_int(bits: tuple[int, ...]) -> int:
@@ -182,26 +158,19 @@ class DimensionWitness:
         return {"value": self.value, "witness": self.witness}
 
 
-def blind_learning_dimension(
-    P: PatternClass, window: tuple[int, int] | None = None
-) -> DimensionWitness:
-    """Exact min over prediction vectors of worst-case Hamming distance.
-
-    ``window`` is an inclusive round range (lo, hi); default is the full
-    horizon.  The value depends only on the distinct label projections.
+def blind_learning_dimension(P: PatternClass) -> DimensionWitness:
+    """Exact min over prediction vectors of worst-case Hamming distance over
+    the full horizon.  The value depends only on the distinct label vectors.
     """
     if P.is_empty:
         raise QstreamError("blind learning dimension of an empty pattern class")
-    lo, hi = window if window is not None else (1, P.horizon)
-    if not (1 <= lo and hi <= P.horizon):
-        raise ValueError(f"window ({lo}, {hi}) outside [1, {P.horizon}]")
-    width = max(0, hi - lo + 1)
-    vecs = sorted({_bits_to_int(p.labels[lo - 1 : hi]) for p in P.patterns})
+    width = P.horizon
+    vecs = sorted({_bits_to_int(p.labels[:width]) for p in P.patterns})
     value, cand = _weighted_one_center(vecs, [0] * len(vecs), width)
     prediction = _int_to_bits(cand, width)
     return DimensionWitness(
         value=value,
-        witness={"kind": "bld", "window": [lo, hi], "prediction": list(prediction)},
+        witness={"kind": "bld", "window": [1, width], "prediction": list(prediction)},
         _factory=lambda: ConstantVectorStrategy(prediction),
     )
 
@@ -468,11 +437,6 @@ def qld(P: PatternClass, Q: int) -> DimensionWitness:
         witness={"kind": "qld", "budget": Q, "tree": tree},
         _factory=lambda: TreeReplanStrategy(solver, Q),
     )
-
-
-def bp_soa_strategy(P: PatternClass, Q: int) -> BlindStrategy:
-    """The optimal budgeted blind player behind ``qld``'s witness."""
-    return qld(P, Q).to_strategy()
 
 
 def validate_witness_tree(tree: dict, Q: int, horizon: int) -> list[str]:

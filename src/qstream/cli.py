@@ -240,8 +240,11 @@ def cmd_adversary(args: argparse.Namespace) -> int:
         cls = _load(args.class_file, model.concept_class_from_json, "concept class")
         if args.horizon is None:
             raise CliError("self-revealing needs --horizon")
-        if args.reveal_times:
-            reveals = [model.as_fraction(t) for t in args.reveal_times.split(",")]
+        if args.reveal_times is not None:
+            try:
+                reveals = [model.as_fraction(t) for t in args.reveal_times.split(",")]
+            except (ValueError, ZeroDivisionError) as exc:
+                raise CliError(f"bad --reveal-times {args.reveal_times!r}: {exc}")
         else:
             step = args.reveal_every if args.reveal_every is not None else Fraction(1)
             if step <= 0:

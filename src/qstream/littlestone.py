@@ -11,9 +11,8 @@ small by design; clarity beats asymptotics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .model import ConceptClass, Label, NonRealizableError, QstreamError
+from .model import ConceptClass, Label, QstreamError
 
 
 @dataclass(frozen=True)
@@ -33,13 +32,6 @@ class ShatteredTree:
     def depth(self) -> int:
         return 1 + (self.left.depth if self.left is not None else 0)
 
-    def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "left": self.left.to_json() if self.left is not None else None,
-            "right": self.right.to_json() if self.right is not None else None,
-        }
-
     def paths(self) -> list[tuple[tuple[str, Label], ...]]:
         """All root-to-leaf (instance, edge-label) sequences."""
         out = []
@@ -49,11 +41,6 @@ class ShatteredTree:
             else:
                 out.extend(((self.x, b),) + tail for tail in child.paths())
         return out
-
-
-def restrict(H: ConceptClass, x: str, y: Label) -> ConceptClass:
-    """Concepts of H consistent with (x, y).  The result may be empty."""
-    return VersionSpace(H).restrict(x, y).concept_class()
 
 
 class LittlestoneSolver:
@@ -182,34 +169,22 @@ class VersionSpace:
     dimension memo and SOA tables.
     """
 
-    def __init__(
-        self,
-        source: ConceptClass | "VersionSpace" | LittlestoneSolver,
-        ids: int | None = None,
-    ):
-        if isinstance(source, VersionSpace):
-            self.solver = source.solver
-        elif isinstance(source, LittlestoneSolver):
-            self.solver = source
-        else:
-            self.solver = LittlestoneSolver.of(source)
-        if ids is None:
-            ids = source.ids if isinstance(source, VersionSpace) else self.solver.full()
-        self.ids = ids
+    def __init__(self, source: ConceptClass | LittlestoneSolver, ids: int | None = None):
+        if not isinstance(source, LittlestoneSolver):
+            source = LittlestoneSolver.of(source)
+        self.solver = source
+        self.ids = self.solver.full() if ids is None else ids
 
     @property
     def is_empty(self) -> bool:
         return not self.ids
-
-    def __len__(self) -> int:
-        return self.ids.bit_count()
 
     def dimension(self) -> int:
         return self.solver.dimension(self.ids)
 
     def restrict(self, x: str, y: Label) -> "VersionSpace":
         xi = self.solver.root.space.index_of(x)
-        return VersionSpace(self, self.solver.restrict_ids(self.ids, xi, y))
+        return VersionSpace(self.solver, self.solver.restrict_ids(self.ids, xi, y))
 
     def concept_class(self) -> ConceptClass:
         root = self.solver.root
@@ -233,21 +208,3 @@ def soa_predict(V: VersionSpace | ConceptClass, x: str) -> Label:
         V = VersionSpace(V)
     return V.solver.soa_labels(V.ids)[V.solver.root.space.index_of(x)]
 
-
-def soa_run(
-    H: ConceptClass, seq: Sequence[tuple[str, Label]]
-) -> tuple[int, list[int], VersionSpace]:
-    """Run the standard optimal algorithm over a labeled sequence.
-
-    Returns (mistake count, 0-based mistake indices, final version space).
-    Raises NonRealizableError at the first step where no concept survives.
-    """
-    V = VersionSpace(H)
-    mistakes: list[int] = []
-    for i, (x, y) in enumerate(seq):
-        if soa_predict(V, x) != y:
-            mistakes.append(i)
-        V = V.restrict(x, y)
-        if V.is_empty:
-            raise NonRealizableError(f"sequence not realizable at step {i}: ({x!r}, {y})")
-    return len(mistakes), mistakes, V

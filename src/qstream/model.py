@@ -183,16 +183,16 @@ class PiecewiseStream:
         """Return (x, y) for the segment containing time t."""
         if t < 0 or t >= self.horizon:
             raise ValueError(f"time {t} outside [0, {self.horizon})")
-        lo, hi = 0, len(self.segments) - 1
+        lo, hi = 0, len(self.segments)
         while lo < hi:
             mid = (lo + hi) // 2
             if self.segments[mid].end <= t:
                 lo = mid + 1
             else:
                 hi = mid
-        seg = self.segments[lo]
-        if not (seg.start <= t < seg.end):
+        if lo == len(self.segments) or self.segments[lo].start > t:
             raise ValueError(f"stream does not cover time {t}")
+        seg = self.segments[lo]
         return seg.x, seg.y
 
 
@@ -247,9 +247,6 @@ class QueryBudgetPolicy:
 
     def budget(self, t: RationalLike) -> int:
         return math.floor(self.slope * as_fraction(t))
-
-    def __call__(self, t: RationalLike) -> int:
-        return self.budget(t)
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +354,6 @@ def validate(obj: Any) -> list[str]:
     if isinstance(obj, QueryBudgetPolicy):
         return _validate_budget(obj)
     raise TypeError(f"validate does not know type {type(obj).__name__}")
-
-
-def project_labels(P: PatternClass) -> set[LabelVector]:
-    """Project a pattern class to its set of distinct label vectors."""
-    return {p.labels for p in P.patterns}
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,18 @@ def test_token_decode_rejects_zero_denominators():
         decode_reveal_token('SEG([["a",0,"0","1/0"]])|next=1')
 
 
+@pytest.mark.parametrize("body", [
+    '[["a",0.5,"0","1"]]',
+    '[["a",2,"0","1"]]',
+    '[["a",true,"0","1"]]',
+    '[[7,0,"0","1"]]',
+    "[" * 100_000 + "]" * 100_000,
+], ids=["label-0.5", "label-2", "label-true", "instance-int", "nested-100000"])
+def test_token_decode_rejects_malformed_steps(body):
+    with pytest.raises(MalformedTokenError):
+        decode_reveal_token(f"SEG({body})|next=1")
+
+
 def _decode_reference(token):
     """Reference decoder: every time read by ``Fraction(str)``."""
     if not token.startswith("SEG(") or ")|next=" not in token:

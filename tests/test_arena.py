@@ -273,6 +273,11 @@ def test_adaptive_zero_error_and_exact_query_times():
     assert len(report.query_events) <= 6  # slope-1 budget
 
 
+def test_adaptive_on_stream_without_segments_raises_value_error():
+    with pytest.raises(ValueError, match="stream does not cover time 0"):
+        run_adaptive_sampler(PiecewiseStream(2, ()))
+
+
 def test_adaptive_rejects_plain_stream():
     stream = PiecewiseStream(2, (Segment(0, 2, "a", 0),))
     with pytest.raises(MalformedTokenError, match="not a self-revealing stream"):

@@ -12,10 +12,8 @@ from qstream.blind import (
     _Plan,
     _weighted_one_center,
     blind_learning_dimension,
-    bp_soa_strategy,
     game_value,
     qld,
-    restrict_patterns,
     worst_case_mistakes,
 )
 from qstream.model import (
@@ -68,37 +66,14 @@ def bld_naive(P, lo=None, hi=None):
     return best
 
 
-# --- restrict_patterns -----------------------------------------------------------
-
-FOUR = make_class([(0, 0), (0, 1), (1, 0), (1, 1)])
-
-
-def test_restrict_no_constraints_is_identity():
-    assert restrict_patterns(FOUR).patterns == FOUR.patterns
-
-
-def test_restrict_by_label():
-    out = restrict_patterns(FOUR, label_constraints={1: 0})
-    assert {p.labels for p in out.patterns} == {(0, 0), (0, 1)}
-
-
-def test_restrict_by_instance_can_empty():
-    out = restrict_patterns(FOUR, instance_constraints={2: "b"})
-    assert out.is_empty
-
-
-def test_restrict_time_out_of_range():
-    with pytest.raises(ValueError):
-        restrict_patterns(FOUR, label_constraints={3: 0})
-
-
 # --- blind learning dimension -----------------------------------------------------
 
 def test_bld_singleton():
     P = make_class([(0, 1, 0)])
-    w = blind_learning_dimension(P)
-    assert w.value == 0
-    assert tuple(w.witness["prediction"]) == (0, 1, 0)
+    assert blind_learning_dimension(P).to_json() == {
+        "value": 0,
+        "witness": {"kind": "bld", "window": [1, 3], "prediction": [0, 1, 0]},
+    }
 
 
 def test_bld_pair_distance_three():
@@ -130,12 +105,6 @@ def test_bld_invariant_under_order_and_relabeling():
     P1 = make_class(labels, insts)
     P2 = make_class(list(reversed(labels)), [tuple("b" if c == "a" else "a" for c in xs) for xs in reversed(insts)])
     assert blind_learning_dimension(P1).value == blind_learning_dimension(P2).value
-
-
-def test_bld_window():
-    P = make_class([(0, 0, 0), (0, 1, 1)])
-    assert blind_learning_dimension(P, window=(1, 1)).value == 0
-    assert blind_learning_dimension(P, window=(2, 3)).value == 1
 
 
 def test_bld_empty_class_errors():
@@ -353,12 +322,12 @@ def test_oracle_equality_on_instance_order_sensitive_class():
 
 def test_bp_soa_singleton_never_errs():
     P = make_class([(0, 1, 0)])
-    assert worst_case_mistakes(bp_soa_strategy(P, 2), P, 2) == 0
+    assert worst_case_mistakes(qld(P, 2).to_strategy(), P, 2) == 0
 
 
 def test_bp_soa_two_constants_queries_first_round():
     P = make_class([(0, 0, 0, 0), (1, 1, 1, 1)])
-    strat = bp_soa_strategy(P, 1)
+    strat = qld(P, 1).to_strategy()
     pred, wants = strat.predict(1)
     assert wants is True
     strat.observe(1, "a", 1)
@@ -435,7 +404,7 @@ def test_witness_trees_satisfy_query_tree_invariants():
 
 def test_strategy_records_observation_history():
     P = make_class([(0, 0, 0, 0), (1, 1, 1, 1)])
-    strat = bp_soa_strategy(P, 1)
+    strat = qld(P, 1).to_strategy()
     assert worst_case_mistakes(strat, P, 1) == 1
     assert len(strat.history) == 1 and strat.history[0][0] == 1
     strat.reset()

@@ -371,6 +371,17 @@ def test_adversary_reveal_every_too_many_reveals_exit_2(tmp_path):
     assert not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize("times", ["0,1/0", "0,abc", ""])
+def test_adversary_bad_reveal_times_exit_2(files, capsys, times):
+    tmp, write = files
+    path = write("cls.json", FULL_AB)
+    code, _, err = run(capsys, "adversary", "--kind", "self-revealing", "--class", path,
+                       "--horizon", "2", f"--reveal-times={times}", "--seed", "0",
+                       "--out", str(tmp / "sr.json"))
+    assert_single_error(code, err)
+    assert "--reveal-times" in err and not (tmp / "sr.json").exists()
+
+
 @pytest.mark.parametrize("step, reveals", [
     ("1/4", ["0", "1/4", "1/2", "3/4"]),
     ("3/10", ["0", "3/10", "3/5", "9/10"]),

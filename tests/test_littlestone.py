@@ -7,14 +7,11 @@ from qstream.littlestone import (
     VersionSpace,
     build_littlestone_tree,
     littlestone_dimension,
-    restrict,
     soa_predict,
-    soa_run,
 )
 from qstream.model import (
     ConceptClass,
     InstanceSpace,
-    NonRealizableError,
     QstreamError,
     UnknownInstanceError,
 )
@@ -78,25 +75,25 @@ def test_solver_of_needs_no_hashable_class():
 # --- restrict ----------------------------------------------------------------
 
 def test_restrict_filters():
-    out = restrict(FULL_AB, "a", 0)
+    out = VersionSpace(FULL_AB).restrict("a", 0).concept_class()
     assert set(out.concepts) == {(0, 0), (0, 1)}
 
 
 def test_restrict_can_empty():
     H = cls(AB, (0, 0), (0, 1))
-    out = restrict(H, "a", 1)
-    assert out.is_empty
+    out = VersionSpace(H).restrict("a", 1)
+    assert out.is_empty and out.concept_class().is_empty
 
 
 def test_restrict_direct():
     H = cls(AB, (0, 0), (1, 1))
-    out = restrict(H, "b", 1)
+    out = VersionSpace(H).restrict("b", 1).concept_class()
     assert out.concepts == ((1, 1),)
 
 
 def test_restrict_unknown_instance():
     with pytest.raises(UnknownInstanceError):
-        restrict(FULL_AB, "zz", 0)
+        VersionSpace(FULL_AB).restrict("zz", 0)
 
 
 # --- littlestone dimension ---------------------------------------------------
@@ -145,9 +142,9 @@ def test_tree_full_class_depth_two_all_branches_realizable():
     tree = build_littlestone_tree(FULL_AB, 2)
     assert tree is not None and tree.depth == 2
     for path in tree.paths():
-        V = FULL_AB
+        V = VersionSpace(FULL_AB)
         for x, y in path:
-            V = restrict(V, x, y)
+            V = V.restrict(x, y)
             assert not V.is_empty
 
 
@@ -183,23 +180,6 @@ def test_soa_predict_larger_dimension_wins():
     # restrict at a: label 0 leaves {(0,0),(0,1)} with dimension 1, label 1
     # leaves {(1,0)} with dimension 0
     assert soa_predict(VersionSpace(H), "a") == 0
-
-
-def test_soa_run_singleton_no_mistakes():
-    H = cls(AB, (0, 1))
-    count, idx, V = soa_run(H, [("a", 0), ("b", 1), ("a", 0)])
-    assert count == 0 and idx == [] and len(V) == 1
-
-
-def test_soa_run_bounded_by_dimension():
-    count, _, _ = soa_run(FULL_AB, [("a", 1), ("b", 1)])
-    assert count <= 2
-
-
-def test_soa_run_non_realizable_raises_at_step():
-    H = cls(AB, (0, 1))
-    with pytest.raises(NonRealizableError, match="step 1"):
-        soa_run(H, [("a", 0), ("a", 1)])
 
 
 def _realizable_sequences(H, length):

@@ -1,5 +1,8 @@
+import ast
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,6 @@ from qstream.model import (
     Segment,
     as_fraction,
     fraction_to_json,
-    project_labels,
     validate,
 )
 
@@ -53,30 +55,43 @@ def test_validate_empty_concepts_flagged():
     assert any("empty" in v for v in validate(cls))
 
 
-def test_project_labels_single_pattern():
-    P = PatternClass(SPACE, 3, (pattern(("a", 0), ("a", 1), ("b", 0)),))
-    assert project_labels(P) == {(0, 1, 0)}
-
-
-def test_project_labels_collapses_duplicates():
-    P = PatternClass(SPACE, 2, (pattern(("a", 1), ("a", 1)), pattern(("b", 1), ("b", 1))))
-    assert project_labels(P) == {(1, 1)}
-
-
-def test_project_labels_all_four_vectors():
-    # enumerated by hand: patterns carrying every label pair over two rounds
-    pats = tuple(pattern(("a", i), ("b", j)) for i in (0, 1) for j in (0, 1))
-    P = PatternClass(SPACE, 2, pats)
-    assert project_labels(P) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert len(project_labels(P)) <= len(P.patterns)
-    assert all(len(v) == P.horizon for v in project_labels(P))
-
-
 def test_budget_policy_floor():
     b = QueryBudgetPolicy(Fraction(1, 2))
-    assert [b(t) for t in range(5)] == [0, 0, 1, 1, 2]
-    assert b(Fraction(3, 2)) == 0
-    assert b(0) == 0
+    assert [b.budget(t) for t in range(5)] == [0, 0, 1, 1, 2]
+    assert b.budget(Fraction(3, 2)) == 0
+    assert b.budget(0) == 0
+
+
+@pytest.mark.parametrize("segments", [(), (Segment(0, 1, "a", 0),)])
+def test_value_at_uncovered_time_raises_value_error(segments):
+    stream = PiecewiseStream(2, segments)
+    with pytest.raises(ValueError, match="stream does not cover time 3/2"):
+        stream.value_at(Fraction(3, 2))
+
+
+# --- public names -------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_export_is_used_outside_init():
+    # every name `qstream` exports occurs as a word in the library (not on
+    # its own def/class line), in bench/ or in README.md
+    package = ROOT / "src" / "qstream"
+    tree = ast.parse((package / "__init__.py").read_text())
+    names = [a.asname or a.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) for a in node.names]
+    texts = [(ROOT / "README.md").read_text()]
+    texts += [f.read_text() for f in sorted((ROOT / "bench").glob("*.py"))]
+    texts += [f.read_text() for f in sorted(package.glob("*.py")) if f.name != "__init__.py"]
+    unused = []
+    for name in names:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own_line = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
+        if not any(word.search(line) and not own_line.match(line)
+                   for text in texts for line in text.splitlines()):
+            unused.append(name)
+    assert names and unused == []
 
 
 # --- serialization round trips ---------------------------------------------
