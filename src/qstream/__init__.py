@@ -28,7 +28,6 @@ from .arena import (
 )
 from .blind import (
     BlindStrategy,
-    ConstantVectorStrategy,
     DimensionWitness,
     blind_learning_dimension,
     game_value,

@@ -38,8 +38,12 @@ def _frac_str(value: Fraction) -> str:
 
 
 def _parse_frac(value) -> Fraction:
-    """``Fraction(value)``; the ``p/q`` form of ``_frac_str`` skips the regex."""
-    if isinstance(value, str) and value.isascii():
+    """``Fraction(value)`` of a time string; the ``p/q`` form of ``_frac_str``
+    skips the regex.  The encoder writes only strings, so any other type is a
+    TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"time must be a string, got {value!r}")
+    if value.isascii():
         p, slash, q = value.partition("/")
         if slash and q.isdigit() and (p[1:] if p[:1] == "-" else p).isdigit():
             return Fraction(int(p), int(q))

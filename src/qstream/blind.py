@@ -25,7 +25,6 @@ from typing import Callable
 from .model import (
     BudgetViolationError,
     Label,
-    LabelVector,
     PatternClass,
     QstreamError,
     validate,
@@ -126,18 +125,6 @@ class BlindStrategy:
         self.history = self.history + ((t, x, y),)
 
 
-class ConstantVectorStrategy(BlindStrategy):
-    """Never queries; plays a fixed prediction vector (0 past its end)."""
-
-    def __init__(self, vector: LabelVector):
-        super().__init__()
-        self.vector = tuple(vector)
-        self.budget = 0
-
-    def predict(self, t: int) -> tuple[Label, bool]:
-        return (self.vector[t - 1] if t <= len(self.vector) else 0), False
-
-
 @dataclass
 class DimensionWitness:
     """A solved value plus a replayable certificate achieving it.
@@ -160,18 +147,15 @@ class DimensionWitness:
 
 def blind_learning_dimension(P: PatternClass) -> DimensionWitness:
     """Exact min over prediction vectors of worst-case Hamming distance over
-    the full horizon.  The value depends only on the distinct label vectors.
+    the full horizon: ``qld``'s zero-budget answer, the root solve of a
+    ``QldSolver`` with no query left, so the class is validated the same way.
     """
-    if P.is_empty:
-        raise QstreamError("blind learning dimension of an empty pattern class")
-    width = P.horizon
-    vecs = sorted({_bits_to_int(p.labels[:width]) for p in P.patterns})
-    value, cand = _weighted_one_center(vecs, [0] * len(vecs), width)
-    prediction = _int_to_bits(cand, width)
+    solver = QldSolver(P)
+    value, plan = solver.solve(solver.initial_state(), 0, 0)
     return DimensionWitness(
         value=value,
-        witness={"kind": "bld", "window": [1, width], "prediction": list(prediction)},
-        _factory=lambda: ConstantVectorStrategy(prediction),
+        witness={"kind": "bld", "window": [1, solver.L], "prediction": list(plan.interim)},
+        _factory=lambda: TreeReplanStrategy(solver, 0),
     )
 
 
@@ -194,7 +178,8 @@ class QldSolver:
     accrual is added back, so states differing by a constant share one entry.
     Interim vectors are searched as a bounded search tree: no play undoes an
     accrued mistake, so a prefix that cannot beat the best plan so far on
-    accruals alone is dropped before any of its children is solved.
+    accruals alone is dropped before any of its children is solved.  The
+    root solve at budget 0 is the blind learning dimension.
     """
 
     def __init__(self, P: PatternClass):
@@ -275,19 +260,20 @@ class QldSolver:
     def _solve_canonical(self, state: State, q_left: int, t_prev: int) -> tuple[int, _Plan]:
         """Blind plan, or the first best (query time t, interim yh, prediction r).
 
-        Per t, a depth-first search over the bits of yh, 0 first, meets yh in
-        ascending order.  A prefix with partial distances d is dropped once
-        lb_r = max(acc + d + (r != b)) over the members is >= best_val for
-        both r, since no completion can then strictly improve; as only a
-        strict improvement replaces the best, the first optimum in (t, yh, r)
-        order wins, as in a flat scan.  The t = L plans reach blind_val.
+        The blind plan is solved only where it is returned, with no query or
+        round left; else the search starts with no plan at max(acc) + rounds
+        left + 1, which no plan reaches.  Per t, a depth-first search over the
+        bits of yh, 0 first, meets yh in ascending order.  A prefix with partial
+        distances d is dropped once lb_r = max(acc + d + (r != b)) over the
+        members is >= best_val for both r, as no completion can then strictly
+        improve; only a strict improvement replaces the best, so the first
+        optimum in (t, yh, r) order wins.  The t = L plans reach the blind value.
         """
-        blind_val, blind_plan = self._blind(state, t_prev)
         if q_left == 0 or t_prev == self.L:
-            return blind_val, blind_plan
+            return self._blind(state, t_prev)
 
-        best_val = blind_val + 1
-        best_plan = blind_plan
+        best_val = max(acc for _, acc in state) + (self.L - t_prev) + 1
+        best_plan = None
         for t in range(t_prev + 1, self.L + 1):
             gap_len = t - t_prev - 1
             # flips[k][v][i]: member i's label in round t_prev + k + 1 is not v;
@@ -334,7 +320,6 @@ class QldSolver:
                         best_plan = _Plan(t, _int_to_bits(yh, gap_len), r)
 
             descend(0, 0, [acc for _, acc in state])
-        assert best_val <= blind_val
         return best_val, best_plan
 
     # -- witness serialization ----------------------------------------------

@@ -28,20 +28,6 @@ class ShatteredTree:
     left: "ShatteredTree | None"
     right: "ShatteredTree | None"
 
-    @property
-    def depth(self) -> int:
-        return 1 + (self.left.depth if self.left is not None else 0)
-
-    def paths(self) -> list[tuple[tuple[str, Label], ...]]:
-        """All root-to-leaf (instance, edge-label) sequences."""
-        out = []
-        for b, child in ((0, self.left), (1, self.right)):
-            if child is None:
-                out.append(((self.x, b),))
-            else:
-                out.extend(((self.x, b),) + tail for tail in child.paths())
-        return out
-
 
 class LittlestoneSolver:
     """Dimension and SOA queries over subsets of one root class.
@@ -178,9 +164,6 @@ class VersionSpace:
     @property
     def is_empty(self) -> bool:
         return not self.ids
-
-    def dimension(self) -> int:
-        return self.solver.dimension(self.ids)
 
     def restrict(self, x: str, y: Label) -> "VersionSpace":
         xi = self.solver.root.space.index_of(x)

@@ -77,7 +77,11 @@ def test_token_decode_rejects_zero_denominators():
     '[["a",true,"0","1"]]',
     '[[7,0,"0","1"]]',
     "[" * 100_000 + "]" * 100_000,
-], ids=["label-0.5", "label-2", "label-true", "instance-int", "nested-100000"])
+    '[["a",0,true,"1"]]',
+    '[["a",0,"0",1.5]]',
+    '[["a",0,0,"1"]]',
+], ids=["label-0.5", "label-2", "label-true", "instance-int", "nested-100000",
+        "time-true", "time-1.5", "time-0"])
 def test_token_decode_rejects_malformed_steps(body):
     with pytest.raises(MalformedTokenError):
         decode_reveal_token(f"SEG({body})|next=1")

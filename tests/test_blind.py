@@ -7,7 +7,6 @@ import pytest
 
 from qstream.blind import (
     BlindStrategy,
-    ConstantVectorStrategy,
     QldSolver,
     _Plan,
     _weighted_one_center,
@@ -110,6 +109,14 @@ def test_bld_invariant_under_order_and_relabeling():
 def test_bld_empty_class_errors():
     with pytest.raises(QstreamError):
         blind_learning_dimension(PatternClass(AB, 2, ()))
+
+
+def test_bld_prediction_is_zero_budget_blind_vector():
+    rng = random.Random(29)
+    for _ in range(30):
+        P = random_class(rng, max_L=7, max_P=12)
+        tree = qld(P, 0).witness["tree"]
+        assert blind_learning_dimension(P).witness["prediction"] == tree["blind"]
 
 
 def test_bld_witness_replay_matches_value():
@@ -241,15 +248,28 @@ def test_qld_empty_class_errors():
         qld(PatternClass(AB, 2, ()), 1)
 
 
-@pytest.mark.parametrize("labels, problem", [
-    ([(0, 2)], "non-binary label"),  # unvalidated, an internal AssertionError
-    ([(2, 0), (1, 1)], "non-binary label"),  # unvalidated, a value of 0
-    ([(0, 1), (0, 1)], "not pairwise distinct"),
-], ids=["label-2-assertion", "label-2-value", "duplicate"])
-def test_qld_rejects_invalid_class(labels, problem):
-    # the solver validates its class like every other entry point
+INVALID_CLASSES = [
+    # unvalidated, an internal AssertionError
+    (make_class([(0, 2)]), "non-binary label", "label-2-assertion"),
+    # unvalidated, a value of 0
+    (make_class([(2, 0), (1, 1)]), "non-binary label", "label-2-value"),
+    (make_class([(0, 1), (0, 1)]), "not pairwise distinct", "duplicate"),
+    # horizon 2, one-step pattern: unvalidated, a value 0 whose [0, 1] errs once
+    (PatternClass(InstanceSpace(("a",)), 2, (DiscretePattern((("a", 1),)),)),
+     "length mismatch", "short-pattern"),
+]
+
+
+@pytest.mark.parametrize("solve, P, problem", [
+    pytest.param(solve, P, problem, id=prefix + case)
+    for prefix, solve in (("", lambda P: qld(P, 1)), ("bld-", blind_learning_dimension))
+    for P, problem, case in INVALID_CLASSES
+])
+def test_qld_rejects_invalid_class(solve, P, problem):
+    # the solver validates its class like every other entry point, and the
+    # blind learning dimension is the solver's zero-budget answer
     with pytest.raises(QstreamError, match=problem):
-        qld(make_class(labels), 1)
+        solve(P)
 
 
 # --- oracle agreement ----------------------------------------------------------------
@@ -347,7 +367,8 @@ def test_bp_soa_within_qld_bound_random():
 
 def test_worst_case_all_zeros_counts_disagreements():
     P = make_class([(1, 1, 1)])
-    assert worst_case_mistakes(ConstantVectorStrategy((0, 0, 0)), P, 0) == 3
+    zeros = blind_learning_dimension(make_class([(0, 0, 0)])).to_strategy()
+    assert worst_case_mistakes(zeros, P, 0) == 3
 
 
 def test_worst_case_budget_violation():

@@ -138,10 +138,21 @@ def test_ld_monotone_under_subclass_two_instances():
 
 # --- shattered trees ---------------------------------------------------------
 
+def tree_paths(tree):
+    """Every root-to-leaf (instance, edge-label) sequence of a shattered tree."""
+    out = []
+    for y, child in ((0, tree.left), (1, tree.right)):
+        tails = [()] if child is None else tree_paths(child)
+        out.extend(((tree.x, y),) + tail for tail in tails)
+    return out
+
+
 def test_tree_full_class_depth_two_all_branches_realizable():
     tree = build_littlestone_tree(FULL_AB, 2)
-    assert tree is not None and tree.depth == 2
-    for path in tree.paths():
+    assert tree is not None
+    paths = tree_paths(tree)
+    assert len(paths) == 4 and {len(path) for path in paths} == {2}
+    for path in paths:
         V = VersionSpace(FULL_AB)
         for x, y in path:
             V = V.restrict(x, y)
@@ -160,7 +171,7 @@ def test_tree_feasible_iff_dimension_reaches_depth():
                 tree = build_littlestone_tree(H, d)
                 assert (tree is not None) == (ld >= d)
                 if tree is not None:
-                    assert tree.depth == d
+                    assert {len(path) for path in tree_paths(tree)} == {d}
 
 
 # --- SOA ----------------------------------------------------------------------
@@ -214,6 +225,6 @@ def test_soa_halving_property_and_bound_exhaustive_small():
                     if pred != y:
                         mistakes += 1
                         if not nxt.is_empty:
-                            assert nxt.dimension() <= V.dimension() - 1
+                            assert nxt.solver.dimension(nxt.ids) <= V.solver.dimension(V.ids) - 1
                     V = nxt
                 assert mistakes <= ld
