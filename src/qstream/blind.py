@@ -34,14 +34,6 @@ from .model import (
 State = tuple[tuple[int, int], ...]
 
 
-def _bits_to_int(bits: tuple[int, ...]) -> int:
-    """Big-endian pack, so ascending ints = lexicographically ascending bits."""
-    out = 0
-    for b in bits:
-        out = (out << 1) | b
-    return out
-
-
 def _int_to_bits(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
@@ -171,11 +163,17 @@ class _Plan:
 class QldSolver:
     """Backward-induction solver over information sets of one pattern class.
 
-    Patterns whose remaining rounds agree are merged into one entry carrying
-    the largest accrual, represented by the smallest pattern id of that
-    future group.  Values and stage plans are memoized on (accrual-normalized
-    merged state, queries left, last query time); the subtracted minimum
-    accrual is added back, so states differing by a constant share one entry.
+    One backward pass from t = L builds the per-class tables: ``_group[t][pid]``
+    is the smallest pattern id whose rounds t+1..L equal pid's (two patterns
+    agree there exactly when their (x, y) in round t+1 and their
+    ``_group[t+1]`` ids agree), and ``_suffix[t][pid]`` packs the labels of
+    those rounds big-endian, so ascending ints are lexicographically
+    ascending label vectors.  Patterns of one future group are merged into
+    one entry carrying the largest accrual, represented by the group's
+    smallest pattern id.  Values and stage plans are memoized on
+    (accrual-normalized merged state, queries left, last query time); the
+    subtracted minimum accrual is added back, so states differing by a
+    constant share one entry.
     Interim vectors are searched as a bounded search tree: no play undoes an
     accrued mistake, so a prefix that cannot beat the best plan so far on
     accruals alone is dropped before any of its children is solved.  The
@@ -190,16 +188,19 @@ class QldSolver:
         self.L = P.horizon
         self.labels = [p.labels for p in P.patterns]
         self.insts = [p.instances for p in P.patterns]
-        # _group[t][pid]: smallest pattern id whose rounds t+1..L equal pid's
-        self._group: list[list[int]] = []
-        for t in range(self.L + 1):
-            first: dict[tuple, int] = {}
-            self._group.append(
-                [
-                    first.setdefault((xs[t:], ys[t:]), pid)
-                    for pid, (xs, ys) in enumerate(zip(self.insts, self.labels))
-                ]
+        steps = [p.steps for p in P.patterns]
+        self._group: list[list[int]] = [[0] * len(steps)]
+        self._suffix: list[list[int]] = [[0] * len(steps)]
+        for t in range(self.L - 1, -1, -1):
+            first: dict[tuple[tuple[str, Label], int], int] = {}
+            rows = enumerate(zip(steps, self._group[-1]))
+            self._group.append([first.setdefault((st[t], g), pid) for pid, (st, g) in rows])
+            bit = 1 << (self.L - 1 - t)
+            self._suffix.append(
+                [s | bit if ys[t] else s for ys, s in zip(self.labels, self._suffix[-1])]
             )
+        self._group.reverse()
+        self._suffix.reverse()
         self._memo: dict[tuple[State, int, int], tuple[int, _Plan]] = {}
 
     def initial_state(self) -> State:
@@ -252,7 +253,8 @@ class QldSolver:
 
     def _blind(self, state: State, t_prev: int) -> tuple[int, _Plan]:
         width = self.L - t_prev
-        vecs = [_bits_to_int(self.labels[pid][t_prev:]) for pid, _ in state]
+        suffix = self._suffix[t_prev]
+        vecs = [suffix[pid] for pid, _ in state]
         weights = [acc for _, acc in state]
         value, cand = _weighted_one_center(vecs, weights, width)
         return value, _Plan(None, _int_to_bits(cand, width), None)
@@ -268,20 +270,21 @@ class QldSolver:
         members is >= best_val for both r, as no completion can then strictly
         improve; only a strict improvement replaces the best, so the first
         optimum in (t, yh, r) order wins.  The t = L plans reach the blind value.
+        The flip rows of rounds t_prev+1..L are built once and shared by every t.
         """
         if q_left == 0 or t_prev == self.L:
             return self._blind(state, t_prev)
 
         best_val = max(acc for _, acc in state) + (self.L - t_prev) + 1
         best_plan = None
+        # flips[k][v][i]: member i's label in round t_prev + k + 1 is not v; for
+        # query time t, k = t - t_prev - 1 is the query round, where it is r != b
+        flips = [
+            [[self.labels[pid][k] != v for pid, _ in state] for v in (0, 1)]
+            for k in range(t_prev, self.L)
+        ]
         for t in range(t_prev + 1, self.L + 1):
             gap_len = t - t_prev - 1
-            # flips[k][v][i]: member i's label in round t_prev + k + 1 is not v;
-            # k = gap_len is the query round, where it is the mistake r != b
-            flips = [
-                [[self.labels[pid][t_prev + k] != v for pid, _ in state] for v in (0, 1)]
-                for k in range(gap_len + 1)
-            ]
             miss0, miss1 = flips[gap_len]
             # per observation (x, b): member indices per future group at t
             branches: dict[tuple[str, Label], dict[int, list[int]]] = {}
@@ -336,15 +339,9 @@ class QldSolver:
         t = plan.time
         children: dict[str, dict] = {}
         for b in (0, 1):
-            options = []
-            for pid, acc in state:
-                if self.labels[pid][t - 1] != b:
-                    continue
-                x = self.insts[pid][t - 1]
-                options.append(x)
-            picked = None
-            best = None
-            for x in sorted(set(options)):
+            options = {self.insts[p][t - 1] for p, _ in state if self.labels[p][t - 1] == b}
+            picked = best = None
+            for x in sorted(options):
                 child = self.advance(state, plan, t, x, b)
                 cv, _ = self.solve(child, q_left - 1, t)
                 if best is None or cv > best:
@@ -367,21 +364,23 @@ class TreeReplanStrategy(BlindStrategy):
     Between queries it plays the solved interim vector; at the query round
     it plays the committed prediction (the larger-subtree label, ties to 0)
     and queries; the observation advances the information set and the next
-    stage plan comes from the shared memo.
+    stage plan comes from the shared memo.  The root plan is solved once, at
+    construction, and ``reset`` restores it with the initial state.
     """
 
     def __init__(self, solver: QldSolver, budget: int):
         super().__init__()
         self.solver = solver
         self.budget = budget
+        self._root = solver.initial_state()
+        _, self._root_plan = solver.solve(self._root, budget, 0)
         self.reset()
 
     def reset(self) -> None:
         super().reset()
-        self.state = self.solver.initial_state()
+        self.state, self.plan = self._root, self._root_plan
         self.q_left = self.budget
         self.t_prev = 0
-        _, self.plan = self.solver.solve(self.state, self.q_left, 0)
 
     def predict(self, t: int) -> tuple[Label, bool]:
         plan = self.plan
@@ -467,19 +466,19 @@ def worst_case_mistakes(strategy: BlindStrategy, P: PatternClass, Q: int) -> int
     worst = 0
     for p in P.patterns:
         strategy.reset()
-        queries = 0
-        mistakes = 0
+        steps = p.steps
+        queries = mistakes = 0
         for t in range(1, P.horizon + 1):
             pred, wants_query = strategy.predict(t)
+            x, y = steps[t - 1]
+            mistakes += pred != y
             if wants_query:
                 queries += 1
                 if queries > Q:
                     raise BudgetViolationError(
                         f"strategy used {queries} queries with budget {Q}"
                     )
-            mistakes += pred != p.labels[t - 1]
-            if wants_query:
-                strategy.observe(t, p.steps[t - 1][0], p.labels[t - 1])
+                strategy.observe(t, x, y)
         worst = max(worst, mistakes)
     return worst
 

@@ -22,9 +22,11 @@ from . import adversaries, arena, blind, littlestone, model
 
 CONFIG_ENV = "QSTREAM_CONFIG"
 
-# Upper limit on the reveals `adversary --kind self-revealing --reveal-every`
-# generates; the stream, and the output file, grow linearly with the count.
-MAX_REVEALS = 100_000
+# Upper limit on the items one command builds or sums over: the reveals of
+# `adversary --kind self-revealing --reveal-every`, the segments of
+# `adversary --kind two-point` and the units of `blind-bound`.  Time, memory
+# and output grow linearly with the count.
+MAX_ITEMS = 100_000
 
 
 class CliError(Exception):
@@ -232,6 +234,15 @@ def cmd_adversary(args: argparse.Namespace) -> int:
         params.update({"n": n, "class": args.class_file})
     elif args.kind == "two-point":
         units = args.units if args.units is not None else 1
+        # unit n holds 2 budget(n) segments, or one when budget(n) = 0
+        count = 0
+        for n in range(1, units + 1):
+            count += max(2 * budget.budget(n), 1)
+            if count > MAX_ITEMS:
+                raise CliError(
+                    f"--units {units} gives more than {MAX_ITEMS} segments at slope "
+                    f"{budget.slope}; at most {MAX_ITEMS} are allowed"
+                )
         stream = adversaries.gen_two_point_stream(args.x1, args.x2, units, budget, seed)
         params.update({"units": units, "x1": args.x1, "x2": args.x2})
     elif args.kind == "self-revealing":
@@ -251,10 +262,10 @@ def cmd_adversary(args: argparse.Namespace) -> int:
                 raise CliError(f"--reveal-every must be > 0, got {step}")
             # reveals at 0, step, 2 step, ... below the horizon
             count = max(0, math.ceil(args.horizon / step))
-            if count > MAX_REVEALS:
+            if count > MAX_ITEMS:
                 raise CliError(
                     f"--reveal-every {step} gives {count} reveals before horizon "
-                    f"{args.horizon}; at most {MAX_REVEALS} are allowed"
+                    f"{args.horizon}; at most {MAX_ITEMS} are allowed"
                 )
             reveals = [step * i for i in range(count)]
         stream = adversaries.gen_self_revealing_stream(cls, reveals, args.horizon, seed)
@@ -277,6 +288,8 @@ def cmd_adversary(args: argparse.Namespace) -> int:
 def cmd_blind_bound(args: argparse.Namespace) -> int:
     _fill_from_config(args, {"slope": Fraction})
     budget = _budget_policy(args)
+    if args.units > MAX_ITEMS:
+        raise CliError(f"--units {args.units}: at most {MAX_ITEMS} units are allowed")
     if args.placement:
         doc = _load_json(args.placement)
         try:

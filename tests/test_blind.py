@@ -329,6 +329,28 @@ def test_qld_value_at_least_largest_accrual():
     assert checked > 200
 
 
+@pytest.mark.parametrize("alphabet", ["a", "ab", "abc"])
+def test_solver_tables_match_their_slice_definitions(alphabet):
+    # The tables are built backward from t = L.  _group[t] must equal the
+    # first pid whose rounds t+1..L match, and _suffix[t] those rounds'
+    # labels read as a big-endian binary number.  One instance puts many
+    # patterns in one future group, where a wrong representative shows.
+    rng = random.Random(53)
+    for _ in range(40):
+        P = random_class(rng, max_L=6, max_P=12, alphabet=alphabet)
+        P = PatternClass(P.space, P.horizon, tuple(rng.sample(P.patterns, len(P.patterns))))
+        solver = QldSolver(P)
+        insts = [p.instances for p in P.patterns]
+        labels = [p.labels for p in P.patterns]
+        for t in range(P.horizon + 1):
+            first = {}
+            assert solver._group[t] == [
+                first.setdefault((xs[t:], ys[t:]), pid)
+                for pid, (xs, ys) in enumerate(zip(insts, labels))
+            ]
+            assert solver._suffix[t] == [int("0" + "".join(map(str, ys[t:])), 2) for ys in labels]
+
+
 def test_oracle_equality_on_instance_order_sensitive_class():
     # the class where collapsing accrued mistakes understates the optimum
     labels = [(1, 0, 0, 1), (0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 0, 1), (1, 0, 1, 1), (1, 0, 1, 1)]
@@ -430,6 +452,24 @@ def test_strategy_records_observation_history():
     assert len(strat.history) == 1 and strat.history[0][0] == 1
     strat.reset()
     assert strat.history == ()
+
+
+def test_strategy_reset_restores_the_root_and_replays_the_same():
+    # reset reuses the root plan solved at construction; after a full play it
+    # must give back that plan, the initial state and an empty history
+    rng = random.Random(59)
+    for _ in range(20):
+        P = random_class(rng, max_L=5, max_P=8, alphabet="abc")
+        for Q in (0, 1, 2):
+            strat = qld(P, Q).to_strategy()
+            solver = strat.solver
+            first = worst_case_mistakes(strat, P, Q)
+            strat.reset()
+            assert strat.history == ()
+            assert strat.state == solver.initial_state()
+            assert strat.plan == solver.solve(solver.initial_state(), Q, 0)[1]
+            assert (strat.q_left, strat.t_prev) == (Q, 0)
+            assert worst_case_mistakes(strat, P, Q) == first
 
 
 # --- frozen witnesses -----------------------------------------------------------------

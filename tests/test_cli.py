@@ -335,40 +335,54 @@ def test_slope_not_positive_exit_2(files, capsys, monkeypatch, command, slope, s
     assert out == "" and not (tmp / "s.json").exists()
 
 
-@pytest.mark.parametrize("step", ["0", "-1/2"])
-def test_adversary_reveal_every_not_positive_exit_2(tmp_path, step):
-    # A child process with a timeout, so an endless reveal loop fails the test
-    # instead of hanging the suite.
-    cls = tmp_path / "cls.json"
-    cls.write_text(model.dumps(FULL_AB))
+def run_child(*argv):
+    """The CLI in a child process with a 10 s timeout, so an endless or
+    unbounded run fails the test instead of hanging the suite."""
     src = str(Path(model.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "qstream.cli", "adversary", "--kind", "self-revealing",
-         "--class", str(cls), "--horizon", "4", f"--reveal-every={step}",
-         "--seed", "0", "--out", str(tmp_path / "s.json")],
+    return subprocess.run(
+        [sys.executable, "-m", "qstream.cli", *argv],
         capture_output=True, text=True, timeout=10,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+@pytest.mark.parametrize("step", ["0", "-1/2"])
+def test_adversary_reveal_every_not_positive_exit_2(tmp_path, step):
+    cls = tmp_path / "cls.json"
+    cls.write_text(model.dumps(FULL_AB))
+    proc = run_child("adversary", "--kind", "self-revealing", "--class", str(cls),
+                     "--horizon", "4", f"--reveal-every={step}", "--seed", "0",
+                     "--out", str(tmp_path / "s.json"))
     assert_single_error(proc.returncode, proc.stderr)
     assert not (tmp_path / "s.json").exists()
 
 
 def test_adversary_reveal_every_too_many_reveals_exit_2(tmp_path):
     # 4 * 10^8 reveals would run and allocate without bound; the count is
-    # refused before any is generated (child process, 10 s timeout)
+    # refused before any is generated
     cls = tmp_path / "cls.json"
     cls.write_text(model.dumps(FULL_AB))
-    src = str(Path(model.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "qstream.cli", "adversary", "--kind", "self-revealing",
-         "--class", str(cls), "--horizon", "4", "--reveal-every=1/100000000",
-         "--seed", "0", "--out", str(tmp_path / "s.json")],
-        capture_output=True, text=True, timeout=10,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = run_child("adversary", "--kind", "self-revealing", "--class", str(cls),
+                     "--horizon", "4", "--reveal-every=1/100000000", "--seed", "0",
+                     "--out", str(tmp_path / "s.json"))
     assert_single_error(proc.returncode, proc.stderr)
     assert "at most 100000" in proc.stderr
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # sum over n <= 20000 of 2 budget(n) at slope 1: about 4 * 10^8 segments
+    ["adversary", "--kind", "two-point", "--units", "20000", "--slope", "1",
+     "--seed", "0", "--out", "{out}"],
+    # one exact Fraction term per unit, 10^7 of them
+    ["blind-bound", "--units", "10000000", "--slope", "1"],
+], ids=["two-point", "blind-bound"])
+def test_units_past_the_cap_exit_2(tmp_path, argv):
+    # the count is refused before anything is built
+    proc = run_child(*[a.format(out=tmp_path / "s.json") for a in argv])
+    assert_single_error(proc.returncode, proc.stderr)
+    assert "at most 100000" in proc.stderr
+    assert proc.stdout == "" and not (tmp_path / "s.json").exists()
 
 
 @pytest.mark.parametrize("times", ["0,1/0", "0,abc", ""])

@@ -214,7 +214,6 @@ def test_soa_halving_property_and_bound_exhaustive_small():
     # every realizable sequence of length <= 4 over every 2-instance class
     for H in all_classes(2):
         ld = littlestone_dimension(H)
-        solver = LittlestoneSolver(H)
         for length in range(1, 5):
             for seq in _realizable_sequences(H, length):
                 V = VersionSpace(H)
