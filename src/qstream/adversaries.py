@@ -31,6 +31,7 @@ from .model import (
 
 _TOKEN_PREFIX = "SEG("
 _TOKEN_JOINT = ")|next="
+_TOKEN_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 def _frac_str(value: Fraction) -> str:
@@ -60,7 +61,7 @@ def encode_reveal_token(
     ]
     return (
         _TOKEN_PREFIX
-        + json.dumps(payload, separators=(",", ":"))
+        + _TOKEN_JSON.encode(payload)
         + _TOKEN_JOINT
         + _frac_str(as_fraction(next_reveal))
     )
@@ -247,6 +248,9 @@ def gen_self_revealing_stream(
     rng = np.random.default_rng(seed)
     tree = build_littlestone_tree(source, 2)
     bounds = reveals + [total]
+    # every segment's two branch bits in one draw, the same bits in the same
+    # order as one scalar draw per bit
+    bits = iter(rng.integers(0, 2, size=2 * len(reveals)).tolist() if tree is not None else ())
     segments: list[Segment] = []
     for a, b in zip(bounds, bounds[1:]):
         inner: list[tuple[str, Label, Fraction, Fraction]] = []
@@ -254,7 +258,7 @@ def gen_self_revealing_stream(
             mid = (a + b) / 2
             node, cuts = tree, [(a, mid), (mid, b)]
             for lo, hi in cuts:
-                bit = int(rng.integers(0, 2))
+                bit = next(bits)
                 inner.append((node.x, bit, lo, hi))
                 node = node.right if bit else node.left
         else:

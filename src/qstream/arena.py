@@ -2,9 +2,11 @@
 
 Mistake integrals are computed on the common refinement of segment
 boundaries in integers over one common denominator, never by quadrature.
-Query times drawn from the RNG are binary floats, read as exact integer
-ratios, so a seeded run has one well-defined exact mistake integral.  All
-runs on a class share its one ``LittlestoneSolver``.
+Query times drawn from the RNG are binary floats n / 2^k, so a seeded run
+has one well-defined exact mistake integral.  The uniform sampler keeps its
+times and epoch sums as integers over one unit per run, 1 / (den << shift),
+and builds each Fraction once, at the end.  All runs on a class share its
+one ``LittlestoneSolver``.
 """
 
 from __future__ import annotations
@@ -157,7 +159,10 @@ def run_uniform_sampler(
     Between queries the deployed predictor is the SOA table of the current
     version space, so the error of a segment is accounted once, when the
     cursor leaves it, and the open part of the current segment only when a
-    query ends an epoch or changes the table.
+    query ends an epoch or changes the table.  Times are integers over one
+    unit: den is the lcm of the stream's denominators and the horizon's, and
+    a query time n / 2^k with k > shift rescales every held integer (segment
+    bounds, horizon, ``mark``, epoch sums) by 2^(k - shift) and sets shift = k.
     """
     if on_empty not in ("error", "reset"):
         raise ValueError(f"on_empty must be 'error' or 'reset', got {on_empty!r}")
@@ -172,40 +177,40 @@ def run_uniform_sampler(
     # space) indexes the trailing 0 of every padded label table
     position = {x: i for i, x in enumerate(solver.root.space.instances)}
     seg_xi = [position.get(seg.x, -1) for seg in segments]
-    # ends as exact integer ratios: a query time is a binary float n / d, and
-    # n / d >= p / q exactly when n * q >= p * d
-    hp, hq = horizon.numerator, horizon.denominator
-    ends = [(seg.end.numerator, seg.end.denominator) for seg in segments]
+    # times as integers over 1 / (den << shift); see the docstring
+    den = math.lcm(horizon.denominator,
+                   *(v.denominator for seg in segments for v in (seg.start, seg.end)))
+    shift = 0
+    starts = [seg.start.numerator * (den // seg.start.denominator) for seg in segments]
+    ends = [seg.end.numerator * (den // seg.end.denominator) for seg in segments]
+    end = horizon.numerator * (den // horizon.denominator)
     V = VersionSpace(solver)
     labels = solver.soa_labels(V.ids) + (0,)
 
-    epoch_acc: list[Fraction] = [Fraction(0)]
+    epoch_acc = [0]
     events: list[QueryEvent] = []
     si = 0  # the cursor: the segment holding `mark`
-    mark = Fraction(0)  # error before `mark` is already in epoch_acc
+    mark = 0  # error before `mark` is already in epoch_acc
 
     def enter() -> None:
         """Check that segment si exists and starts by ``mark``."""
         if si == len(segments):
-            raise ValueError(f"coverage ends before horizon at {mark}")
-        if segments[si].start > mark:
-            raise ValueError(f"coverage gap at {mark}")
+            raise ValueError(f"coverage ends before horizon at {Fraction(mark, den << shift)}")
+        if starts[si] > mark:
+            raise ValueError(f"coverage gap at {Fraction(mark, den << shift)}")
 
-    def seek(n: int, d: int) -> Segment:
-        """Account every segment that ends by n / d and return the one holding it."""
+    def seek(t: int) -> Segment:
+        """Account every segment that ends by t and return the one holding it."""
         nonlocal si, mark
-        p, q = ends[si]
-        while p * d <= n * q:
-            seg = segments[si]
-            if labels[seg_xi[si]] != seg.y:
-                epoch_acc[-1] += seg.end - mark
-            mark = seg.end
+        while ends[si] <= t:
+            if labels[seg_xi[si]] != segments[si].y:
+                epoch_acc[-1] += ends[si] - mark
+            mark = ends[si]
             si += 1
             enter()
-            p, q = ends[si]
         return segments[si]
 
-    def settle(seg: Segment, t: Fraction) -> None:
+    def settle(seg: Segment, t: int) -> None:
         """Account [mark, t) inside ``seg``, the segment holding both."""
         nonlocal mark
         if labels[seg_xi[si]] != seg.y:
@@ -224,10 +229,19 @@ def run_uniform_sampler(
         while queried and t_float == anchor:
             t_float = anchor + span * rng.random()
         n, d = t_float.as_integer_ratio()
-        if n * hq >= hp * d:
+        k = d.bit_length() - 1
+        if k > shift:
+            up, shift = k - shift, k
+            starts = [v << up for v in starts]
+            ends = [v << up for v in ends]
+            epoch_acc = [v << up for v in epoch_acc]
+            end <<= up
+            mark <<= up
+        t = n * den << (shift - k)
+        if t >= end:
             break
         t_q = Fraction(n, d)
-        seg = seek(n, d)
+        seg = seek(t)
         x, y, xi = seg.x, seg.y, seg_xi[si]
         success = (soa_predict(V, x) if xi >= 0 else 0) != y
         events.append(QueryEvent(t_q, x, y, success))
@@ -241,28 +255,27 @@ def run_uniform_sampler(
                     )
                 ids = solver.full()
         if success or ids != V.ids:
-            settle(seg, t_q)
+            settle(seg, t)
             if ids != V.ids:
                 V = VersionSpace(solver, ids)
                 labels = solver.soa_labels(ids) + (0,)
             if success:
-                epoch_acc.append(Fraction(0))
+                epoch_acc.append(0)
         anchor = t_float
         queried = True
 
-    while mark < horizon:
-        seg = seek(mark.numerator, mark.denominator)
-        settle(seg, min(seg.end, horizon))
+    while mark < end:
+        seg = seek(mark)
+        settle(seg, min(ends[si], end))
 
     # a trailing zero-error epoch carries no information and would push the
     # epoch count past LD(H) after the final successful query
-    epochs = list(epoch_acc)
-    if epochs and epochs[-1] == 0:
-        epochs.pop()
+    unit = den << shift
+    epochs = epoch_acc[:-1] if epoch_acc[-1] == 0 else epoch_acc
     return RunReport(
-        mistake_integral=sum(epoch_acc, Fraction(0)),
+        mistake_integral=Fraction(sum(epoch_acc), unit),
         query_events=tuple(events),
-        epoch_errors=tuple(EpochError(k + 1, e) for k, e in enumerate(epochs)),
+        epoch_errors=tuple(EpochError(k + 1, Fraction(e, unit)) for k, e in enumerate(epochs)),
         seed=seed,
         parameters={"delta": str(as_fraction(delta)), "horizon": str(stream.horizon)},
     )

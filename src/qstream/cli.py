@@ -149,12 +149,16 @@ def cmd_unif_sim(args: argparse.Namespace) -> int:
     cls = _load(args.class_file, model.concept_class_from_json, "concept class")
     delta = args.delta if args.delta is not None else Fraction(1)
     trials = args.trials if args.trials is not None else 10000
+    if trials > MAX_ITEMS:
+        raise CliError(f"{trials} trials: at most {MAX_ITEMS} are allowed")
 
     if args.stream:
         source = _load(args.stream, model.stream_from_json, "stream")
+        horizon = source.horizon
     elif args.adversary == "littlestone-branch":
         budget = _budget_policy(args)
         n = args.n if args.n is not None else 1
+        horizon = args.horizon if args.horizon is not None else 4 * n
 
         def source(stream_seed):
             return adversaries.gen_littlestone_branch_stream(
@@ -162,6 +166,14 @@ def cmd_unif_sim(args: argparse.Namespace) -> int:
             )
     else:
         raise CliError("provide --stream FILE or --adversary littlestone-branch")
+    # each query moves time on by at most delta, so a trial makes at least
+    # horizon / delta queries
+    steps = math.ceil(horizon / delta) if delta > 0 else 0
+    if steps > MAX_ITEMS:
+        raise CliError(
+            f"horizon {horizon} at delta {delta} gives {steps} query steps per "
+            f"trial; at most {MAX_ITEMS} are allowed"
+        )
 
     stats = arena.monte_carlo_uniform(
         cls, source, delta, trials, seed, on_empty=args.on_empty

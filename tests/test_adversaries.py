@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from qstream.adversaries import (
@@ -14,7 +15,7 @@ from qstream.adversaries import (
     gen_two_point_stream,
     is_reveal_token,
 )
-from qstream.littlestone import VersionSpace
+from qstream.littlestone import VersionSpace, build_littlestone_tree, littlestone_dimension
 from qstream.model import (
     BudgetViolationError,
     ConceptClass,
@@ -22,6 +23,7 @@ from qstream.model import (
     MalformedTokenError,
     QstreamError,
     QueryBudgetPolicy,
+    Segment,
     validate,
 )
 
@@ -361,3 +363,50 @@ def test_self_revealing_rejects_bad_reveals():
         gen_self_revealing_stream(FULL2, [1, 2], 4, 0)  # must start at 0
     with pytest.raises(ValueError):
         gen_self_revealing_stream(FULL2, [0, 5], 4, 0)  # beyond horizon
+
+
+def _self_revealing_reference(source, reveals, horizon, seed):
+    """Reference: one scalar ``rng.integers(0, 2)`` draw per branch bit, and
+    each token written by ``json.dumps``."""
+    rng = np.random.default_rng(seed)
+    tree = build_littlestone_tree(source, 2)
+    bounds = [Fraction(t) for t in reveals] + [Fraction(horizon)]
+    segments = []
+    for a, b in zip(bounds, bounds[1:]):
+        if tree is not None:
+            mid = (a + b) / 2
+            node, inner = tree, []
+            for lo, hi in [(a, mid), (mid, b)]:
+                bit = int(rng.integers(0, 2))
+                inner.append((node.x, bit, lo, hi))
+                node = node.right if bit else node.left
+        else:
+            h = int(rng.integers(0, len(source.concepts)))
+            xi = int(rng.integers(0, len(source.space.instances)))
+            x = source.space.instances[xi]
+            inner = [(x, source.concepts[h][xi], a, b)]
+        payload = [[x, y, f"{lo.numerator}/{lo.denominator}", f"{hi.numerator}/{hi.denominator}"]
+                   for x, y, lo, hi in inner]
+        token = (f"SEG({json.dumps(payload, separators=(',', ':'))})"
+                 f"|next={b.numerator}/{b.denominator}")
+        segments.append(Segment(inner[0][2], inner[0][3], token, inner[0][1]))
+        segments.extend(Segment(lo, hi, x, y) for x, y, lo, hi in inner[1:])
+    return segments
+
+
+@pytest.mark.parametrize("source, dim", [
+    (FULL2, 2),
+    (full_class(3), 3),
+    (ConceptClass(FULL2.space, ((0, 0), (1, 0))), 1),
+    (ConceptClass(FULL2.space, ((0, 1),)), 0),
+], ids=["full-2", "full-3", "ld-1", "ld-0"])
+def test_self_revealing_matches_scalar_draw_reference(source, dim):
+    assert littlestone_dimension(source) == dim
+    rng = random.Random(dim)
+    for seed in range(60):
+        horizon = Fraction(rng.randint(2, 40), rng.choice((1, 2, 3, 7)))
+        cuts = {Fraction(rng.randint(1, 400), rng.choice((1, 3, 10, 1000003))) for _ in range(12)}
+        reveals = [Fraction(0), *sorted(t for t in cuts if t < horizon)]
+        stream = gen_self_revealing_stream(source, reveals, horizon, seed)
+        assert list(stream.segments) == _self_revealing_reference(source, reveals, horizon, seed)
+        assert stream.horizon == horizon

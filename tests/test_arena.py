@@ -6,19 +6,26 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qstream.arena import (
     PredictorTrace,
+    QueryEvent,
     mistake_integral,
     monte_carlo_uniform,
     run_adaptive_sampler,
     run_uniform_sampler,
 )
 from qstream.adversaries import gen_littlestone_branch_stream, gen_self_revealing_stream
-from qstream.littlestone import LittlestoneSolver, littlestone_dimension
+from qstream.littlestone import (
+    LittlestoneSolver,
+    VersionSpace,
+    littlestone_dimension,
+    soa_predict,
+)
 from qstream.model import (
     ConceptClass,
     InstanceSpace,
@@ -405,6 +412,167 @@ def test_uniform_sampler_equal_classes_give_equal_reports():
         assert run_uniform_sampler(a, stream, 1, seed, on_empty="reset") == run_uniform_sampler(
             b, stream, 1, seed, on_empty="reset"
         )
+
+
+# --- integer time accounting vs the Fraction reference --------------------------
+
+def _uniform_sampler_reference(H, stream, delta, seed, on_empty):
+    """Reference: the sampler with every mark and epoch sum a Fraction, one
+    Fraction subtraction and addition per accounted piece.  Same RNG draws,
+    same SOA predictor and restriction, same error messages."""
+    delta_f = float(Fraction(delta))
+    rng = np.random.default_rng(seed)
+    solver = LittlestoneSolver.of(H)
+    segments = stream.segments
+    position = {x: i for i, x in enumerate(solver.root.space.instances)}
+    seg_xi = [position.get(seg.x, -1) for seg in segments]
+    V = VersionSpace(solver)
+    labels = solver.soa_labels(V.ids) + (0,)
+    epoch_acc = [Fraction(0)]
+    events = []
+    si = 0
+    mark = Fraction(0)
+
+    def enter():
+        if si == len(segments):
+            raise ValueError(f"coverage ends before horizon at {mark}")
+        if segments[si].start > mark:
+            raise ValueError(f"coverage gap at {mark}")
+
+    def seek(t):
+        nonlocal si, mark
+        while segments[si].end <= t:
+            if labels[seg_xi[si]] != segments[si].y:
+                epoch_acc[-1] += segments[si].end - mark
+            mark = segments[si].end
+            si += 1
+            enter()
+        return segments[si]
+
+    def settle(seg, t):
+        nonlocal mark
+        if labels[seg_xi[si]] != seg.y:
+            epoch_acc[-1] += t - mark
+        mark = t
+
+    if stream.horizon > 0:
+        enter()
+    anchor = 0.0
+    queried = False
+    while True:
+        span = (anchor + delta_f) - anchor
+        t_float = anchor + span * rng.random()
+        while queried and t_float == anchor:
+            t_float = anchor + span * rng.random()
+        t = Fraction(t_float)
+        if t >= stream.horizon:
+            break
+        seg = seek(t)
+        x, y, xi = seg.x, seg.y, seg_xi[si]
+        success = (soa_predict(V, x) if xi >= 0 else 0) != y
+        events.append(QueryEvent(t, x, y, success))
+        ids = V.ids
+        if xi >= 0:
+            ids = solver.restrict_ids(ids, xi, y)
+            if not ids:
+                if on_empty == "error":
+                    raise NonRealizableError(
+                        f"stream not realizable: ({x!r}, {y}) at {t} empties the version space"
+                    )
+                ids = solver.full()
+        if success or ids != V.ids:
+            settle(seg, t)
+            if ids != V.ids:
+                V = VersionSpace(solver, ids)
+                labels = solver.soa_labels(ids) + (0,)
+            if success:
+                epoch_acc.append(Fraction(0))
+        anchor = t_float
+        queried = True
+
+    while mark < stream.horizon:
+        seg = seek(mark)
+        settle(seg, min(seg.end, stream.horizon))
+    epochs = epoch_acc[:-1] if epoch_acc[-1] == 0 else epoch_acc
+    return sum(epoch_acc, Fraction(0)), events, epochs
+
+
+ABC = InstanceSpace(("a", "b", "c"))
+# coprime small and large boundary denominators, and a binary one
+ACCOUNTING_DENOMINATORS = (1, 2, 3, 7, 1000003, 2**20)
+# all times of a case are scaled by one of these, so tiny deltas and tiny
+# horizons meet query times with large binary denominators
+ACCOUNTING_SCALES = (Fraction(1), Fraction(1, 2**40), Fraction(1, 3**25))
+
+
+def _accounting_case(rng):
+    """(class, stream, delta, seed, on_empty, whether the horizon is a drawn
+    query time), seeded from ``rng``."""
+    concepts = tuple(c for c in product((0, 1), repeat=3) if rng.random() < 0.5) or ((0, 1, 0),)
+    H = ConceptClass(ABC, concepts)
+    scale = rng.choice(ACCOUNTING_SCALES)
+    horizon = Fraction(rng.randint(1, 12), rng.choice((1, 3, 4, 7))) * scale
+    delta = Fraction(rng.randint(1, 4), rng.choice((2, 3, 7, 16))) * scale
+    seed = rng.randrange(2**32)
+    # every time the sampler draws for (delta, seed) below the horizon; a
+    # stream of one instance outside the space leaves the draws unchanged
+    probe = PiecewiseStream(horizon, (Segment(0, horizon, "z", 0),))
+    times = [e.time for e in _uniform_sampler_reference(H, probe, delta, seed, "error")[1]]
+    on_horizon = len(times) > 1 and rng.random() < 0.2
+    if on_horizon:
+        # the first query past the horizon lands exactly on it
+        horizon = rng.choice(times[1:])
+        times = [t for t in times if t < horizon]
+    cuts = set()
+    for _ in range(rng.randint(0, 8)):
+        q = rng.choice(ACCOUNTING_DENOMINATORS)
+        cuts.add(Fraction(rng.randint(1, 12 * q), 4 * q) * scale)
+    if times:
+        # segment ends exactly on drawn query times
+        cuts.update(rng.sample(times, min(len(times), rng.randint(0, 3))))
+    # the last segment may run past a horizon that is no segment end
+    tail = horizon + Fraction(1, rng.choice(ACCOUNTING_DENOMINATORS)) * scale
+    bounds = [Fraction(0), *sorted(c for c in cuts if 0 < c < horizon)]
+    bounds.append(tail if rng.random() < 0.3 else horizon)
+    rows = [[a, b] for a, b in zip(bounds, bounds[1:])]
+    roll = rng.random()
+    if roll < 0.1 and len(rows) > 1:
+        del rows[rng.randrange(len(rows))]  # a gap, or a late first start
+    elif roll < 0.2:
+        rows[-1][1] = (rows[-1][0] + rows[-1][1]) / 2  # coverage ends early
+    segments = tuple(Segment(a, b, rng.choice("abcz"), rng.randint(0, 1)) for a, b in rows)
+    on_empty = rng.choice(("error", "reset"))
+    return H, PiecewiseStream(horizon, segments), delta, seed, on_empty, on_horizon
+
+
+def test_uniform_sampler_integer_accounting_matches_fraction_reference():
+    rng = random.Random(2026)
+    outcomes = dict.fromkeys(
+        ("value", "on-end", "on-horizon", "past-horizon",
+         "coverage gap", "coverage ends", "not realizable"), 0
+    )
+    for _ in range(300):
+        H, stream, delta, seed, on_empty, on_horizon = _accounting_case(rng)
+        try:
+            value, events, epochs = _uniform_sampler_reference(H, stream, delta, seed, on_empty)
+        except (ValueError, NonRealizableError) as exc:
+            outcomes[next(k for k in outcomes if k in str(exc))] += 1
+            with pytest.raises(type(exc)) as got:
+                run_uniform_sampler(H, stream, delta, seed, on_empty)
+            assert str(got.value) == str(exc)
+            continue
+        outcomes["value"] += 1
+        ends = {seg.end for seg in stream.segments}
+        outcomes["on-end"] += any(e.time in ends for e in events)
+        outcomes["past-horizon"] += stream.segments[-1].end > stream.horizon
+        outcomes["on-horizon"] += on_horizon
+        report = run_uniform_sampler(H, stream, delta, seed, on_empty)
+        assert report.mistake_integral == value and type(report.mistake_integral) is Fraction
+        assert list(report.query_events) == events
+        assert [e.error for e in report.epoch_errors] == epochs
+        assert [e.epoch for e in report.epoch_errors] == list(range(1, len(epochs) + 1))
+    assert all(outcomes.values()), outcomes
+    assert outcomes["value"] >= 150, outcomes
 
 
 if __name__ == "__main__":

@@ -385,6 +385,38 @@ def test_units_past_the_cap_exit_2(tmp_path, argv):
     assert proc.stdout == "" and not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize("argv, config", [
+    # 10^9 trials: a billion child seeds are spawned before the first trial
+    (["--trials", "1000000000"], None),
+    ([], {"trials": 1000000000}),
+    # about 4 * 10^9 queries in each trial
+    (["--delta", "1/1000000000"], None),
+    ([], {"delta": {"num": 1, "den": 1000000000}}),
+    # horizon 10^9 or 4 * 10^9 at delta 1: as many queries per trial
+    (["--horizon", "1000000000"], None),
+    (["--n", "1000000000"], None),
+    (["--stream", "{stream}"], None),
+], ids=["trials", "config-trials", "delta", "config-delta", "horizon", "n", "stream"])
+def test_unif_sim_past_the_cap_exit_2(tmp_path, monkeypatch, argv, config):
+    # the cap is checked after the config is read and before any trial runs
+    cls = tmp_path / "cls.json"
+    cls.write_text(model.dumps(FULL_AB))
+    stream = tmp_path / "s.json"
+    stream.write_text(json.dumps(
+        {"horizon": 10**9, "segments": [{"start": 0, "end": 10**9, "x": "a", "y": 0}]}
+    ))
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        monkeypatch.setenv("QSTREAM_CONFIG", str(cfg))
+    proc = run_child("unif-sim", "--class", str(cls), "--adversary", "littlestone-branch",
+                     "--slope", "1/4", "--seed", "0",
+                     *[a.format(stream=stream) for a in argv])
+    assert_single_error(proc.returncode, proc.stderr)
+    assert "at most 100000" in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("times", ["0,1/0", "0,abc", ""])
 def test_adversary_bad_reveal_times_exit_2(files, capsys, times):
     tmp, write = files
