@@ -36,8 +36,8 @@ from .blind import (
     worst_case_mistakes,
 )
 from .littlestone import (
+    LittlestoneSolver,
     ShatteredTree,
-    VersionSpace,
     build_littlestone_tree,
     littlestone_dimension,
     soa_predict,

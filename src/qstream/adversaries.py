@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .littlestone import VersionSpace, build_littlestone_tree
+from .littlestone import LittlestoneSolver, build_littlestone_tree
 from .model import (
     BudgetViolationError,
     ConceptClass,
@@ -140,17 +140,17 @@ def _consistent_tail(H: ConceptClass, path: list[tuple[str, Label]]) -> tuple[st
     """A pair every branch-consistent concept can extend: unanimous instance
     first (smallest token), else the first concept's label on the smallest
     instance."""
-    V = VersionSpace(H)
+    solver = LittlestoneSolver.of(H)
+    ids = solver.full()
     for x, y in path:
-        V = V.restrict(x, y)
-    assert not V.is_empty  # every tree branch is realizable
-    survivors = V.concept_class()
+        ids = solver.restrict_ids(ids, H.space.index_of(x), y)
+    assert ids  # every tree branch is realizable
     for x in sorted(H.space.instances):
-        labels = {survivors.label(i, x) for i in range(len(survivors))}
-        if len(labels) == 1:
-            return x, labels.pop()
+        zeros, ones = solver.label_masks[H.space.index_of(x)]
+        if not ids & zeros or not ids & ones:
+            return x, 0 if ids & zeros else 1
     x = sorted(H.space.instances)[0]
-    first = min(survivors.concepts)
+    first = min(c for i, c in enumerate(H.concepts) if ids >> i & 1)
     return x, first[H.space.index_of(x)]
 
 

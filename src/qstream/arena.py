@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .adversaries import decode_reveal_token, is_reveal_token
-from .littlestone import LittlestoneSolver, VersionSpace, soa_predict
+from .littlestone import LittlestoneSolver, soa_predict
 from .model import (
     ConceptClass,
     Label,
@@ -184,8 +184,8 @@ def run_uniform_sampler(
     starts = [seg.start.numerator * (den // seg.start.denominator) for seg in segments]
     ends = [seg.end.numerator * (den // seg.end.denominator) for seg in segments]
     end = horizon.numerator * (den // horizon.denominator)
-    V = VersionSpace(solver)
-    labels = solver.soa_labels(V.ids) + (0,)
+    ids = solver.full()  # the version space
+    labels = solver.soa_labels(ids) + (0,)
 
     epoch_acc = [0]
     events: list[QueryEvent] = []
@@ -243,21 +243,21 @@ def run_uniform_sampler(
         t_q = Fraction(n, d)
         seg = seek(t)
         x, y, xi = seg.x, seg.y, seg_xi[si]
-        success = (soa_predict(V, x) if xi >= 0 else 0) != y
+        success = (soa_predict(H, x, ids) if xi >= 0 else 0) != y
         events.append(QueryEvent(t_q, x, y, success))
-        ids = V.ids
+        nxt = ids
         if xi >= 0:
-            ids = solver.restrict_ids(ids, xi, y)
-            if not ids:
+            nxt = solver.restrict_ids(ids, xi, y)
+            if not nxt:
                 if on_empty == "error":
                     raise NonRealizableError(
                         f"stream not realizable: ({x!r}, {y}) at {t_q} empties the version space"
                     )
-                ids = solver.full()
-        if success or ids != V.ids:
+                nxt = solver.full()
+        if success or nxt != ids:
             settle(seg, t)
-            if ids != V.ids:
-                V = VersionSpace(solver, ids)
+            if nxt != ids:
+                ids = nxt
                 labels = solver.soa_labels(ids) + (0,)
             if success:
                 epoch_acc.append(0)

@@ -4,7 +4,7 @@ Subcommands load canonical JSON inputs, run the solvers and simulators with
 explicit seeds, and write JSON/CSV reports.  Every command is deterministic
 given (inputs, flags, seed); randomized commands refuse to run without
 --seed.  Exit codes: 0 success, 2 input/validation error, 3 runtime
-contract violation (non-realizability).
+contract violation (non-realizability, or stdout closed by its reader).
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ CONFIG_ENV = "QSTREAM_CONFIG"
 # `adversary --kind two-point` and the units of `blind-bound`.  Time, memory
 # and output grow linearly with the count.
 MAX_ITEMS = 100_000
+# Upper limit on trials * ceil(horizon / delta) of `unif-sim`: the work of a
+# run, each trial making at least ceil(horizon / delta) queries.
+MAX_STEPS = 1_000_000
 
 
 class CliError(Exception):
@@ -173,6 +176,11 @@ def cmd_unif_sim(args: argparse.Namespace) -> int:
         raise CliError(
             f"horizon {horizon} at delta {delta} gives {steps} query steps per "
             f"trial; at most {MAX_ITEMS} are allowed"
+        )
+    if trials * steps > MAX_STEPS:
+        raise CliError(
+            f"{trials} trials of {steps} query steps: at most {MAX_STEPS} steps "
+            f"in all are allowed"
         )
 
     stats = arena.monte_carlo_uniform(
@@ -382,7 +390,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; send what is left to devnull so the
+        # interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the output was written", file=sys.stderr)
+        return 3
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

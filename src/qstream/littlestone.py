@@ -1,11 +1,12 @@
 """Littlestone dimension, shattered trees, and the standard optimal predictor.
 
-A subset of a fixed root class is an int bitmask over its concept indices,
-and restriction to an (instance, label) pair is one ``&`` with a precomputed
-mask.  The dimension recursion and the SOA predictions are memoized on those
-masks in one solver per class (``LittlestoneSolver.of``), so exhaustive
-property sweeps and repeated sampler runs stay cheap.  Classes here are
-small by design; clarity beats asymptotics.
+A subset of a fixed root class, such as the version space of a run, is an
+int bitmask over its concept indices, and restriction to an (instance,
+label) pair is one ``&`` with a precomputed mask.  The dimension recursion
+and the SOA predictions are memoized on those masks in one solver per class
+(``LittlestoneSolver.of``), so exhaustive property sweeps and repeated
+sampler runs stay cheap.  Classes here are small by design; clarity beats
+asymptotics.
 """
 
 from __future__ import annotations
@@ -147,47 +148,10 @@ def build_littlestone_tree(H: ConceptClass, d: int) -> ShatteredTree | None:
     return grow(solver.full(), d)
 
 
-class VersionSpace:
-    """Surviving concepts during a run: a solver and a subset mask of its root.
-
-    ``ids`` is an int bitmask over the root's concept indices.  Every
-    version space derived from another shares its solver, hence its
-    dimension memo and SOA tables.
+def soa_predict(H: ConceptClass, x: str, ids: int | None = None) -> Label:
+    """SOA prediction at ``x`` from the version space ``ids``, an int mask of
+    ``LittlestoneSolver.of(H)`` (default: all of H): a lookup in the solver's
+    SOA table for ``ids`` (``soa_labels``).  An empty mask raises QstreamError.
     """
-
-    def __init__(self, source: ConceptClass | LittlestoneSolver, ids: int | None = None):
-        if not isinstance(source, LittlestoneSolver):
-            source = LittlestoneSolver.of(source)
-        self.solver = source
-        self.ids = self.solver.full() if ids is None else ids
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.ids
-
-    def restrict(self, x: str, y: Label) -> "VersionSpace":
-        xi = self.solver.root.space.index_of(x)
-        return VersionSpace(self.solver, self.solver.restrict_ids(self.ids, xi, y))
-
-    def concept_class(self) -> ConceptClass:
-        root = self.solver.root
-        keep = [i for i in range(len(root.concepts)) if self.ids >> i & 1]
-        return ConceptClass(
-            root.space,
-            tuple(root.concepts[i] for i in keep),
-            tuple(root.names[i] for i in keep),
-        )
-
-
-def soa_predict(V: VersionSpace | ConceptClass, x: str) -> Label:
-    """Predict the label whose consistent restriction has larger dimension.
-
-    An empty restriction scores -1 so consistent labels always win; ties
-    break toward label 0.  The answer is a lookup in the solver's SOA table
-    for the mask ``V.ids``, computed the first time that mask is asked
-    about.  An empty version space raises QstreamError.
-    """
-    if isinstance(V, ConceptClass):
-        V = VersionSpace(V)
-    return V.solver.soa_labels(V.ids)[V.solver.root.space.index_of(x)]
-
+    solver = LittlestoneSolver.of(H)
+    return solver.soa_labels(solver.full() if ids is None else ids)[H.space.index_of(x)]

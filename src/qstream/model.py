@@ -139,9 +139,6 @@ class ConceptClass:
     def is_empty(self) -> bool:
         return not self.concepts
 
-    def label(self, concept_index: int, x: str) -> Label:
-        return self.concepts[concept_index][self.space.index_of(x)]
-
     def __len__(self) -> int:
         return len(self.concepts)
 
@@ -158,10 +155,6 @@ class Segment:
     def __post_init__(self) -> None:
         object.__setattr__(self, "start", as_fraction(self.start))
         object.__setattr__(self, "end", as_fraction(self.end))
-
-    @property
-    def width(self) -> Fraction:
-        return self.end - self.start
 
 
 @dataclass(frozen=True)
@@ -427,10 +420,6 @@ def stream_from_json(doc: dict) -> PiecewiseStream:
 
 def budget_to_json(b: QueryBudgetPolicy) -> dict:
     return {"slope": {"num": b.slope.numerator, "den": b.slope.denominator}}
-
-
-def budget_from_json(doc: dict) -> QueryBudgetPolicy:
-    return QueryBudgetPolicy(as_fraction(doc["slope"]))
 
 
 _TO_JSON = {

@@ -26,7 +26,6 @@ from qstream.blind import (
 )
 from qstream.littlestone import (
     LittlestoneSolver,
-    VersionSpace,
     littlestone_dimension,
     soa_predict,
 )
@@ -356,21 +355,21 @@ def test_criterion_8_soa_suite():
             dim = solver.dimension()
             space = H.space.instances
 
-            def dfs(V, mistakes, depth):
+            def dfs(ids, mistakes, depth):
                 nonlocal runs
                 assert mistakes <= dim
                 if depth == 5:
                     return
-                for x in space:
+                for xi, x in enumerate(space):
                     for y in (0, 1):
-                        nxt = V.restrict(x, y)
-                        if nxt.is_empty:
+                        nxt = solver.restrict_ids(ids, xi, y)
+                        if not nxt:
                             continue
                         runs += 1
-                        wrong = soa_predict(V, x) != y
+                        wrong = soa_predict(H, x, ids) != y
                         dfs(nxt, mistakes + wrong, depth + 1)
 
-            dfs(VersionSpace(H), 0, 0)
+            dfs(solver.full(), 0, 0)
 
     # dimension monotonicity across every subset pair, per instance count
     pairs = 0

@@ -15,7 +15,11 @@ from qstream.adversaries import (
     gen_two_point_stream,
     is_reveal_token,
 )
-from qstream.littlestone import VersionSpace, build_littlestone_tree, littlestone_dimension
+from qstream.littlestone import (
+    LittlestoneSolver,
+    build_littlestone_tree,
+    littlestone_dimension,
+)
 from qstream.model import (
     BudgetViolationError,
     ConceptClass,
@@ -35,6 +39,15 @@ def full_class(n):
 
 FULL2 = full_class(2)
 SLOPE1 = QueryBudgetPolicy(1)
+
+
+def realizable(H, pairs):
+    """Whether some concept of H agrees with every (x, y) of ``pairs``."""
+    solver = LittlestoneSolver.of(H)
+    ids = solver.full()
+    for x, y in pairs:
+        ids = solver.restrict_ids(ids, H.space.index_of(x), y)
+    return ids != 0
 
 
 # --- reveal tokens -------------------------------------------------------------
@@ -138,7 +151,7 @@ def test_branch_stream_interval_widths():
     stream = gen_littlestone_branch_stream(H, 1, SLOPE1, 0)
     assert stream.horizon == 4
     assert len(stream.segments) == 8
-    assert all(s.width == Fraction(1, 2) for s in stream.segments)
+    assert all(s.end - s.start == Fraction(1, 2) for s in stream.segments)
     assert validate(stream) == []
 
 
@@ -153,10 +166,7 @@ def test_branch_stream_realizable_via_restrict_chain():
     H = full_class(8)
     for seed in range(5):
         stream = gen_littlestone_branch_stream(H, 1, SLOPE1, seed)
-        V = VersionSpace(H)
-        for seg in stream.segments:
-            V = V.restrict(seg.x, seg.y)
-            assert not V.is_empty
+        assert realizable(H, [(seg.x, seg.y) for seg in stream.segments])
 
 
 def test_branch_stream_tail_consistent():
@@ -164,10 +174,7 @@ def test_branch_stream_tail_consistent():
     stream = gen_littlestone_branch_stream(H, 1, SLOPE1, 3, horizon=6)
     assert stream.horizon == 6
     assert stream.segments[-1].start == 4 and stream.segments[-1].end == 6
-    V = VersionSpace(H)
-    for seg in stream.segments:
-        V = V.restrict(seg.x, seg.y)
-        assert not V.is_empty
+    assert realizable(H, [(seg.x, seg.y) for seg in stream.segments])
 
 
 def test_branch_stream_too_shallow():
@@ -185,7 +192,7 @@ def test_branch_stream_zero_budget():
 def test_two_point_widths():
     stream = gen_two_point_stream("x1", "x2", 1, QueryBudgetPolicy(2), 0)
     assert len(stream.segments) == 4
-    assert all(s.width == Fraction(1, 4) for s in stream.segments)
+    assert all(s.end - s.start == Fraction(1, 4) for s in stream.segments)
     assert validate(stream) == []
 
 
@@ -202,7 +209,8 @@ def test_two_point_realizable_for_separating_concept():
 
 def test_two_point_degenerate_budget():
     stream = gen_two_point_stream("x1", "x2", 1, QueryBudgetPolicy(Fraction(1, 2)), 1)
-    assert len(stream.segments) == 1 and stream.segments[0].width == 1
+    seg, = stream.segments
+    assert seg.end - seg.start == 1
 
 
 # --- exact blind error ---------------------------------------------------------------
@@ -348,14 +356,11 @@ def test_self_revealing_segments_individually_realizable():
     stream = gen_self_revealing_stream(FULL2, [0, 1, 2, 3], 4, 11)
     bounds = [Fraction(i) for i in range(5)]
     for a, b in zip(bounds, bounds[1:]):
-        V = VersionSpace(FULL2)
-        for seg in stream.segments:
-            if seg.start >= a and seg.end <= b and not is_reveal_token(seg.x):
-                V = V.restrict(seg.x, seg.y)
+        pairs = [(seg.x, seg.y) for seg in stream.segments
+                 if seg.start >= a and seg.end <= b and not is_reveal_token(seg.x)]
         token_seg = next(s for s in stream.segments if s.start == a)
         schedule, _ = decode_reveal_token(token_seg.x)
-        V = V.restrict(schedule[0][0], schedule[0][1])
-        assert not V.is_empty
+        assert realizable(FULL2, pairs + [schedule[0][:2]])
 
 
 def test_self_revealing_rejects_bad_reveals():

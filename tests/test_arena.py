@@ -22,7 +22,6 @@ from qstream.arena import (
 from qstream.adversaries import gen_littlestone_branch_stream, gen_self_revealing_stream
 from qstream.littlestone import (
     LittlestoneSolver,
-    VersionSpace,
     littlestone_dimension,
     soa_predict,
 )
@@ -426,8 +425,8 @@ def _uniform_sampler_reference(H, stream, delta, seed, on_empty):
     segments = stream.segments
     position = {x: i for i, x in enumerate(solver.root.space.instances)}
     seg_xi = [position.get(seg.x, -1) for seg in segments]
-    V = VersionSpace(solver)
-    labels = solver.soa_labels(V.ids) + (0,)
+    ids = solver.full()
+    labels = solver.soa_labels(ids) + (0,)
     epoch_acc = [Fraction(0)]
     events = []
     si = 0
@@ -469,21 +468,21 @@ def _uniform_sampler_reference(H, stream, delta, seed, on_empty):
             break
         seg = seek(t)
         x, y, xi = seg.x, seg.y, seg_xi[si]
-        success = (soa_predict(V, x) if xi >= 0 else 0) != y
+        success = (soa_predict(H, x, ids) if xi >= 0 else 0) != y
         events.append(QueryEvent(t, x, y, success))
-        ids = V.ids
+        nxt = ids
         if xi >= 0:
-            ids = solver.restrict_ids(ids, xi, y)
-            if not ids:
+            nxt = solver.restrict_ids(ids, xi, y)
+            if not nxt:
                 if on_empty == "error":
                     raise NonRealizableError(
                         f"stream not realizable: ({x!r}, {y}) at {t} empties the version space"
                     )
-                ids = solver.full()
-        if success or ids != V.ids:
+                nxt = solver.full()
+        if success or nxt != ids:
             settle(seg, t)
-            if ids != V.ids:
-                V = VersionSpace(solver, ids)
+            if nxt != ids:
+                ids = nxt
                 labels = solver.soa_labels(ids) + (0,)
             if success:
                 epoch_acc.append(Fraction(0))

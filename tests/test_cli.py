@@ -417,6 +417,62 @@ def test_unif_sim_past_the_cap_exit_2(tmp_path, monkeypatch, argv, config):
     assert proc.stdout == ""
 
 
+def test_unif_sim_trials_times_steps_past_the_cap_exit_2(tmp_path):
+    # 10^5 trials of 10^5 steps, each cap met on its own: more than a day
+    # of queries, refused before the first trial
+    cls = tmp_path / "cls.json"
+    cls.write_text(model.dumps(FULL_AB))
+    proc = run_child("unif-sim", "--class", str(cls), "--adversary", "littlestone-branch",
+                     "--slope", "1/4", "--delta", "1/25000", "--trials", "100000",
+                     "--seed", "0")
+    assert_single_error(proc.returncode, proc.stderr)
+    assert "at most 1000000 steps" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_unif_sim_criterion_1_size_is_under_the_caps(files, monkeypatch):
+    # README's criterion 1 run, 10^4 trials of 16 steps, reaches the sampler
+    _, write = files
+    cls = write("cls.json", FULL_AB)
+
+    class Reached(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr("qstream.arena.monte_carlo_uniform", stop)
+    with pytest.raises(Reached):
+        main(["unif-sim", "--class", cls, "--adversary", "littlestone-branch", "--n", "4",
+              "--slope", "1/16", "--delta", "1", "--trials", "10000", "--seed", "7"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["unif-sim", "--class", "{cls}", "--adversary", "littlestone-branch",
+     "--slope", "1/4", "--trials", "20", "--seed", "0", "--format", "json"],
+    ["ld", "--class", "{cls}"],
+], ids=["unif-sim", "ld"])
+def test_closed_stdout_exit_3(tmp_path, argv):
+    # the reader closes the pipe before the child writes: one error line,
+    # no traceback from the write or from the interpreter's final flush
+    cls = tmp_path / "cls.json"
+    cls.write_text(model.dumps(FULL_AB))
+    src = str(Path(model.__file__).parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "qstream.cli", *[a.format(cls=cls) for a in argv]],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    child.stdout.close()
+    try:
+        err = child.communicate(timeout=10)[1]
+    finally:
+        child.kill()
+    lines = err.strip().splitlines()
+    assert child.returncode == 3
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
 @pytest.mark.parametrize("times", ["0,1/0", "0,abc", ""])
 def test_adversary_bad_reveal_times_exit_2(files, capsys, times):
     tmp, write = files

@@ -4,7 +4,6 @@ import pytest
 
 from qstream.littlestone import (
     LittlestoneSolver,
-    VersionSpace,
     build_littlestone_tree,
     littlestone_dimension,
     soa_predict,
@@ -46,6 +45,15 @@ def ld_oracle(H: ConceptClass) -> int:
     return d
 
 
+def restrict(H, ids, x, y):
+    """The mask ``ids`` of ``LittlestoneSolver.of(H)`` restricted to (x, y)."""
+    return LittlestoneSolver.of(H).restrict_ids(ids, H.space.index_of(x), y)
+
+
+def concepts_of(H, ids):
+    return tuple(c for i, c in enumerate(H.concepts) if ids >> i & 1)
+
+
 def all_classes(n_instances, max_concepts=None):
     space = InstanceSpace(tuple("abc"[:n_instances]))
     vectors = list(product((0, 1), repeat=n_instances))
@@ -60,7 +68,6 @@ def test_solver_of_is_shared_per_class():
     H = cls(AB, (0, 0), (0, 1), (1, 1))
     solver = LittlestoneSolver.of(H)
     assert LittlestoneSolver.of(H) is solver
-    assert VersionSpace(H).solver is solver
     assert LittlestoneSolver.of(cls(AB, (0, 0), (0, 1), (1, 1))) is not solver
     assert solver.dimension() == LittlestoneSolver(H).dimension() == littlestone_dimension(H)
 
@@ -75,25 +82,23 @@ def test_solver_of_needs_no_hashable_class():
 # --- restrict ----------------------------------------------------------------
 
 def test_restrict_filters():
-    out = VersionSpace(FULL_AB).restrict("a", 0).concept_class()
-    assert set(out.concepts) == {(0, 0), (0, 1)}
+    out = restrict(FULL_AB, 0b1111, "a", 0)
+    assert set(concepts_of(FULL_AB, out)) == {(0, 0), (0, 1)}
 
 
 def test_restrict_can_empty():
     H = cls(AB, (0, 0), (0, 1))
-    out = VersionSpace(H).restrict("a", 1)
-    assert out.is_empty and out.concept_class().is_empty
+    assert restrict(H, 0b11, "a", 1) == 0
 
 
 def test_restrict_direct():
     H = cls(AB, (0, 0), (1, 1))
-    out = VersionSpace(H).restrict("b", 1).concept_class()
-    assert out.concepts == ((1, 1),)
+    assert concepts_of(H, restrict(H, 0b11, "b", 1)) == ((1, 1),)
 
 
 def test_restrict_unknown_instance():
     with pytest.raises(UnknownInstanceError):
-        VersionSpace(FULL_AB).restrict("zz", 0)
+        soa_predict(FULL_AB, "zz")
 
 
 # --- littlestone dimension ---------------------------------------------------
@@ -153,10 +158,10 @@ def test_tree_full_class_depth_two_all_branches_realizable():
     paths = tree_paths(tree)
     assert len(paths) == 4 and {len(path) for path in paths} == {2}
     for path in paths:
-        V = VersionSpace(FULL_AB)
+        ids = LittlestoneSolver.of(FULL_AB).full()
         for x, y in path:
-            V = V.restrict(x, y)
-            assert not V.is_empty
+            ids = restrict(FULL_AB, ids, x, y)
+            assert ids
 
 
 def test_tree_singleton_infeasible():
@@ -177,20 +182,20 @@ def test_tree_feasible_iff_dimension_reaches_depth():
 # --- SOA ----------------------------------------------------------------------
 
 def test_soa_predict_singleton_follows_concept():
-    V = VersionSpace(cls(AB, (0, 1)))
-    assert soa_predict(V, "a") == 0
-    assert soa_predict(V, "b") == 1
+    H = cls(AB, (0, 1))
+    assert soa_predict(H, "a") == 0
+    assert soa_predict(H, "b", 0b1) == 1
 
 
 def test_soa_predict_tie_breaks_to_zero():
-    assert soa_predict(VersionSpace(FULL_AB), "a") == 0
+    assert soa_predict(FULL_AB, "a") == 0
 
 
 def test_soa_predict_larger_dimension_wins():
     H = cls(AB, (0, 0), (0, 1), (1, 0))
     # restrict at a: label 0 leaves {(0,0),(0,1)} with dimension 1, label 1
     # leaves {(1,0)} with dimension 0
-    assert soa_predict(VersionSpace(H), "a") == 0
+    assert soa_predict(H, "a") == 0
 
 
 def _realizable_sequences(H, length):
@@ -216,14 +221,42 @@ def test_soa_halving_property_and_bound_exhaustive_small():
         ld = littlestone_dimension(H)
         for length in range(1, 5):
             for seq in _realizable_sequences(H, length):
-                V = VersionSpace(H)
+                solver = LittlestoneSolver.of(H)
+                ids = solver.full()
                 mistakes = 0
                 for x, y in seq:
-                    pred = soa_predict(V, x)
-                    nxt = V.restrict(x, y)
+                    pred = soa_predict(H, x, ids)
+                    nxt = restrict(H, ids, x, y)
                     if pred != y:
                         mistakes += 1
-                        if not nxt.is_empty:
-                            assert nxt.solver.dimension(nxt.ids) <= V.solver.dimension(V.ids) - 1
-                    V = nxt
+                        if nxt:
+                            assert solver.dimension(nxt) <= solver.dimension(ids) - 1
+                    ids = nxt
                 assert mistakes <= ld
+
+
+def soa_oracle(H, x):
+    """The SOA rule from scratch: the label whose explicit restriction of H
+    has the larger ``ld_oracle`` dimension, -1 for an empty one, ties to 0."""
+    xi = H.space.index_of(x)
+    scores = []
+    for y in (0, 1):
+        kept = tuple(c for c in H.concepts if c[xi] == y)
+        scores.append(ld_oracle(ConceptClass(H.space, kept)) if kept else -1)
+    return 0 if scores[0] >= scores[1] else 1
+
+
+def test_soa_predict_matches_naive_rule_on_every_mask():
+    # every nonempty mask of every 2-instance class and of the full
+    # 3-instance class, against the explicit restricted class
+    classes = list(all_classes(2)) + [ConceptClass(
+        InstanceSpace(("a", "b", "c")), tuple(product((0, 1), repeat=3)))]
+    checked = 0
+    for H in classes:
+        for ids in range(1, 1 << len(H.concepts)):
+            V = ConceptClass(H.space, concepts_of(H, ids))
+            for x in H.space.instances:
+                assert soa_predict(H, x, ids) == soa_oracle(V, x)
+                checked += 1
+    # (class, nonempty mask) pairs over the 4 vectors on 2 instances: 3^4 - 2^4
+    assert checked == 2 * (3**4 - 2**4) + 3 * 255
