@@ -32,23 +32,31 @@ from .model import (
 _TOKEN_PREFIX = "SEG("
 _TOKEN_JOINT = ")|next="
 _TOKEN_JSON = json.JSONEncoder(separators=(",", ":"))
+Time = tuple[int, int]  # a token time p / q as (p, q), q > 0
 
 
 def _frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _parse_frac(value) -> Fraction:
-    """``Fraction(value)`` of a time string; the ``p/q`` form of ``_frac_str``
-    skips the regex.  The encoder writes only strings, so any other type is a
-    TypeError."""
+def _parse_time(value) -> Time:
+    """A time string as (p, q), q > 0, not reduced, with p / q equal to
+    ``Fraction(value)``, or what that raises; ``_frac_str``'s form skips the
+    regex and the gcd.  The encoder writes only strings, so any other type
+    is a TypeError."""
     if not isinstance(value, str):
         raise TypeError(f"time must be a string, got {value!r}")
     if value.isascii():
         p, slash, q = value.partition("/")
         if slash and q.isdigit() and (p[1:] if p[:1] == "-" else p).isdigit():
-            return Fraction(int(p), int(q))
-    return Fraction(value)
+            den = int(q)
+            if den:
+                return int(p), den
+    return Fraction(value).as_integer_ratio()
+
+
+def _token(payload: list, next_text: str) -> str:
+    return _TOKEN_PREFIX + _TOKEN_JSON.encode(payload) + _TOKEN_JOINT + next_text
 
 
 def encode_reveal_token(
@@ -59,26 +67,21 @@ def encode_reveal_token(
         [x, y, _frac_str(as_fraction(start)), _frac_str(as_fraction(end))]
         for x, y, start, end in schedule
     ]
-    return (
-        _TOKEN_PREFIX
-        + _TOKEN_JSON.encode(payload)
-        + _TOKEN_JOINT
-        + _frac_str(as_fraction(next_reveal))
-    )
+    return _token(payload, _frac_str(as_fraction(next_reveal)))
 
 
-def decode_reveal_token(token: str) -> tuple[list[tuple[str, Label, Fraction, Fraction]], Fraction]:
-    """Inverse of ``encode_reveal_token``; raises MalformedTokenError."""
+def read_reveal_token(token: str) -> tuple[list[tuple[str, Label, Time, Time]], Time]:
+    """``decode_reveal_token`` with each time a ``_parse_time`` pair."""
     if not token.startswith(_TOKEN_PREFIX) or _TOKEN_JOINT not in token:
         raise MalformedTokenError("not a self-revealing stream")
     body, _, tail = token[len(_TOKEN_PREFIX):].rpartition(_TOKEN_JOINT)
     try:
         payload = json.loads(body)
         schedule = [
-            (x, as_int(y), _parse_frac(start), _parse_frac(end))
+            (x, as_int(y), _parse_time(start), _parse_time(end))
             for x, y, start, end in payload
         ]
-        next_reveal = _parse_frac(tail)
+        next_reveal = _parse_time(tail)
     except (ValueError, TypeError, ZeroDivisionError, RecursionError) as exc:
         raise MalformedTokenError(f"not a self-revealing stream: {exc}") from exc
     for x, y, _, _ in schedule:
@@ -87,8 +90,14 @@ def decode_reveal_token(token: str) -> tuple[list[tuple[str, Label, Fraction, Fr
     return schedule, next_reveal
 
 
+def decode_reveal_token(token: str) -> tuple[list[tuple[str, Label, Fraction, Fraction]], Fraction]:
+    """Inverse of ``encode_reveal_token``; raises MalformedTokenError."""
+    schedule, (p, q) = read_reveal_token(token)
+    return [(x, y, Fraction(*a), Fraction(*b)) for x, y, a, b in schedule], Fraction(p, q)
+
+
 def is_reveal_token(x: str) -> bool:
-    return x.startswith(_TOKEN_PREFIX) and _TOKEN_JOINT in x
+    return isinstance(x, str) and x.startswith(_TOKEN_PREFIX) and _TOKEN_JOINT in x
 
 
 def gen_littlestone_branch_stream(
@@ -251,24 +260,21 @@ def gen_self_revealing_stream(
     # every segment's two branch bits in one draw, the same bits in the same
     # order as one scalar draw per bit
     bits = iter(rng.integers(0, 2, size=2 * len(reveals)).tolist() if tree is not None else ())
+    text = [_frac_str(v) for v in bounds]  # each bound's time string, once
     segments: list[Segment] = []
-    for a, b in zip(bounds, bounds[1:]):
-        inner: list[tuple[str, Label, Fraction, Fraction]] = []
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
         if tree is not None:
+            bit, bit2 = next(bits), next(bits)
+            node = tree.right if bit else tree.left
             mid = (a + b) / 2
-            node, cuts = tree, [(a, mid), (mid, b)]
-            for lo, hi in cuts:
-                bit = next(bits)
-                inner.append((node.x, bit, lo, hi))
-                node = node.right if bit else node.left
+            mid_text = _frac_str(mid)
+            steps = [[tree.x, bit, text[i], mid_text], [node.x, bit2, mid_text, text[i + 1]]]
+            token = _token(steps, text[i + 1])
+            segments += (Segment(a, mid, token, bit), Segment(mid, b, node.x, bit2))
         else:
             h = int(rng.integers(0, len(source.concepts)))
             xi = int(rng.integers(0, len(source.space.instances)))
-            x = source.space.instances[xi]
-            inner.append((x, source.concepts[h][xi], a, b))
-        token = encode_reveal_token(inner, b)
-        first_x, first_y, lo, hi = inner[0]
-        segments.append(Segment(lo, hi, token, first_y))
-        for x, y, lo, hi in inner[1:]:
-            segments.append(Segment(lo, hi, x, y))
+            x, y = source.space.instances[xi], source.concepts[h][xi]
+            token = _token([[x, y, text[i], text[i + 1]]], text[i + 1])
+            segments.append(Segment(a, b, token, y))
     return PiecewiseStream(total, tuple(segments))

@@ -2,11 +2,13 @@
 
 Mistake integrals are computed on the common refinement of segment
 boundaries in integers over one common denominator, never by quadrature.
+Both samplers start from the stream's integer grid, ``PiecewiseStream.grid``.
 Query times drawn from the RNG are binary floats n / 2^k, so a seeded run
 has one well-defined exact mistake integral.  The uniform sampler keeps its
 times and epoch sums as integers over one unit per run, 1 / (den << shift),
-and builds each Fraction once, at the end.  All runs on a class share its
-one ``LittlestoneSolver``.
+and builds each Fraction once, at the end.  The adaptive sampler follows
+decoded schedules on the grid and builds each distinct time's Fraction once.
+All runs on a class share its one ``LittlestoneSolver``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .adversaries import decode_reveal_token, is_reveal_token
+from .adversaries import is_reveal_token, read_reveal_token
 from .littlestone import LittlestoneSolver, soa_predict
 from .model import (
     ConceptClass,
@@ -105,14 +107,13 @@ def mistake_integral(stream: PiecewiseStream, trace: PredictorTrace) -> Fraction
         raise ValueError(
             f"horizon mismatch: stream {stream.horizon}, trace {trace.horizon}"
         )
-    rows = ([(seg.start, seg.end, seg.y) for seg in stream.segments], trace.pieces)
-    den = math.lcm(stream.horizon.denominator,
-                   *(v.denominator for r in rows for a, b, _ in r for v in (a, b)))
-    segs, pieces = (
-        [(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), y)
-         for a, b, y in r] for r in rows
-    )
-    end = stream.horizon.numerator * (den // stream.horizon.denominator)
+    den_s, starts, ends, end = stream.grid
+    den = math.lcm(den_s, *(v.denominator for a, b, _ in trace.pieces for v in (a, b)))
+    up = den // den_s
+    segs = [(a * up, b * up, seg.y) for a, b, seg in zip(starts, ends, stream.segments)]
+    pieces = [(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), y)
+              for a, b, y in trace.pieces]
+    end *= up
     total = cursor = si = ti = 0
     while cursor < end:
         while si < len(segs) and segs[si][1] <= cursor:
@@ -171,19 +172,14 @@ def run_uniform_sampler(
         raise ValueError(f"delta must be positive, got {delta}")
     rng = np.random.default_rng(seed)
     solver = LittlestoneSolver.of(H)
-    horizon = stream.horizon
     segments = stream.segments
     # position of each segment's instance in the space; -1 (outside the
     # space) indexes the trailing 0 of every padded label table
     position = {x: i for i, x in enumerate(solver.root.space.instances)}
     seg_xi = [position.get(seg.x, -1) for seg in segments]
     # times as integers over 1 / (den << shift); see the docstring
-    den = math.lcm(horizon.denominator,
-                   *(v.denominator for seg in segments for v in (seg.start, seg.end)))
+    den, starts, ends, end = stream.grid
     shift = 0
-    starts = [seg.start.numerator * (den // seg.start.denominator) for seg in segments]
-    ends = [seg.end.numerator * (den // seg.end.denominator) for seg in segments]
-    end = horizon.numerator * (den // horizon.denominator)
     ids = solver.full()  # the version space
     labels = solver.soa_labels(ids) + (0,)
 
@@ -217,7 +213,7 @@ def run_uniform_sampler(
             epoch_acc[-1] += t - mark
         mark = t
 
-    if horizon > 0:
+    if end > 0:
         enter()
     anchor = 0.0
     queried = False
@@ -357,27 +353,52 @@ def run_adaptive_sampler(stream: PiecewiseStream) -> RunReport:
     until the announced next reveal, queries exactly then, and repeats.  On
     an honest self-revealing stream the mistake integral is exactly 0 and
     the query times equal the reveal times.
+
+    Times are integers over den, from ``stream.grid``; a token time off the
+    grid scales den and every held time up.
     """
+    den, _, _, end = stream.grid
+    fractions: dict[int, Fraction] = {}  # a time over den -> its Fraction
+
+    def frac(v: int) -> Fraction:
+        f = fractions.get(v)
+        if f is None:
+            f = fractions[v] = Fraction(v, den)
+        return f
+
+    def regrid(*qs: int) -> None:  # den becomes lcm(den, *qs)
+        nonlocal den, end, fractions, t, cursor
+        up = math.lcm(den, *qs) // den
+        den, end, t, cursor = den * up, end * up, t * up, cursor * up
+        fractions = {v * up: f for v, f in fractions.items()}
+
     events: list[QueryEvent] = []
     pieces: list[tuple[Fraction, Fraction, Label]] = []
-    t = Fraction(0)
+    t = 0
     last_label: Label = 0  # stale-predictor output at the instant of a query
-    while t < stream.horizon:
-        x, y = stream.value_at(t)
+    while t < end:
+        t_q = frac(t)
+        x, y = stream.value_at(t_q)
         if not is_reveal_token(x):
-            raise MalformedTokenError(f"not a self-revealing stream at t={t}")
-        schedule, next_reveal = decode_reveal_token(x)
-        events.append(QueryEvent(t, x, y, success=last_label != y))
+            raise MalformedTokenError(f"not a self-revealing stream at t={t_q}")
+        schedule, (p_next, q_next) = read_reveal_token(x)
+        events.append(QueryEvent(t_q, x, y, success=last_label != y))
         cursor = t
-        for sx, sy, lo, hi in schedule:
+        for _, sy, (p_lo, q_lo), (p_hi, q_hi) in schedule:
+            if den % q_lo or den % q_hi:
+                regrid(q_lo, q_hi)
+            lo, hi = p_lo * (den // q_lo), p_hi * (den // q_hi)
             if lo != cursor:
-                raise MalformedTokenError(f"decoded schedule has a gap at {cursor}")
-            pieces.append((lo, hi, sy))
+                raise MalformedTokenError(f"decoded schedule has a gap at {frac(cursor)}")
+            pieces.append((frac(lo), frac(hi), sy))
             cursor = hi
             last_label = sy
-        if cursor != min(next_reveal, stream.horizon):
+        if den % q_next:
+            regrid(q_next)
+        next_reveal = p_next * (den // q_next)
+        if cursor != min(next_reveal, end):
             raise MalformedTokenError(
-                f"decoded schedule ends at {cursor}, expected {next_reveal}"
+                f"decoded schedule ends at {frac(cursor)}, expected {frac(next_reveal)}"
             )
         if next_reveal <= t:
             raise MalformedTokenError("next reveal does not advance time")

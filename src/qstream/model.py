@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -167,25 +168,34 @@ class PiecewiseStream:
 
     horizon: Fraction
     segments: tuple[Segment, ...]
+    # (den, starts, ends, end): the segment bounds and the horizon as
+    # integers over den, the lcm of their denominators
+    grid: tuple[int, tuple[int, ...], tuple[int, ...], int] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "horizon", as_fraction(self.horizon))
         object.__setattr__(self, "segments", tuple(self.segments))
+        segments, horizon = self.segments, self.horizon
+        den = math.lcm(horizon.denominator,
+                       *(v.denominator for seg in segments for v in (seg.start, seg.end)))
+        starts = tuple([seg.start.numerator * (den // seg.start.denominator) for seg in segments])
+        ends = tuple([seg.end.numerator * (den // seg.end.denominator) for seg in segments])
+        end = horizon.numerator * (den // horizon.denominator)
+        object.__setattr__(self, "grid", (den, starts, ends, end))
 
     def value_at(self, t: Fraction) -> tuple[str, Label]:
-        """Return (x, y) for the segment containing time t."""
-        if t < 0 or t >= self.horizon:
+        """Return (x, y) for the segment containing time t, searched on the
+        grid at u = floor(t * den), which orders against every bound as t does."""
+        den, starts, ends, end = self.grid
+        p, q = t.as_integer_ratio()
+        u = p * den // q
+        if u < 0 or u >= end:
             raise ValueError(f"time {t} outside [0, {self.horizon})")
-        lo, hi = 0, len(self.segments)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.segments[mid].end <= t:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self.segments) or self.segments[lo].start > t:
+        i = bisect_right(ends, u)
+        if i == len(ends) or starts[i] > u:
             raise ValueError(f"stream does not cover time {t}")
-        seg = self.segments[lo]
+        seg = self.segments[i]
         return seg.x, seg.y
 
 
@@ -282,6 +292,8 @@ def _validate_stream(stream: PiecewiseStream) -> list[str]:
     for i, seg in enumerate(stream.segments):
         if seg.start >= seg.end:
             out.append(f"segment {i} has start >= end ({seg.start} >= {seg.end})")
+        if not isinstance(seg.x, str):
+            out.append(f"segment {i} has non-string instance {seg.x!r}")
         if seg.y not in (0, 1):
             out.append(f"segment {i} has non-binary label {seg.y!r}")
         if seg.start > cursor:

@@ -5,8 +5,11 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qstream.adversaries import (
+    _parse_time,
     decode_reveal_token,
     encode_reveal_token,
     exact_blind_error,
@@ -69,34 +72,42 @@ def test_token_round_trip_with_hostile_instance_ids():
 
 
 def test_token_decode_rejects_garbage():
-    from qstream.model import MalformedTokenError
-
-    with pytest.raises(MalformedTokenError):
-        decode_reveal_token("a")
-    with pytest.raises(MalformedTokenError):
-        decode_reveal_token("SEG(oops)|next=1/2")
+    for token in MALFORMED_TOKENS[:2]:
+        with pytest.raises(MalformedTokenError):
+            decode_reveal_token(token)
 
 
 def test_token_decode_rejects_zero_denominators():
-    from qstream.model import MalformedTokenError
-
-    with pytest.raises(MalformedTokenError):
-        decode_reveal_token('SEG([["a",0,"0","1"]])|next=1/0')
-    with pytest.raises(MalformedTokenError):
-        decode_reveal_token('SEG([["a",0,"0","1/0"]])|next=1')
+    for token in MALFORMED_TOKENS[2:]:
+        with pytest.raises(MalformedTokenError):
+            decode_reveal_token(token)
 
 
-@pytest.mark.parametrize("body", [
-    '[["a",0.5,"0","1"]]',
-    '[["a",2,"0","1"]]',
-    '[["a",true,"0","1"]]',
-    '[[7,0,"0","1"]]',
-    "[" * 100_000 + "]" * 100_000,
-    '[["a",0,true,"1"]]',
-    '[["a",0,"0",1.5]]',
-    '[["a",0,0,"1"]]',
-], ids=["label-0.5", "label-2", "label-true", "instance-int", "nested-100000",
-        "time-true", "time-1.5", "time-0"])
+# token bodies that must decode to MalformedTokenError, by test id
+MALFORMED_STEPS = {
+    "label-0.5": '[["a",0.5,"0","1"]]',
+    "label-2": '[["a",2,"0","1"]]',
+    "label-true": '[["a",true,"0","1"]]',
+    "instance-int": '[[7,0,"0","1"]]',
+    "nested-100000": "[" * 100_000 + "]" * 100_000,
+    "time-true": '[["a",0,true,"1"]]',
+    "time-1.5": '[["a",0,"0",1.5]]',
+    "time-0": '[["a",0,0,"1"]]',
+}
+# time strings outside the encoder's "p/q" form, and broken ones
+TIME_FORMS = [
+    "2/4", "-1/2", "+1/2", " 1/2", "1_0/3", "\u0661/\u0662", "1.5", "1e3", "1/0", "/", "1/", "",
+]
+# whole tokens that must decode to MalformedTokenError
+MALFORMED_TOKENS = [
+    "a",
+    "SEG(oops)|next=1/2",
+    'SEG([["a",0,"0","1"]])|next=1/0',
+    'SEG([["a",0,"0","1/0"]])|next=1',
+]
+
+
+@pytest.mark.parametrize("body", MALFORMED_STEPS.values(), ids=MALFORMED_STEPS.keys())
 def test_token_decode_rejects_malformed_steps(body):
     with pytest.raises(MalformedTokenError):
         decode_reveal_token(f"SEG({body})|next=1")
@@ -119,9 +130,7 @@ def _decode_reference(token):
     return schedule, next_reveal
 
 
-@pytest.mark.parametrize("time", [
-    "2/4", "-1/2", "+1/2", " 1/2", "1_0/3", "\u0661/\u0662", "1.5", "1e3", "1/0", "/", "1/", "",
-])
+@pytest.mark.parametrize("time", TIME_FORMS)
 def test_token_decode_agrees_with_fraction_parsing(time):
     # the time string as a segment start, a segment end and the next reveal
     tokens = [
@@ -140,6 +149,35 @@ def test_token_decode_agrees_with_fraction_parsing(time):
             got = decode_reveal_token(token)
             assert got == expected
             assert all(type(v) is Fraction for _, _, a, b in got[0] for v in (a, b))
+
+
+# digits, the characters of every time form above, and non-ASCII digits
+TIME_CHARS = "0123456789/-+._e \u0661\u0662\uff11\u00b2"
+
+
+@given(st.one_of(
+    st.text(TIME_CHARS, max_size=8),
+    st.from_regex(r"-?[0-9]{1,3}/[0-9]{1,3}", fullmatch=True),
+    st.text(max_size=6),
+))
+@example("1/0")
+@example("-0/3")
+@example("0/0")
+@example("\u0661/\u0662")
+@example("1.5")
+@example("-.25")
+@example("007/0010")
+def test_parse_time_agrees_with_fraction(s):
+    try:
+        expected = Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            _parse_time(s)
+        assert str(got.value) == str(exc)
+    else:
+        p, q = _parse_time(s)
+        assert type(p) is int and type(q) is int and q > 0
+        assert Fraction(p, q) == expected
 
 
 # --- littlestone-branch streams --------------------------------------------------

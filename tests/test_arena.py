@@ -14,12 +14,17 @@ from hypothesis import strategies as st
 from qstream.arena import (
     PredictorTrace,
     QueryEvent,
+    RunReport,
     mistake_integral,
     monte_carlo_uniform,
     run_adaptive_sampler,
     run_uniform_sampler,
 )
-from qstream.adversaries import gen_littlestone_branch_stream, gen_self_revealing_stream
+from qstream.adversaries import (
+    decode_reveal_token,
+    gen_littlestone_branch_stream,
+    gen_self_revealing_stream,
+)
 from qstream.littlestone import (
     LittlestoneSolver,
     littlestone_dimension,
@@ -31,11 +36,13 @@ from qstream.model import (
     MalformedTokenError,
     NonRealizableError,
     PiecewiseStream,
+    QstreamError,
     QueryBudgetPolicy,
     Segment,
     fraction_to_json,
     validate,
 )
+from test_adversaries import MALFORMED_STEPS, MALFORMED_TOKENS, TIME_FORMS
 
 AB = InstanceSpace(("a", "b"))
 FULL_AB = ConceptClass(AB, tuple(product((0, 1), repeat=2)))
@@ -288,6 +295,193 @@ def test_adaptive_rejects_plain_stream():
     stream = PiecewiseStream(2, (Segment(0, 2, "a", 0),))
     with pytest.raises(MalformedTokenError, match="not a self-revealing stream"):
         run_adaptive_sampler(stream)
+
+
+def test_adaptive_rejects_non_string_instance():
+    # validate reports the segment; the sampler must not fail on str methods
+    stream = PiecewiseStream(1, (Segment(0, 1, 5, 0),))
+    with pytest.raises(MalformedTokenError, match="not a self-revealing stream at t=0"):
+        run_adaptive_sampler(stream)
+
+
+def _adaptive_sampler_reference(stream):
+    """Reference: every time a Fraction, ``value_at`` by a Fraction binary
+    search, tokens read by ``decode_reveal_token``, and the integral by
+    ``mistake_integral`` of the ``PredictorTrace``."""
+    def value_at(t):
+        if t < 0 or t >= stream.horizon:
+            raise ValueError(f"time {t} outside [0, {stream.horizon})")
+        lo, hi = 0, len(stream.segments)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if stream.segments[mid].end <= t:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == len(stream.segments) or stream.segments[lo].start > t:
+            raise ValueError(f"stream does not cover time {t}")
+        return stream.segments[lo].x, stream.segments[lo].y
+
+    events, pieces = [], []
+    t = Fraction(0)
+    last_label = 0
+    while t < stream.horizon:
+        x, y = value_at(t)
+        if not (isinstance(x, str) and x.startswith("SEG(") and ")|next=" in x):
+            raise MalformedTokenError(f"not a self-revealing stream at t={t}")
+        schedule, next_reveal = decode_reveal_token(x)
+        events.append(QueryEvent(t, x, y, success=last_label != y))
+        cursor = t
+        for _, sy, lo, hi in schedule:
+            if lo != cursor:
+                raise MalformedTokenError(f"decoded schedule has a gap at {cursor}")
+            pieces.append((lo, hi, sy))
+            cursor = hi
+            last_label = sy
+        if cursor != min(next_reveal, stream.horizon):
+            raise MalformedTokenError(
+                f"decoded schedule ends at {cursor}, expected {next_reveal}"
+            )
+        if next_reveal <= t:
+            raise MalformedTokenError("next reveal does not advance time")
+        t = next_reveal
+    integral = mistake_integral(stream, PredictorTrace(stream.horizon, tuple(pieces)))
+    return RunReport(integral, tuple(events), (), None, {"horizon": str(stream.horizon)})
+
+
+def _assert_adaptive_matches_reference(stream):
+    """Same report and JSON, or the same exception type and message; returns
+    the reference's exception, or None."""
+    try:
+        expected = _adaptive_sampler_reference(stream)
+    except (ValueError, QstreamError) as exc:
+        with pytest.raises(type(exc)) as got:
+            run_adaptive_sampler(stream)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return exc
+    report = run_adaptive_sampler(stream)
+    assert report == expected and report.to_json() == expected.to_json()
+    assert type(report.mistake_integral) is Fraction
+    assert all(type(e.time) is Fraction for e in report.query_events)
+    return None
+
+
+def test_adaptive_sampler_matches_reference_on_generated_streams():
+    # reveal grids of denominators 1, 2, 3 and 7, evenly and unevenly spaced,
+    # from classes with and without a depth-2 shattered tree
+    rng = random.Random(7)
+    sources = (FULL_AB, SINGLETON, FULL_4)
+    for case in range(120):
+        den = (1, 2, 3, 7)[case % 4]
+        horizon = Fraction(rng.randint(1, 10 * den), den)
+        if case % 8 < 4:
+            step = Fraction(rng.randint(1, 3), den)
+            reveals = [k * step for k in range(int(horizon / step) + 1) if k * step < horizon]
+        else:
+            cuts = {Fraction(rng.randint(1, 10 * den), den) for _ in range(rng.randint(0, 6))}
+            reveals = [Fraction(0), *sorted(c for c in cuts if c < horizon)]
+        stream = gen_self_revealing_stream(sources[case % 3], reveals, horizon, case)
+        assert _assert_adaptive_matches_reference(stream) is None
+        report = run_adaptive_sampler(stream)
+        assert report.mistake_integral == 0
+        assert [e.time for e in report.query_events] == reveals
+
+
+def _hand_made_stream(rng):
+    """A stream whose tokens announce schedules split at times on and off
+    the stream's grid, with random labels, and now and then a broken token,
+    a reveal that does not advance, a schedule that runs back, a non-string
+    instance or a coverage gap."""
+    stream_den = rng.choice((1, 2, 3))
+    units = rng.randint(2, 12 * stream_den)
+    horizon = Fraction(units, stream_den)
+    reveal_den = rng.choice((1, 5, 7))
+    cuts = {Fraction(rng.randint(1, 12 * reveal_den), reveal_den) for _ in range(rng.randint(0, 4))}
+    reveals = [Fraction(0), *sorted(c for c in cuts if c < horizon)]
+    grid = {Fraction(k, stream_den) for k in range(1, units)}
+    # a reveal off the stream grid either starts its own segment or falls
+    # inside one
+    grid |= {r for r in reveals if rng.random() < 0.5}
+    bounds = [Fraction(0), *sorted(grid), horizon]
+    nexts = reveals[1:] + [horizon]
+    segments = []
+    for a, b in zip(bounds, bounds[1:]):
+        held = [i for i, r in enumerate(reveals) if a <= r < b]
+        if not held:
+            segments.append(Segment(a, b, rng.choice("ab"), rng.randint(0, 1)))
+            continue
+        i = held[0]
+        lo, hi = reveals[i], nexts[i]
+        if rng.random() < 0.5:  # splits on the stream's grid, so den stays
+            inner = [g for g in bounds if lo < g < hi]
+            splits = sorted(rng.sample(inner, min(len(inner), rng.randint(0, 2))))
+        else:  # splits off it
+            split_den = rng.choice((11, 13, 2**20))
+            splits = sorted({Fraction(rng.randint(1, 50), split_den) * (hi - lo) / 50 + lo
+                             for _ in range(rng.randint(0, 2))} - {lo, hi})
+        times = [lo, *splits, hi]
+        steps = [[rng.choice("ab"), rng.randint(0, 1), f"{p.numerator}/{p.denominator}",
+                  f"{q.numerator}/{q.denominator}"] for p, q in zip(times, times[1:])]
+        tail = f"{hi.numerator}/{hi.denominator}"
+        roll = rng.random()
+        if roll < 0.05 and len(steps) > 1:
+            del steps[0]  # a gap at the reveal
+        elif roll < 0.1:
+            steps[-1][3] = f"{2 * hi.numerator}/{2 * hi.denominator + 1}"  # ends early or late
+        elif roll < 0.15:
+            steps, tail = [], f"{lo.numerator}/{lo.denominator}"  # does not advance
+        elif roll < 0.2:
+            # other spellings of the same times: unreduced, integer, decimal
+            tail = f"{2 * hi.numerator}/{2 * hi.denominator}"
+            steps[0][2] = repr(float(lo)) if lo.denominator in (1, 5) else str(lo)
+        elif roll < 0.22:
+            tail = rng.choice(["1/0", "x", "-0/3", "\u0661/\u0662"])
+        elif roll < 0.27:
+            # a schedule that runs back before its reveal, to a time off the grid
+            back = lo - Fraction(1, rng.choice((2, 11)))
+            tail = f"{back.numerator}/{back.denominator}"
+            steps = [["a", 0, steps[0][2], tail]]
+        token = "SEG(" + json.dumps(steps, separators=(",", ":")) + ")|next=" + tail
+        x = 5 if rng.random() < 0.02 else token
+        segments.append(Segment(a, b, x, rng.randint(0, 1)))
+    if rng.random() < 0.1 and len(segments) > 1:
+        del segments[rng.randrange(len(segments))]
+    return PiecewiseStream(horizon, tuple(segments))
+
+
+def test_adaptive_sampler_matches_reference_on_hand_made_tokens():
+    rng = random.Random(8)
+    outcomes = {"value": 0, "nonzero": 0, "gap at": 0, "ends at": 0, "advance": 0,
+                "not a self-revealing stream": 0, "cover": 0}
+    for _ in range(600):
+        stream = _hand_made_stream(rng)
+        exc = _assert_adaptive_matches_reference(stream)
+        if exc is None:
+            outcomes["value"] += 1
+            outcomes["nonzero"] += run_adaptive_sampler(stream).mistake_integral != 0
+        else:
+            outcomes[next(k for k in outcomes if k in str(exc))] += 1
+    assert min(outcomes.values()) >= 5, outcomes
+    assert outcomes["value"] >= 200, outcomes
+
+
+# every malformed-token case of test_adversaries.py, by test id
+MALFORMED_CASES = {
+    **{f"token-{i}": token for i, token in enumerate(MALFORMED_TOKENS)},
+    **{f"steps-{k}": f"SEG({body})|next=1" for k, body in MALFORMED_STEPS.items()},
+    **{f"{field}-{time!r}": token for time in TIME_FORMS for field, token in (
+        ("start", f'SEG([["a",0,{json.dumps(time)},"1"]])|next=1'),
+        ("end", f'SEG([["a",0,"0",{json.dumps(time)}]])|next=1'),
+        ("next", f'SEG([["a",0,"0","1"]])|next={time}'),
+    )},
+}
+
+
+@pytest.mark.parametrize("token", MALFORMED_CASES.values(), ids=MALFORMED_CASES.keys())
+def test_adaptive_sampler_matches_reference_on_malformed_tokens(token):
+    for horizon in (1, 2):
+        stream = PiecewiseStream(horizon, (Segment(0, horizon, token, 0),))
+        _assert_adaptive_matches_reference(stream)
 
 
 # --- frozen sampler goldens ----------------------------------------------------

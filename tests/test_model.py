@@ -1,5 +1,6 @@
 import ast
 import json
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -39,6 +40,11 @@ def test_validate_stream_gap_reported():
     assert any("gap [1,2)" in v for v in validate(stream))
 
 
+def test_validate_stream_non_string_instance_reported():
+    stream = PiecewiseStream(1, (Segment(0, 1, 5, 0),))
+    assert validate(stream) == ["segment 0 has non-string instance 5"]
+
+
 def test_validate_pattern_length_mismatch():
     P = PatternClass(SPACE, 3, (pattern(("a", 0), ("a", 1)), pattern(("a", 0), ("a", 1), ("b", 0))))
     assert any("length mismatch" in v for v in validate(P))
@@ -67,6 +73,88 @@ def test_value_at_uncovered_time_raises_value_error(segments):
     stream = PiecewiseStream(2, segments)
     with pytest.raises(ValueError, match="stream does not cover time 3/2"):
         stream.value_at(Fraction(3, 2))
+
+
+def _value_at_scan(stream, t):
+    """Reference: the first segment holding t, by a linear scan."""
+    if t < 0 or t >= stream.horizon:
+        raise ValueError(f"time {t} outside [0, {stream.horizon})")
+    for seg in stream.segments:
+        if seg.start <= t < seg.end:
+            return seg.x, seg.y
+    raise ValueError(f"stream does not cover time {t}")
+
+
+def _value_at_fraction_search(stream, t):
+    """Reference: a binary search by Fraction ``<=`` over the segment ends,
+    which also defines the result on an unsorted stream."""
+    if t < 0 or t >= stream.horizon:
+        raise ValueError(f"time {t} outside [0, {stream.horizon})")
+    lo, hi = 0, len(stream.segments)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if stream.segments[mid].end <= t:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo == len(stream.segments) or stream.segments[lo].start > t:
+        raise ValueError(f"stream does not cover time {t}")
+    seg = stream.segments[lo]
+    return seg.x, seg.y
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _value_at_case(rng, *, shuffled):
+    """A seeded stream over bounds with mixed denominators, with a gap now
+    and then (sorted, but not valid), or with its segments shuffled."""
+    den = rng.choice((1, 2, 3, 7, 1000003))
+    bounds = sorted({Fraction(rng.randint(1, 30), den) for _ in range(rng.randint(0, 8))})
+    horizon = Fraction(rng.randint(1, 30), rng.choice((1, 3, 4)))
+    bounds = [Fraction(0), *(b for b in bounds if b < horizon), horizon]
+    rows = list(zip(bounds, bounds[1:]))
+    if rows and rng.random() < 0.3:
+        del rows[rng.randrange(len(rows))]
+    if shuffled:
+        rng.shuffle(rows)
+    segments = tuple(Segment(a, b, f"x{i}", i % 2) for i, (a, b) in enumerate(rows))
+    return PiecewiseStream(horizon, segments), bounds
+
+
+def _probe_times(rng, bounds):
+    """Every bound, each bound's neighbours off the grid, and times below 0,
+    at the horizon and past it."""
+    times = [-Fraction(1, 5), Fraction(-1), bounds[-1], bounds[-1] + Fraction(1, 11)]
+    for b in bounds:
+        times += [b, b - Fraction(1, 10**9 + 7), b + Fraction(1, rng.choice((5, 13, 2**40)))]
+    times += [Fraction(rng.randint(0, 200), rng.choice((1, 9, 11, 97))) for _ in range(10)]
+    return times + [0, 1, 2]  # ints are rational too
+
+
+def test_value_at_matches_linear_scan():
+    rng = random.Random(12)
+    outcomes = {"value": 0, "outside": 0, "does not cover": 0}
+    for _ in range(300):
+        stream, bounds = _value_at_case(rng, shuffled=False)
+        for t in _probe_times(rng, bounds):
+            expected = _outcome(_value_at_scan, stream, t)
+            assert _outcome(stream.value_at, t) == expected
+            kind = expected[1] if expected[0] is ValueError else ""
+            outcomes[next((k for k in outcomes if k in kind), "value")] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_value_at_on_unsorted_stream_matches_fraction_search():
+    rng = random.Random(13)
+    for _ in range(300):
+        stream, bounds = _value_at_case(rng, shuffled=True)
+        for t in _probe_times(rng, bounds):
+            assert _outcome(stream.value_at, t) == _outcome(_value_at_fraction_search, stream, t)
 
 
 # --- public names -------------------------------------------------------------
