@@ -18,7 +18,6 @@ from .adversaries import (
 from .arena import (
     EpochError,
     MonteCarloStats,
-    PredictorTrace,
     QueryEvent,
     RunReport,
     mistake_integral,

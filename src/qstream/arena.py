@@ -7,8 +7,9 @@ Query times drawn from the RNG are binary floats n / 2^k, so a seeded run
 has one well-defined exact mistake integral.  The uniform sampler keeps its
 times and epoch sums as integers over one unit per run, 1 / (den << shift),
 and builds each Fraction once, at the end.  The adaptive sampler follows
-decoded schedules on the grid and builds each distinct time's Fraction once.
-All runs on a class share its one ``LittlestoneSolver``.
+decoded schedules on the grid, keeps its predictions as integer pieces over
+the same unit and builds one Fraction per query time.  All runs on a class
+share its one ``LittlestoneSolver``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,22 +34,6 @@ from .model import (
     as_fraction,
     fraction_to_json,
 )
-
-
-@dataclass(frozen=True)
-class PredictorTrace:
-    """Realized predictions along a run: (start, end, label) covering [0, horizon)."""
-
-    horizon: Fraction
-    pieces: tuple[tuple[Fraction, Fraction, Label], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "horizon", as_fraction(self.horizon))
-        object.__setattr__(
-            self,
-            "pieces",
-            tuple((as_fraction(a), as_fraction(b), y) for a, b, y in self.pieces),
-        )
 
 
 @dataclass(frozen=True)
@@ -100,34 +85,33 @@ class RunReport:
         }
 
 
-def mistake_integral(stream: PiecewiseStream, trace: PredictorTrace) -> Fraction:
-    """Exact measure of {t : prediction != label} over the shared horizon,
-    swept in integers over the least common denominator of all boundaries."""
-    if stream.horizon != trace.horizon:
-        raise ValueError(
-            f"horizon mismatch: stream {stream.horizon}, trace {trace.horizon}"
-        )
+def mistake_integral(
+    stream: PiecewiseStream, den: int, pieces: Sequence[tuple[int, int, Label]]
+) -> Fraction:
+    """Exact measure of {t : prediction != label} over [0, horizon).
+
+    ``pieces`` are the realized predictions, (start, end, label) rows in time
+    order with bounds as integers over ``den``, a positive multiple of the
+    stream's grid den; the sweep runs in those integers."""
     den_s, starts, ends, end = stream.grid
-    den = math.lcm(den_s, *(v.denominator for a, b, _ in trace.pieces for v in (a, b)))
+    if den <= 0 or den % den_s:
+        raise ValueError(f"den must be a positive multiple of the grid's {den_s}, got {den}")
     up = den // den_s
-    segs = [(a * up, b * up, seg.y) for a, b, seg in zip(starts, ends, stream.segments)]
-    pieces = [(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), y)
-              for a, b, y in trace.pieces]
-    end *= up
+    starts, ends, end = [v * up for v in starts], [v * up for v in ends], end * up
+    segments = stream.segments
     total = cursor = si = ti = 0
     while cursor < end:
-        while si < len(segs) and segs[si][1] <= cursor:
+        while si < len(segments) and ends[si] <= cursor:
             si += 1
         while ti < len(pieces) and pieces[ti][1] <= cursor:
             ti += 1
-        if si >= len(segs) or ti >= len(pieces):
+        if si >= len(segments) or ti >= len(pieces):
             raise ValueError(f"coverage ends before horizon at {Fraction(cursor, den)}")
-        s_start, s_end, y = segs[si]
         p_start, p_end, label = pieces[ti]
-        if s_start > cursor or p_start > cursor:
+        if starts[si] > cursor or p_start > cursor:
             raise ValueError(f"coverage gap at {Fraction(cursor, den)}")
-        stop = min(s_end, p_end, end)
-        if label != y:
+        stop = min(ends[si], p_end, end)
+        if label != segments[si].y:
             total += stop - cursor
         cursor = stop
     return Fraction(total, den)
@@ -354,30 +338,25 @@ def run_adaptive_sampler(stream: PiecewiseStream) -> RunReport:
     an honest self-revealing stream the mistake integral is exactly 0 and
     the query times equal the reveal times.
 
-    Times are integers over den, from ``stream.grid``; a token time off the
-    grid scales den and every held time up.
+    Times are integers over den, from ``stream.grid``, and the followed
+    predictions are (start, end, label) pieces over den for
+    ``mistake_integral``; a token time off the grid scales den and every
+    held time up.
     """
     den, _, _, end = stream.grid
-    fractions: dict[int, Fraction] = {}  # a time over den -> its Fraction
-
-    def frac(v: int) -> Fraction:
-        f = fractions.get(v)
-        if f is None:
-            f = fractions[v] = Fraction(v, den)
-        return f
+    events: list[QueryEvent] = []
+    pieces: list[tuple[int, int, Label]] = []  # predictions, times over den
 
     def regrid(*qs: int) -> None:  # den becomes lcm(den, *qs)
-        nonlocal den, end, fractions, t, cursor
+        nonlocal den, end, t, cursor
         up = math.lcm(den, *qs) // den
         den, end, t, cursor = den * up, end * up, t * up, cursor * up
-        fractions = {v * up: f for v, f in fractions.items()}
+        pieces[:] = [(a * up, b * up, y) for a, b, y in pieces]
 
-    events: list[QueryEvent] = []
-    pieces: list[tuple[Fraction, Fraction, Label]] = []
     t = 0
     last_label: Label = 0  # stale-predictor output at the instant of a query
     while t < end:
-        t_q = frac(t)
+        t_q = Fraction(t, den)
         x, y = stream.value_at(t_q)
         if not is_reveal_token(x):
             raise MalformedTokenError(f"not a self-revealing stream at t={t_q}")
@@ -389,8 +368,8 @@ def run_adaptive_sampler(stream: PiecewiseStream) -> RunReport:
                 regrid(q_lo, q_hi)
             lo, hi = p_lo * (den // q_lo), p_hi * (den // q_hi)
             if lo != cursor:
-                raise MalformedTokenError(f"decoded schedule has a gap at {frac(cursor)}")
-            pieces.append((frac(lo), frac(hi), sy))
+                raise MalformedTokenError(f"decoded schedule has a gap at {Fraction(cursor, den)}")
+            pieces.append((lo, hi, sy))
             cursor = hi
             last_label = sy
         if den % q_next:
@@ -398,16 +377,15 @@ def run_adaptive_sampler(stream: PiecewiseStream) -> RunReport:
         next_reveal = p_next * (den // q_next)
         if cursor != min(next_reveal, end):
             raise MalformedTokenError(
-                f"decoded schedule ends at {frac(cursor)}, expected {frac(next_reveal)}"
+                f"decoded schedule ends at {Fraction(cursor, den)}, "
+                f"expected {Fraction(next_reveal, den)}"
             )
         if next_reveal <= t:
             raise MalformedTokenError("next reveal does not advance time")
         t = next_reveal
 
-    trace = PredictorTrace(stream.horizon, tuple(pieces))
-    integral = mistake_integral(stream, trace)
     return RunReport(
-        mistake_integral=integral,
+        mistake_integral=mistake_integral(stream, den, pieces),
         query_events=tuple(events),
         epoch_errors=(),
         seed=None,

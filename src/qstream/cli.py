@@ -117,16 +117,12 @@ def _budget_policy(args: argparse.Namespace) -> model.QueryBudgetPolicy:
     return budget
 
 
-def _fill_from_config(args: argparse.Namespace, keys: dict[str, type]) -> None:
+def _fill_from_config(args: argparse.Namespace, keys: dict[str, Callable[[Any], Any]]) -> None:
     config = _config_defaults()
     for key, conv in keys.items():
         if getattr(args, key, None) is None and key in config:
-            value = config[key]
             try:
-                if conv is Fraction:
-                    value = model.as_fraction(value)
-                elif conv is int:
-                    value = model.as_int(value)
+                value = conv(config[key])
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise CliError(f"bad {key} in config {os.environ[CONFIG_ENV]}: {exc}")
             setattr(args, key, value)
@@ -147,7 +143,8 @@ def _format_float(x: float) -> str:
 
 
 def cmd_unif_sim(args: argparse.Namespace) -> int:
-    _fill_from_config(args, {"delta": Fraction, "trials": int, "slope": Fraction})
+    _fill_from_config(args, {"delta": model.as_fraction, "trials": model.as_int,
+                             "slope": model.as_fraction})
     seed = _require_seed(args)
     cls = _load(args.class_file, model.concept_class_from_json, "concept class")
     delta = args.delta if args.delta is not None else Fraction(1)
@@ -215,7 +212,7 @@ def cmd_unif_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_qld(args: argparse.Namespace) -> int:
-    _fill_from_config(args, {"budget": int})
+    _fill_from_config(args, {"budget": model.as_int})
     if args.budget is None:
         raise CliError("--budget is required")
     P = _load(args.patterns, model.pattern_class_from_json, "pattern class")
@@ -238,7 +235,7 @@ def cmd_qld(args: argparse.Namespace) -> int:
 
 
 def cmd_adversary(args: argparse.Namespace) -> int:
-    _fill_from_config(args, {"slope": Fraction, "horizon": Fraction})
+    _fill_from_config(args, {"slope": model.as_fraction, "horizon": model.as_fraction})
     seed = _require_seed(args)
     budget = _budget_policy(args)
     params: dict = {"slope": str(budget.slope)}
@@ -306,7 +303,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
 
 
 def cmd_blind_bound(args: argparse.Namespace) -> int:
-    _fill_from_config(args, {"slope": Fraction})
+    _fill_from_config(args, {"slope": model.as_fraction})
     budget = _budget_policy(args)
     if args.units > MAX_ITEMS:
         raise CliError(f"--units {args.units}: at most {MAX_ITEMS} units are allowed")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -12,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qstream.arena import (
-    PredictorTrace,
     QueryEvent,
     RunReport,
     mistake_integral,
@@ -49,18 +49,22 @@ FULL_AB = ConceptClass(AB, tuple(product((0, 1), repeat=2)))
 SINGLETON = ConceptClass(AB, ((0, 1),))
 
 
-def trace(horizon, *pieces):
-    return PredictorTrace(horizon, tuple((Fraction(a), Fraction(b), y) for a, b, y in pieces))
+def on_grid(stream, pieces):
+    """``mistake_integral``'s (den, pieces) for Fraction (start, end, label)
+    rows: their bounds as integers over the lcm of the stream's grid den and
+    every bound's denominator."""
+    den = math.lcm(stream.grid[0], *(Fraction(v).denominator for a, b, _ in pieces for v in (a, b)))
+    return den, [(int(a * den), int(b * den), y) for a, b, y in pieces]
 
 
 def test_integral_zero_when_trace_matches():
     stream = PiecewiseStream(2, (Segment(0, 1, "a", 0), Segment(1, 2, "b", 1)))
-    assert mistake_integral(stream, trace(2, (0, 1, 0), (1, 2, 1))) == 0
+    assert mistake_integral(stream, 1, [(0, 1, 0), (1, 2, 1)]) == 0
 
 
 def test_integral_width_arithmetic():
     stream = PiecewiseStream(2, (Segment(0, 2, "a", 0),))
-    assert mistake_integral(stream, trace(2, (0, 1, 1), (1, 2, 0))) == 1
+    assert mistake_integral(stream, 1, [(0, 1, 1), (1, 2, 0)]) == 1
 
 
 def test_integral_refined_quarters():
@@ -69,15 +73,20 @@ def test_integral_refined_quarters():
         Segment(Fraction(i, 4), Fraction(i + 1, 4), "a", i % 2) for i in range(4)
     )
     stream = PiecewiseStream(1, segs)
-    t = trace(1, (0, Fraction(1, 4), 1), (Fraction(1, 4), Fraction(3, 4), 1), (Fraction(3, 4), 1, 1))
-    # stream labels 0,1,0,1 vs constant 1 -> wrong on quarters 1 and 3
-    assert mistake_integral(stream, t) == Fraction(1, 2)
+    # stream labels 0,1,0,1 vs constant 1 -> wrong on quarters 1 and 3, in
+    # quarters and in the same pieces over a multiple of the grid's den
+    assert mistake_integral(stream, 4, [(0, 1, 1), (1, 3, 1), (3, 4, 1)]) == Fraction(1, 2)
+    assert mistake_integral(stream, 12, [(0, 3, 1), (3, 9, 1), (9, 12, 1)]) == Fraction(1, 2)
 
 
-def test_integral_horizon_mismatch():
-    stream = PiecewiseStream(2, (Segment(0, 2, "a", 0),))
-    with pytest.raises(ValueError, match="horizon mismatch"):
-        mistake_integral(stream, trace(3, (0, 3, 0)))
+@pytest.mark.parametrize("den", [0, -2, -4, 1, 3, 6])
+def test_integral_rejects_den_off_the_grid(den):
+    # the grid's den is 4; pieces are written over 4, so only den breaks
+    quarter = Fraction(1, 4)
+    stream = PiecewiseStream(1, (Segment(0, quarter, "a", 0), Segment(quarter, 1, "a", 1)))
+    message = f"den must be a positive multiple of the grid's 4, got {den}"
+    with pytest.raises(ValueError, match=message):
+        mistake_integral(stream, den, [(0, 4, 0)])
 
 
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=5),
@@ -91,8 +100,8 @@ def test_integral_invariant_under_resplitting(widths, cuts, data):
         cursor += w
     stream = PiecewiseStream(cursor, tuple(segs))
     labels = [data.draw(st.integers(0, 1)) for _ in widths]
-    t = PredictorTrace(cursor, tuple((s.start, s.end, y) for s, y in zip(segs, labels)))
-    base = mistake_integral(stream, t)
+    pieces = [(s.start, s.end, y) for s, y in zip(segs, labels)]
+    base = mistake_integral(stream, *on_grid(stream, pieces))
 
     # re-split every stream segment into equal pieces with identical content
     refined = []
@@ -102,28 +111,25 @@ def test_integral_invariant_under_resplitting(widths, cuts, data):
             refined.append(Segment(s.start + step * j, s.start + step * (j + 1), s.x, s.y))
     stream2 = PiecewiseStream(cursor, tuple(refined))
     assert validate(stream2) == []
-    assert mistake_integral(stream2, t) == base
+    assert mistake_integral(stream2, *on_grid(stream2, pieces)) == base
 
 
-def _mistake_integral_naive(stream, trace):
-    """Reference: the sweep in Fraction arithmetic, comparing and taking
-    ``min`` over Fractions at every step."""
-    if stream.horizon != trace.horizon:
-        raise ValueError(
-            f"horizon mismatch: stream {stream.horizon}, trace {trace.horizon}"
-        )
+def _mistake_integral_naive(stream, pieces):
+    """Reference: the sweep over Fraction (start, end, label) pieces in
+    Fraction arithmetic, comparing and taking ``min`` over Fractions at
+    every step."""
     total = Fraction(0)
     si = ti = 0
     cursor = Fraction(0)
     while cursor < stream.horizon:
         while si < len(stream.segments) and stream.segments[si].end <= cursor:
             si += 1
-        while ti < len(trace.pieces) and trace.pieces[ti][1] <= cursor:
+        while ti < len(pieces) and pieces[ti][1] <= cursor:
             ti += 1
-        if si >= len(stream.segments) or ti >= len(trace.pieces):
+        if si >= len(stream.segments) or ti >= len(pieces):
             raise ValueError(f"coverage ends before horizon at {cursor}")
         seg = stream.segments[si]
-        piece = trace.pieces[ti]
+        piece = pieces[ti]
         if seg.start > cursor or piece[0] > cursor:
             raise ValueError(f"coverage gap at {cursor}")
         stop = min(seg.end, piece[1], stream.horizon)
@@ -165,24 +171,23 @@ def _seeded_cover(rng, horizon):
 
 def test_mistake_integral_matches_naive_reference():
     rng = random.Random(17)
-    outcomes = dict.fromkeys(("value", "mismatch", "ends", "gap"), 0)
+    outcomes = dict.fromkeys(("value", "ends", "gap"), 0)
     for _ in range(300):
         horizon = rng.randint(1, 6)
         stream = PiecewiseStream(
             horizon, tuple(Segment(a, b, "a", y) for a, b, y in _seeded_cover(rng, horizon))
         )
-        trace_horizon = horizon + 1 if rng.random() < 0.05 else horizon
-        t = PredictorTrace(trace_horizon, tuple(_seeded_cover(rng, horizon)))
+        pieces = _seeded_cover(rng, horizon)
         try:
-            expected = _mistake_integral_naive(stream, t)
+            expected = _mistake_integral_naive(stream, pieces)
         except ValueError as exc:
             outcomes[next(k for k in outcomes if k in str(exc))] += 1
             with pytest.raises(ValueError) as got:
-                mistake_integral(stream, t)
+                mistake_integral(stream, *on_grid(stream, pieces))
             assert str(got.value) == str(exc)
         else:
             outcomes["value"] += 1
-            got = mistake_integral(stream, t)
+            got = mistake_integral(stream, *on_grid(stream, pieces))
             assert got == expected and type(got) is Fraction
     assert all(outcomes.values()), outcomes
     assert outcomes["value"] >= 150, outcomes
@@ -307,7 +312,7 @@ def test_adaptive_rejects_non_string_instance():
 def _adaptive_sampler_reference(stream):
     """Reference: every time a Fraction, ``value_at`` by a Fraction binary
     search, tokens read by ``decode_reveal_token``, and the integral by
-    ``mistake_integral`` of the ``PredictorTrace``."""
+    ``_mistake_integral_naive`` over the Fraction pieces."""
     def value_at(t):
         if t < 0 or t >= stream.horizon:
             raise ValueError(f"time {t} outside [0, {stream.horizon})")
@@ -345,7 +350,7 @@ def _adaptive_sampler_reference(stream):
         if next_reveal <= t:
             raise MalformedTokenError("next reveal does not advance time")
         t = next_reveal
-    integral = mistake_integral(stream, PredictorTrace(stream.horizon, tuple(pieces)))
+    integral = _mistake_integral_naive(stream, pieces)
     return RunReport(integral, tuple(events), (), None, {"horizon": str(stream.horizon)})
 
 

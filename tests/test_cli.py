@@ -552,7 +552,9 @@ def test_deeply_nested_json_exit_2(files, capsys):
 
 
 HOSTILE = [INF, float("nan"), 0.7, 2.5, True, None, "x", [], -1,
-           {"num": 1, "den": 0}, {"num": INF, "den": 1}]
+           {"num": 1, "den": 0}, {"num": INF, "den": 1},
+           # reveal tokens as instance names: one with a zero denominator
+           'SEG([["a",0,"0","1/0"]])|next=1', 'SEG([["a",0,"0","1"]])|next=1']
 
 
 @st.composite
@@ -617,6 +619,10 @@ def test_cli_input_contract_fuzz(docs, data):
              "--trials", "2", "--seed", "0"],
             ["qld", "--patterns", files["patterns"], "--budget", "1"],
             ["blind-bound", "--units", "2", "--placement", files["placement"]],
+            ["adversary", "--kind", "littlestone-branch", "--class", files["cls"],
+             "--seed", "0", "--out", os.path.join(tmp, "branch.json")],
+            ["adversary", "--kind", "self-revealing", "--class", files["cls"],
+             "--horizon", "2", "--seed", "0", "--out", os.path.join(tmp, "revealing.json")],
         ]
         with mock.patch.dict(os.environ, {"QSTREAM_CONFIG": files["config"]}):
             for argv in commands:
