@@ -163,6 +163,12 @@ def _consistent_tail(H: ConceptClass, path: list[tuple[str, Label]]) -> tuple[st
     return x, first[H.space.index_of(x)]
 
 
+def _unit_pieces(budget: QueryBudgetPolicy, n: int) -> int:
+    """The two-point law's cut: unit [n-1, n) splits into 2 budget(n) equal
+    sub-intervals, or one when budget(n) = 0."""
+    return max(2 * budget.budget(n), 1)
+
+
 def gen_two_point_stream(
     x1: str,
     x2: str,
@@ -170,12 +176,9 @@ def gen_two_point_stream(
     budget: QueryBudgetPolicy,
     seed,
 ) -> PiecewiseStream:
-    """Random (x1, 0) / (x2, 1) painting of each unit interval.
-
-    Unit [n-1, n) splits into 2*budget(n) equal sub-intervals, each assigned
-    independently and uniformly.  budget(n) = 0 degenerates to one random
-    sub-interval covering the unit.
-    """
+    """Random (x1, 0) / (x2, 1) painting of each unit interval: unit n is cut
+    into ``_unit_pieces(budget, n)`` sub-intervals, each assigned
+    independently and uniformly."""
     if x1 == x2:
         raise ValueError("the two instances must be distinct")
     if units < 1:
@@ -184,8 +187,7 @@ def gen_two_point_stream(
     pairs = ((x1, 0), (x2, 1))
     segments = []
     for n in range(1, units + 1):
-        k = budget.budget(n)
-        pieces = 2 * k if k >= 1 else 1
+        pieces = _unit_pieces(budget, n)
         width = Fraction(1, pieces)
         base = Fraction(n - 1)
         for j in range(pieces):
@@ -222,7 +224,7 @@ def exact_blind_error(
             raise BudgetViolationError(
                 f"{len(in_unit)} queries in [{u}, {u + 1}) exceed budget({u + 1}) = {k}"
             )
-        pieces = 2 * k if k >= 1 else 1
+        pieces = _unit_pieces(budget, u + 1)
         # sub-interval j is [u + j/pieces, u + (j+1)/pieces)
         hit = {(t.numerator - u * t.denominator) * pieces // t.denominator for t in in_unit}
         total += Fraction(pieces - len(hit), 2 * pieces)

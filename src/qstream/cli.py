@@ -71,25 +71,20 @@ def _fraction(text: str) -> Fraction:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qstream-")
+    """Write text to path through a temp file beside it.  Any OSError, from
+    mkstemp, the write or the replace, is a CliError; the temp file never
+    outlives the call."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".qstream-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}")
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        _atomic_write(out, text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _require_seed(args: argparse.Namespace) -> int:
@@ -129,20 +124,20 @@ def _fill_from_config(args: argparse.Namespace, keys: dict[str, Callable[[Any], 
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its result, a JSON document or finished text,
+# and `main` writes it to stdout or to --out
 
 
-def cmd_ld(args: argparse.Namespace) -> int:
+def cmd_ld(args: argparse.Namespace) -> str:
     cls = _load(args.class_file, model.concept_class_from_json, "concept class")
-    print(littlestone.littlestone_dimension(cls))
-    return 0
+    return str(littlestone.littlestone_dimension(cls))
 
 
 def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def cmd_unif_sim(args: argparse.Namespace) -> int:
+def cmd_unif_sim(args: argparse.Namespace) -> dict | str:
     _fill_from_config(args, {"delta": model.as_fraction, "trials": model.as_int,
                              "slope": model.as_fraction})
     seed = _require_seed(args)
@@ -190,8 +185,7 @@ def cmd_unif_sim(args: argparse.Namespace) -> int:
         doc = stats.to_json()
         doc["bound"] = bound
         doc["passed"] = stats.mean <= bound + 3 * stats.stderr
-        _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
-        return 0
+        return doc
 
     lines = ["row,index,value,mean,stderr,bound,passed"]
     for i, integral in enumerate(stats.integrals):
@@ -207,11 +201,10 @@ def cmd_unif_sim(args: argparse.Namespace) -> int:
         f"summary,,,{_format_float(stats.mean)},{_format_float(stats.stderr)},"
         f"{_format_float(bound)},{str(ok).lower()}"
     )
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_qld(args: argparse.Namespace) -> int:
+def cmd_qld(args: argparse.Namespace) -> dict:
     _fill_from_config(args, {"budget": model.as_int})
     if args.budget is None:
         raise CliError("--budget is required")
@@ -230,11 +223,12 @@ def cmd_qld(args: argparse.Namespace) -> int:
         doc["agree"] = witness.value == oracle
         doc["bp_soa_worst"] = replay
         doc["bp_soa_within_bound"] = replay <= witness.value
-    _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
-    return 0
+    return doc
 
 
-def cmd_adversary(args: argparse.Namespace) -> int:
+def cmd_adversary(args: argparse.Namespace) -> dict:
+    if not args.out:
+        raise CliError("--out is required")
     _fill_from_config(args, {"slope": model.as_fraction, "horizon": model.as_fraction})
     seed = _require_seed(args)
     budget = _budget_policy(args)
@@ -251,10 +245,9 @@ def cmd_adversary(args: argparse.Namespace) -> int:
         params.update({"n": n, "class": args.class_file})
     elif args.kind == "two-point":
         units = args.units if args.units is not None else 1
-        # unit n holds 2 budget(n) segments, or one when budget(n) = 0
         count = 0
         for n in range(1, units + 1):
-            count += max(2 * budget.budget(n), 1)
+            count += adversaries._unit_pieces(budget, n)
             if count > MAX_ITEMS:
                 raise CliError(
                     f"--units {units} gives more than {MAX_ITEMS} segments at slope "
@@ -262,7 +255,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
                 )
         stream = adversaries.gen_two_point_stream(args.x1, args.x2, units, budget, seed)
         params.update({"units": units, "x1": args.x1, "x2": args.x2})
-    elif args.kind == "self-revealing":
+    else:  # self-revealing
         if not args.class_file:
             raise CliError("self-revealing needs --class")
         cls = _load(args.class_file, model.concept_class_from_json, "concept class")
@@ -289,20 +282,15 @@ def cmd_adversary(args: argparse.Namespace) -> int:
         params.update(
             {"class": args.class_file, "reveal_times": [str(t) for t in reveals]}
         )
-    else:
-        raise CliError(f"unknown adversary kind {args.kind!r}")
 
     if args.horizon is not None:
         params["horizon"] = str(model.as_fraction(args.horizon))
     doc = model.stream_to_json(stream)
     doc["provenance"] = {"kind": args.kind, "params": params, "seed": seed}
-    if not args.out:
-        raise CliError("--out is required")
-    _atomic_write(args.out, json.dumps(doc, indent=2, sort_keys=True))
-    return 0
+    return doc
 
 
-def cmd_blind_bound(args: argparse.Namespace) -> int:
+def cmd_blind_bound(args: argparse.Namespace) -> str:
     _fill_from_config(args, {"slope": model.as_fraction})
     budget = _budget_policy(args)
     if args.units > MAX_ITEMS:
@@ -317,9 +305,7 @@ def cmd_blind_bound(args: argparse.Namespace) -> int:
         times = []
     value = adversaries.exact_blind_error(args.units, budget, times)
     floor = Fraction(args.units, 4)
-    print(f"expected_error = {value} ({float(value)})")
-    print(f">= units/4: {str(value >= floor).lower()}")
-    return 0
+    return f"expected_error = {value} ({float(value)})\n>= units/4: {str(value >= floor).lower()}"
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +373,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.fn(args)
-        sys.stdout.flush()
-        return code
+        result = args.fn(args)
+        text = result if isinstance(result, str) else json.dumps(result, indent=2, sort_keys=True)
+        if getattr(args, "out", None):
+            _atomic_write(args.out, text)
+        else:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.flush()
+        return 0
     except BrokenPipeError:
         # the reader closed stdout; send what is left to devnull so the
         # interpreter's final flush does not fail again

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -633,3 +634,132 @@ def test_cli_input_contract_fuzz(docs, data):
                 if code:
                     lines = err.getvalue().splitlines()
                     assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err.getvalue())
+
+
+# --- bad flag values and an unwritable --out: exit 2, one error line ------------
+
+BAD_FLAG_BASES = {
+    "qld": ["qld", "--patterns", "{patterns}", "--budget", "1", "--out", "{out}"],
+    "unif-sim": ["unif-sim", "--class", "{cls}", "--adversary", "littlestone-branch",
+                 "--slope", "1/4", "--trials", "2", "--seed", "0", "--out", "{out}"],
+    "adversary": ["adversary", "--kind", "two-point", "--units", "2", "--seed", "0",
+                  "--out", "{out}"],
+    "self-revealing": ["adversary", "--kind", "self-revealing", "--class", "{cls}",
+                       "--horizon", "2", "--seed", "0", "--out", "{out}"],
+}
+
+# (base command, flag, bad value): the flag's value in the base is replaced
+BAD_FLAGS = [
+    *[(base, "--out", where) for where in ("{missing}", "{dir}")
+      for base in ("qld", "unif-sim", "adversary")],
+    ("self-revealing", "--reveal-times", ""),
+    ("self-revealing", "--reveal-times", "0,0"),
+    ("unif-sim", "--delta", "0"),
+    ("unif-sim", "--delta", "-1"),
+    ("unif-sim", "--n", "0"),
+    ("adversary", "--units", "-2"),
+    ("qld", "--budget", "-1"),
+    ("unif-sim", "--trials", "1"),
+    ("unif-sim", "--horizon", "-1"),
+]
+
+
+def bad_flag_argv(tmp, base, flag=None, value=None):
+    """The base command with flag=value in place of the base's own value,
+    its paths in tmp; {missing} is under a missing directory, {dir} is an
+    existing, empty directory."""
+    (tmp / "dir").mkdir(exist_ok=True)
+    paths = {"cls": tmp / "cls.json", "patterns": tmp / "patterns.json",
+             "out": tmp / "out.json", "missing": tmp / "missing" / "out.json",
+             "dir": tmp / "dir"}
+    paths["cls"].write_text(model.dumps(FULL_AB))
+    paths["patterns"].write_text(json.dumps(PATTERNS))
+    argv = list(BAD_FLAG_BASES[base])
+    if flag is not None:
+        if flag in argv:
+            i = argv.index(flag)
+            del argv[i:i + 2]
+        argv.append(f"{flag}={value}")
+    return [a.format(**paths) for a in argv]
+
+
+@pytest.mark.parametrize("base", sorted(BAD_FLAG_BASES))
+def test_bad_flag_bases_run(tmp_path, capsys, base):
+    code, _, _ = run(capsys, *bad_flag_argv(tmp_path, base))
+    assert code == 0 and (tmp_path / "out.json").is_file()
+
+
+@pytest.mark.parametrize("base, flag, value", BAD_FLAGS,
+                         ids=[f"{b}-{f[2:]}={v.strip('{}')}" for b, f, v in BAD_FLAGS])
+def test_bad_flag_value_exit_2(tmp_path, capsys, base, flag, value):
+    code, out, err = run(capsys, *bad_flag_argv(tmp_path, base, flag, value))
+    assert_single_error(code, err)
+    assert out == "" and not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "missing").exists() and not any((tmp_path / "dir").iterdir())
+    assert not list(tmp_path.rglob(".qstream-*"))
+    if flag == "--out":
+        assert "cannot write" in err
+
+
+def test_out_write_failure_exit_2(tmp_path, capsys, monkeypatch):
+    # the temp file is made and the write into it fails, as on a full disk
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fdopen(fd, mode):
+        os.close(fd)
+        return Full()
+
+    argv = bad_flag_argv(tmp_path, "qld")
+    monkeypatch.setattr("qstream.cli.os.fdopen", fdopen)
+    code, out, err = run(capsys, *argv)
+    assert_single_error(code, err)
+    assert "cannot write" in err and os.strerror(errno.ENOSPC) in err
+    assert out == "" and not (tmp_path / "out.json").exists()
+    assert not list(tmp_path.rglob(".qstream-*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "littlestone-branch", "--class", "{cls}"],
+    # 90,300 segments at slope 1, under the cap
+    ["--kind", "two-point", "--units", "300"],
+    ["--kind", "self-revealing", "--class", "{cls}", "--horizon", "2"],
+], ids=["littlestone-branch", "two-point", "self-revealing"])
+def test_adversary_without_out_exit_2_before_building(files, capsys, monkeypatch, argv):
+    _, write = files
+    cls = write("cls.json", FULL_AB)
+
+    def build(*args, **kwargs):
+        raise AssertionError("a stream was built")
+
+    for name in ("gen_littlestone_branch_stream", "gen_two_point_stream",
+                 "gen_self_revealing_stream"):
+        monkeypatch.setattr(f"qstream.adversaries.{name}", build)
+    code, out, err = run(capsys, "adversary", *[a.format(cls=cls) for a in argv],
+                         "--slope", "1", "--seed", "0")
+    assert_single_error(code, err)
+    assert "--out is required" in err and out == ""
+
+
+@pytest.mark.parametrize("units, built", [(315, True), (316, False)])
+def test_two_point_cap_counts_the_generators_segments(tmp_path, capsys, monkeypatch,
+                                                      units, built):
+    # at slope 1 unit n holds 2n segments: 315 units give 99,540, 316 give
+    # 100,172, past the cap
+    class Reached(Exception):
+        pass
+
+    def build(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr("qstream.adversaries.gen_two_point_stream", build)
+    argv = ["adversary", "--kind", "two-point", "--units", str(units), "--slope", "1",
+            "--seed", "0", "--out", str(tmp_path / "s.json")]
+    if built:
+        with pytest.raises(Reached):
+            main(argv)
+    else:
+        code, _, err = run(capsys, *argv)
+        assert_single_error(code, err)
+        assert "at most 100000" in err
