@@ -146,9 +146,9 @@ def gen_littlestone_branch_stream(
 
 
 def _consistent_tail(H: ConceptClass, path: list[tuple[str, Label]]) -> tuple[str, Label]:
-    """A pair every branch-consistent concept can extend: unanimous instance
-    first (smallest token), else the first concept's label on the smallest
-    instance."""
+    """A pair every branch-consistent concept can extend: the smallest
+    instance on which the survivors are unanimous.  One exists, as the
+    branch's last step leaves them unanimous on its instance."""
     solver = LittlestoneSolver.of(H)
     ids = solver.full()
     for x, y in path:
@@ -158,9 +158,6 @@ def _consistent_tail(H: ConceptClass, path: list[tuple[str, Label]]) -> tuple[st
         zeros, ones = solver.label_masks[H.space.index_of(x)]
         if not ids & zeros or not ids & ones:
             return x, 0 if ids & zeros else 1
-    x = sorted(H.space.instances)[0]
-    first = min(c for i, c in enumerate(H.concepts) if ids >> i & 1)
-    return x, first[H.space.index_of(x)]
 
 
 def _unit_pieces(budget: QueryBudgetPolicy, n: int) -> int:
@@ -246,6 +243,8 @@ def gen_self_revealing_stream(
     next reveal time.
     """
     total = as_fraction(horizon)
+    if total <= 0:
+        raise ValueError(f"horizon must be positive, got {total}")
     reveals = [as_fraction(t) for t in reveal_times]
     if not reveals or reveals[0] != 0:
         raise ValueError("reveal times must start at 0")

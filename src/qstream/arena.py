@@ -305,6 +305,8 @@ def monte_carlo_uniform(
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
+    if float(as_fraction(delta)) <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     integrals: list[Fraction] = []
     epoch_values: dict[int, list[Fraction]] = {}

@@ -42,18 +42,16 @@ def _weighted_one_center(vectors: list[int], weights: list[int], width: int) -> 
     """Minimize over candidates c the max of weights[j] + H(c, vectors[j]).
 
     Returns (value, candidate) with the lexicographically smallest optimal
-    candidate.  Identical vectors are merged, keeping the largest weight, and
-    one scan visits candidates in ascending order.  A candidate fails on the
-    first vector v whose weight w plus distance reaches the best value; then
-    every candidate sharing the shortest prefix (high bits) of cand that
-    already carries best_val - w mismatches with v fails on v too, so the scan
-    jumps past them.  Only a strict improvement replaces the best and no
+    candidate; ``vectors`` is non-empty.  Identical vectors are merged,
+    keeping the largest weight, and one scan visits candidates in ascending
+    order.  A candidate fails on the first vector v whose weight w plus
+    distance reaches the best value; then every candidate sharing the
+    shortest prefix (high bits) of cand that already carries best_val - w
+    mismatches with v fails on v too, so the scan jumps past them.  Only a strict improvement replaces the best and no
     skipped candidate could make one, so the first optimum in ascending order
     wins.  The scan stops once the best value equals the largest weight,
     which no candidate can go below.
     """
-    if not vectors:
-        return 0, 0
     heaviest: dict[int, int] = {}
     for v, w in zip(vectors, weights):
         if v not in heaviest or w > heaviest[v]:
@@ -163,9 +161,10 @@ class _Plan:
 class QldSolver:
     """Backward-induction solver over information sets of one pattern class.
 
-    One backward pass from t = L builds the per-class tables: ``_group[t][pid]``
-    is the smallest pattern id whose rounds t+1..L equal pid's (two patterns
-    agree there exactly when their (x, y) in round t+1 and their
+    ``steps[pid]`` holds pattern pid's (x, y) per round.  One backward pass
+    from t = L builds the per-class tables: ``_group[t][pid]`` is the
+    smallest pattern id whose rounds t+1..L equal pid's (two patterns agree
+    there exactly when their (x, y) in round t+1 and their
     ``_group[t+1]`` ids agree), and ``_suffix[t][pid]`` packs the labels of
     those rounds big-endian, so ascending ints are lexicographically
     ascending label vectors.  Patterns of one future group are merged into
@@ -184,11 +183,8 @@ class QldSolver:
         problems = validate(P)
         if problems:
             raise QstreamError("; ".join(problems))
-        self.P = P
         self.L = P.horizon
-        self.labels = [p.labels for p in P.patterns]
-        self.insts = [p.instances for p in P.patterns]
-        steps = [p.steps for p in P.patterns]
+        self.steps = steps = [p.steps for p in P.patterns]
         self._group: list[list[int]] = [[0] * len(steps)]
         self._suffix: list[list[int]] = [[0] * len(steps)]
         for t in range(self.L - 1, -1, -1):
@@ -197,14 +193,14 @@ class QldSolver:
             self._group.append([first.setdefault((st[t], g), pid) for pid, (st, g) in rows])
             bit = 1 << (self.L - 1 - t)
             self._suffix.append(
-                [s | bit if ys[t] else s for ys, s in zip(self.labels, self._suffix[-1])]
+                [s | bit if st[t][1] else s for st, s in zip(steps, self._suffix[-1])]
             )
         self._group.reverse()
         self._suffix.reverse()
         self._memo: dict[tuple[State, int, int], tuple[int, _Plan]] = {}
 
     def initial_state(self) -> State:
-        return tuple((i, 0) for i in range(len(self.labels)))
+        return tuple((i, 0) for i in range(len(self.steps)))
 
     # -- state plumbing ----------------------------------------------------
 
@@ -227,10 +223,11 @@ class QldSolver:
         assert plan.time == t and plan.predict is not None
         out = []
         for pid, acc in state:
-            if self.insts[pid][t - 1] != x or self.labels[pid][t - 1] != y:
+            steps = self.steps[pid]
+            if steps[t - 1] != (x, y):
                 continue
-            gap = self.labels[pid][t - len(plan.interim) - 1 : t - 1]
-            acc += sum(a != b for a, b in zip(plan.interim, gap))
+            gap = steps[t - len(plan.interim) - 1 : t - 1]
+            acc += sum(a != b for a, (_, b) in zip(plan.interim, gap))
             acc += plan.predict != y
             out.append((pid, acc))
         return tuple(out)
@@ -279,8 +276,9 @@ class QldSolver:
         best_plan = None
         # flips[k][v][i]: member i's label in round t_prev + k + 1 is not v; for
         # query time t, k = t - t_prev - 1 is the query round, where it is r != b
+        rows = [self.steps[pid] for pid, _ in state]
         flips = [
-            [[self.labels[pid][k] != v for pid, _ in state] for v in (0, 1)]
+            [[st[k][1] != v for st in rows] for v in (0, 1)]
             for k in range(t_prev, self.L)
         ]
         for t in range(t_prev + 1, self.L + 1):
@@ -289,7 +287,7 @@ class QldSolver:
             # per observation (x, b): member indices per future group at t
             branches: dict[tuple[str, Label], dict[int, list[int]]] = {}
             for i, (pid, _) in enumerate(state):
-                obs = (self.insts[pid][t - 1], self.labels[pid][t - 1])
+                obs = rows[i][t - 1]
                 branches.setdefault(obs, {}).setdefault(self._group[t][pid], []).append(i)
             leaves = [
                 (b, sorted(groups), [groups[g] for g in sorted(groups)])
@@ -339,7 +337,7 @@ class QldSolver:
         t = plan.time
         children: dict[str, dict] = {}
         for b in (0, 1):
-            options = {self.insts[p][t - 1] for p, _ in state if self.labels[p][t - 1] == b}
+            options = {x for x, y in (self.steps[p][t - 1] for p, _ in state) if y == b}
             picked = best = None
             for x in sorted(options):
                 child = self.advance(state, plan, t, x, b)

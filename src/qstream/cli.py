@@ -271,7 +271,7 @@ def cmd_adversary(args: argparse.Namespace) -> dict:
             if step <= 0:
                 raise CliError(f"--reveal-every must be > 0, got {step}")
             # reveals at 0, step, 2 step, ... below the horizon
-            count = max(0, math.ceil(args.horizon / step))
+            count = math.ceil(args.horizon / step)
             if count > MAX_ITEMS:
                 raise CliError(
                     f"--reveal-every {step} gives {count} reveals before horizon "

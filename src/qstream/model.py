@@ -140,9 +140,6 @@ class ConceptClass:
     def is_empty(self) -> bool:
         return not self.concepts
 
-    def __len__(self) -> int:
-        return len(self.concepts)
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -234,9 +231,6 @@ class PatternClass:
     @property
     def is_empty(self) -> bool:
         return not self.patterns
-
-    def __len__(self) -> int:
-        return len(self.patterns)
 
 
 @dataclass(frozen=True)
@@ -375,19 +369,23 @@ def concept_class_to_json(cls: ConceptClass) -> dict:
     }
 
 
+def _strings(values: list, what: str) -> tuple[str, ...]:
+    """The values as a tuple; a TypeError names the first non-string."""
+    for v in values:
+        if not isinstance(v, str):
+            raise TypeError(f"{what} must be strings, got {v!r}")
+    return tuple(values)
+
+
 def _space_from_json(ids: list) -> InstanceSpace:
-    if not all(isinstance(x, str) for x in ids):
-        raise TypeError(f"instance identifiers must be strings, got {ids!r}")
-    return InstanceSpace(tuple(ids))
+    return InstanceSpace(_strings(ids, "instance identifiers"))
 
 
 def concept_class_from_json(doc: dict) -> ConceptClass:
     space = _space_from_json(doc["instances"])
     concepts = tuple(tuple(as_int(y) for y in c["labels"]) for c in doc["concepts"])
-    names = tuple(c.get("name", f"h{i + 1}") for i, c in enumerate(doc["concepts"]))
-    if not all(isinstance(name, str) for name in names):
-        raise TypeError(f"concept names must be strings, got {list(names)!r}")
-    return ConceptClass(space, concepts, names)
+    names = [c.get("name", f"h{i + 1}") for i, c in enumerate(doc["concepts"])]
+    return ConceptClass(space, concepts, _strings(names, "concept names"))
 
 
 def pattern_class_to_json(P: PatternClass) -> dict:
@@ -401,9 +399,10 @@ def pattern_class_to_json(P: PatternClass) -> dict:
 def pattern_class_from_json(doc: dict) -> PatternClass:
     space = _space_from_json(doc["instances"])
     patterns = tuple(
-        DiscretePattern(tuple((str(x), as_int(y)) for x, y in steps))
+        DiscretePattern(tuple((x, as_int(y)) for x, y in steps))
         for steps in doc["patterns"]
     )
+    _strings([x for p in patterns for x, _ in p.steps], "pattern instances")
     return PatternClass(space, as_int(doc["horizon"]), patterns)
 
 
@@ -424,7 +423,7 @@ def stream_to_json(stream: PiecewiseStream) -> dict:
 
 def stream_from_json(doc: dict) -> PiecewiseStream:
     segments = tuple(
-        Segment(as_fraction(s["start"]), as_fraction(s["end"]), str(s["x"]), as_int(s["y"]))
+        Segment(as_fraction(s["start"]), as_fraction(s["end"]), s["x"], as_int(s["y"]))
         for s in doc["segments"]
     )
     return PiecewiseStream(as_fraction(doc["horizon"]), segments)

@@ -274,6 +274,15 @@ def test_monte_carlo_needs_two_trials():
         monte_carlo_uniform(FULL_AB, branch_stream, 1, 1, 0)
 
 
+@pytest.mark.parametrize("delta", [0, -1])
+def test_uniform_sampler_rejects_delta_not_positive(delta):
+    # monte_carlo_uniform checks delta before its first stream, so only a
+    # direct call reaches the sampler's own check
+    stream = PiecewiseStream(1, (Segment(0, 1, "a", 0),))
+    with pytest.raises(ValueError, match=f"delta must be positive, got {delta}"):
+        run_uniform_sampler(FULL_AB, stream, delta, 0)
+
+
 def test_monte_carlo_deterministic():
     a = monte_carlo_uniform(FULL_AB, branch_stream, 1, 50, 77)
     b = monte_carlo_uniform(FULL_AB, branch_stream, 1, 50, 77)

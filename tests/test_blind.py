@@ -257,6 +257,8 @@ INVALID_CLASSES = [
     # horizon 2, one-step pattern: unvalidated, a value 0 whose [0, 1] errs once
     (PatternClass(InstanceSpace(("a",)), 2, (DiscretePattern((("a", 1),)),)),
      "length mismatch", "short-pattern"),
+    (PatternClass(InstanceSpace(("a",)), 1, (DiscretePattern((("b", 0),)),)),
+     "instance not in space: 'b'", "unknown-instance"),
 ]
 
 
@@ -443,6 +445,45 @@ def test_witness_trees_satisfy_query_tree_invariants():
            "children": {"0": {"blind": [], "unused_budget": 0},
                         "1": {"blind": [], "unused_budget": 0}}}
     assert validate_witness_tree(bad, 1, 4) != []  # interim length is wrong
+
+
+@pytest.mark.parametrize("mutate, problems", [
+    (lambda tree: None, []),
+    (lambda tree: tree["children"]["0"].update(unused_budget=1),
+     ["path 0: 1 query nodes + 1 unused != 1"]),
+    (lambda tree: tree["children"]["0"].pop("blind"),
+     ["path 0: leaf carries no suffix vector"]),
+    (lambda tree: tree.update(time=5, interim=[0] * 4),
+     ["path root: timestamp 5 not in (0, 4]"]),
+    (lambda tree: tree["children"].update({"2": tree["children"].pop("1")}),
+     ["path root: edges are not exactly 0 and 1"]),
+], ids=["untouched", "unused-budget", "no-suffix", "time", "edges"])
+def test_validate_witness_tree_names_each_broken_invariant(mutate, problems):
+    from qstream.blind import validate_witness_tree
+
+    tree = qld(make_class([(0, 0, 0, 0), (1, 1, 1, 1)]), 1).witness["tree"]
+    mutate(tree)
+    assert validate_witness_tree(tree, 1, 4) == problems
+
+
+def test_replan_strategy_rejects_an_observation_off_its_plan():
+    P = make_class([(0, 0, 0, 0), (1, 1, 1, 1)])
+    strat = qld(P, 1).to_strategy()
+    with pytest.raises(QstreamError, match="observation at 2 does not match plan 1"):
+        strat.observe(2, "a", 0)
+    with pytest.raises(QstreamError, match="inconsistent with the pattern class"):
+        strat.observe(1, "b", 0)
+
+
+def test_blind_strategy_observe_checks_time_and_budget():
+    strat = BlindStrategy()
+    with pytest.raises(BudgetViolationError, match="beyond budget 0"):
+        strat.observe(1, "a", 0)
+    strat.budget = 2
+    strat.observe(2, "a", 0)
+    for t in (1, 2):
+        with pytest.raises(QstreamError, match="must strictly increase"):
+            strat.observe(t, "a", 0)
 
 
 def test_strategy_records_observation_history():

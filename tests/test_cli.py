@@ -544,6 +544,46 @@ def test_hostile_json_field_exit_2(files, capsys, monkeypatch, command, doc, con
     assert out == ""
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("unif-sim", {**STREAM, "segments": [{**STREAM["segments"][0], "x": 5}]},
+     "segment 0 has non-string instance 5"),
+    ("unif-sim", {**STREAM, "segments": [{**STREAM["segments"][0], "x": ["a"]}]},
+     "segment 0 has non-string instance ['a']"),
+    ("qld", {"instances": ["1"], "horizon": 1, "patterns": [[[1, 0]]]},
+     "pattern instances must be strings, got 1"),
+    ("qld", {"instances": ["a"], "horizon": 1, "patterns": [[[["a"], 0]]]},
+     "pattern instances must be strings, got ['a']"),
+], ids=["stream-int", "stream-list", "pattern-int", "pattern-list"])
+def test_non_string_instance_in_a_step_exit_2(files, capsys, command, doc, message):
+    # read through str(), the first three values would match an instance
+    # named by their text ("5", "['a']", "1") and exit 0
+    _, write = files
+    path = write("doc.json", json.dumps(doc))
+    cls = write("cls.json", ConceptClass(InstanceSpace(("5", "['a']")), ((0, 0),)))
+    argv = {
+        "qld": ["qld", "--patterns", path, "--budget", "1"],
+        "unif-sim": ["unif-sim", "--class", cls, "--stream", path, "--trials", "2",
+                     "--seed", "0"],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert_single_error(code, err)
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["adversary", "--kind", "self-revealing", "--horizon", "-1", "--reveal-every", "1",
+      "--out", "s.json"], "horizon must be positive, got -1"),
+    (["unif-sim", "--adversary", "littlestone-branch", "--delta", "0"],
+     "delta must be positive, got 0"),
+], ids=["self-revealing-horizon", "unif-sim-delta"])
+def test_bad_value_is_the_one_named(files, capsys, monkeypatch, argv, message):
+    tmp, write = files
+    monkeypatch.chdir(tmp)
+    code, _, err = run(capsys, *argv, "--class", write("cls.json", FULL_AB), "--seed", "0")
+    assert_single_error(code, err)
+    assert message in err
+
+
 def test_deeply_nested_json_exit_2(files, capsys):
     _, write = files
     path = write("cls.json", "[" * 100_000 + "]" * 100_000)

@@ -206,6 +206,29 @@ def test_every_public_member_is_used():
     assert members and unused == []
 
 
+def test_readme_library_sketch_runs_and_its_comments_hold():
+    # README's python block runs in a fresh namespace; each bare expression
+    # is evaluated, keyed by its source text, to check the value its
+    # comment states
+    block = (ROOT / "README.md").read_text().split("```python\n")[1].split("```")[0]
+    ns: dict = {}
+    values = {}
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            values[ast.get_source_segment(block, node.value)] = eval(code, ns)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), ns)
+    w = ns["w"]
+    assert values["qs.littlestone_dimension(H)"] == 2
+    assert values['qs.soa_predict(H, "a")'] == 0
+    assert isinstance(values["report.mistake_integral"], Fraction)
+    assert values["qs.blind_learning_dimension(P).value"] == 2
+    assert values["w.value"] == 1
+    assert values["qs.game_value(P, 1) == w.value"] is True
+    assert values["qs.worst_case_mistakes(w.to_strategy(), P, 1)"] == w.value
+
+
 # --- serialization round trips ---------------------------------------------
 
 rationals = st.fractions(
