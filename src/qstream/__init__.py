@@ -46,7 +46,6 @@ from .model import (
     ConceptClass,
     DiscretePattern,
     InstanceSpace,
-    LabelVector,
     MalformedTokenError,
     NonRealizableError,
     PatternClass,

@@ -3,10 +3,11 @@
 The learner predicts at every round seeing only the clock and its past query
 results; the adversary must stay realizable with respect to the pattern
 class.  ``qld`` computes the optimal worst-case mistake count for a budget of
-Q queries by backward induction over information sets; ``game_value`` is a
-deliberately naive second implementation of the same game used as an
-independent oracle; ``qld(P, Q).to_strategy()`` turns the solve into a
-playable strategy whose worst-case replay meets the computed value exactly.
+Q queries by backward induction over information sets; ``game_value`` is an
+independent oracle that plays the same game one round at a time (predict,
+then query or not) and shares no code with the solver;
+``qld(P, Q).to_strategy()`` turns the solve into a playable strategy whose
+worst-case replay meets the computed value exactly.
 
 An information set is the set of patterns consistent with the observations
 so far, each carrying the mistakes the learner has already accrued against
@@ -18,7 +19,6 @@ subsets understates the optimum on some two-instance classes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from operator import add
 from typing import Callable
 
@@ -482,61 +482,37 @@ def worst_case_mistakes(strategy: BlindStrategy, P: PatternClass, Q: int) -> int
 
 
 def game_value(P: PatternClass, Q: int) -> int:
-    """Independent minimax oracle for the same game as ``qld``.
+    """Independent oracle for the game ``qld`` solves, played round by round.
 
-    Kept deliberately naive: per-pattern loops over tuple vectors, an
-    explicit never-query-again option at every stage, the query-round
-    mistake as a bare indicator term, and no stage pruning or grouping
-    shortcuts.  Only the accrual-offset normalization is shared, since it is
-    a transparent identity.
+    After round L the value is the largest accrual.  Before round t + 1 the
+    learner picks r, each pattern accrues [y_p != r], and the learner goes on
+    unqueried or, with a query left, faces the worst observed (x, y) branch.
+    Kept naive: no ``QldSolver`` code, grouping, pruning, one-center kernel or
+    interim vector; it shares only the solver's offset-normalized memo key.
     """
     if P.is_empty:
         raise QstreamError("game value of an empty pattern class")
     if Q < 0:
         raise ValueError(f"query budget must be >= 0, got {Q}")
-    L = P.horizon
-    labels = [p.labels for p in P.patterns]
-    insts = [p.instances for p in P.patterns]
+    steps = [p.steps for p in P.patterns]
     memo: dict[tuple[State, int, int], int] = {}
 
-    def suffix_best(state: State, t_prev: int) -> int:
-        best = None
-        for cand in product((0, 1), repeat=L - t_prev):
-            worst = 0
-            for pid, acc in state:
-                d = acc + sum(a != b for a, b in zip(cand, labels[pid][t_prev:]))
-                worst = max(worst, d)
-            if best is None or worst < best:
-                best = worst
-        return best
-
-    def value(state: State, q_left: int, t_prev: int) -> int:
+    def value(state: State, q: int, t: int) -> int:
+        if t == P.horizon:
+            return max(acc for _, acc in state)
         offset = min(acc for _, acc in state)
         state = tuple((pid, acc - offset) for pid, acc in state)
-        key = (state, q_left, t_prev)
-        if key in memo:
-            return memo[key] + offset
-        best = suffix_best(state, t_prev)
-        if q_left > 0:
-            for t in range(t_prev + 1, L + 1):
-                for yh in product((0, 1), repeat=t - t_prev - 1):
-                    for r in (0, 1):
-                        branches: dict[tuple[str, Label], list[tuple[int, int]]] = {}
-                        for pid, acc in state:
-                            acc2 = (
-                                acc
-                                + sum(a != b for a, b in zip(yh, labels[pid][t_prev : t - 1]))
-                                + (r != labels[pid][t - 1])
-                            )
-                            obs = (insts[pid][t - 1], labels[pid][t - 1])
-                            branches.setdefault(obs, []).append((pid, acc2))
-                        worst = max(
-                            value(tuple(sorted(br)), q_left - 1, t)
-                            for br in branches.values()
-                        )
-                        if worst < best:
-                            best = worst
-        memo[key] = best
-        return best + offset
+        if (state, q, t) not in memo:
+            options = []
+            for r in (0, 1):
+                nxt = tuple((pid, acc + (steps[pid][t][1] != r)) for pid, acc in state)
+                options.append(value(nxt, q, t + 1))
+                if q > 0:
+                    branches: dict[tuple[str, Label], list[tuple[int, int]]] = {}
+                    for pid, acc in nxt:
+                        branches.setdefault(steps[pid][t], []).append((pid, acc))
+                    options.append(max(value(tuple(b), q - 1, t + 1) for b in branches.values()))
+            memo[state, q, t] = min(options)
+        return memo[state, q, t] + offset
 
-    return value(tuple((i, 0) for i in range(len(labels))), Q, 0)
+    return value(tuple((i, 0) for i in range(len(steps))), Q, 0)

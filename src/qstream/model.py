@@ -87,9 +87,6 @@ def fraction_to_json(value: Fraction) -> Any:
 
 Label = int
 
-LabelVector = tuple[Label, ...]
-"""Finite binary prediction/outcome vector (time-indexed from 1)."""
-
 
 @dataclass(frozen=True)
 class InstanceSpace:
@@ -204,14 +201,6 @@ class DiscretePattern:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple((x, y) for x, y in self.steps))
-
-    @property
-    def labels(self) -> LabelVector:
-        return tuple(y for _, y in self.steps)
-
-    @property
-    def instances(self) -> tuple[str, ...]:
-        return tuple(x for x, _ in self.steps)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -370,7 +359,9 @@ def concept_class_to_json(cls: ConceptClass) -> dict:
 
 
 def _strings(values: list, what: str) -> tuple[str, ...]:
-    """The values as a tuple; a TypeError names the first non-string."""
+    """The values as a tuple; a TypeError names a non-list or its first non-string."""
+    if not isinstance(values, list):
+        raise TypeError(f"{what} must be a list of strings, got {values!r}")
     for v in values:
         if not isinstance(v, str):
             raise TypeError(f"{what} must be strings, got {v!r}")

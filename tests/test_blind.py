@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from qstream import blind
 from qstream.blind import (
     BlindStrategy,
     QldSolver,
@@ -56,7 +57,7 @@ def bld_naive(P, lo=None, hi=None):
     """Plain double loop, no bit packing: the independent oracle."""
     lo = lo or 1
     hi = hi or P.horizon
-    vecs = {p.labels[lo - 1 : hi] for p in P.patterns}
+    vecs = {tuple(y for _, y in p.steps[lo - 1 : hi]) for p in P.patterns}
     best = None
     for yhat in product((0, 1), repeat=hi - lo + 1):
         worst = max(sum(a != b for a, b in zip(yhat, v)) for v in vecs)
@@ -276,10 +277,30 @@ def test_qld_rejects_invalid_class(solve, P, problem):
 
 # --- oracle agreement ----------------------------------------------------------------
 
+FOUR_ROUND_PAIR = make_class([(0, 0, 0, 0), (1, 1, 1, 1)])
+# the class where collapsing accrued mistakes understates the optimum
+ORDER_SENSITIVE = make_class(
+    [(1, 0, 0, 1), (0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 0, 1), (1, 0, 1, 1), (1, 0, 1, 1)],
+    [("a", "a", "a", "b"), ("a", "b", "a", "b"), ("a", "a", "b", "b"),
+     ("b", "a", "a", "b"), ("b", "b", "a", "a"), ("a", "b", "a", "b")],
+)
+
+
 def test_game_value_equals_qld_on_known_cases():
-    P = make_class([(0, 0, 0, 0), (1, 1, 1, 1)])
     for Q in (0, 1, 2):
-        assert game_value(P, Q) == qld(P, Q).value
+        assert game_value(FOUR_ROUND_PAIR, Q) == qld(FOUR_ROUND_PAIR, Q).value
+
+
+def test_game_value_shares_no_solver_code(monkeypatch):
+    # The oracle checks the solver, so it must reach neither the solver nor
+    # its one-center kernel.
+    def refuse(*args, **kwargs):
+        raise AssertionError("game_value called solver code")
+
+    monkeypatch.setattr(blind, "QldSolver", refuse)
+    monkeypatch.setattr(blind, "_weighted_one_center", refuse)
+    assert [game_value(FOUR_ROUND_PAIR, Q) for Q in (0, 1, 2)] == [2, 1, 1]
+    assert [game_value(ORDER_SENSITIVE, Q) for Q in (0, 1, 2)] == [2, 2, 1]
 
 
 def test_game_value_monotone_in_budget():
@@ -342,24 +363,37 @@ def test_solver_tables_match_their_slice_definitions(alphabet):
         P = random_class(rng, max_L=6, max_P=12, alphabet=alphabet)
         P = PatternClass(P.space, P.horizon, tuple(rng.sample(P.patterns, len(P.patterns))))
         solver = QldSolver(P)
-        insts = [p.instances for p in P.patterns]
-        labels = [p.labels for p in P.patterns]
+        steps = [p.steps for p in P.patterns]
         for t in range(P.horizon + 1):
             first = {}
             assert solver._group[t] == [
-                first.setdefault((xs[t:], ys[t:]), pid)
-                for pid, (xs, ys) in enumerate(zip(insts, labels))
+                first.setdefault(st[t:], pid) for pid, st in enumerate(steps)
             ]
-            assert solver._suffix[t] == [int("0" + "".join(map(str, ys[t:])), 2) for ys in labels]
+            assert solver._suffix[t] == [
+                int("0" + "".join(str(y) for _, y in st[t:]), 2) for st in steps
+            ]
 
 
 def test_oracle_equality_on_instance_order_sensitive_class():
-    # the class where collapsing accrued mistakes understates the optimum
-    labels = [(1, 0, 0, 1), (0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 0, 1), (1, 0, 1, 1), (1, 0, 1, 1)]
-    insts = [("a", "a", "a", "b"), ("a", "b", "a", "b"), ("a", "a", "b", "b"),
-             ("b", "a", "a", "b"), ("b", "b", "a", "a"), ("a", "b", "a", "b")]
-    P = make_class(labels, insts)
-    assert qld(P, 1).value == game_value(P, 1) == 2
+    assert qld(ORDER_SENSITIVE, 1).value == game_value(ORDER_SENSITIVE, 1) == 2
+
+
+@pytest.mark.parametrize("alphabet", ["abc", "abcd"])
+def test_oracle_equality_past_the_sweep(alphabet):
+    # The sweep holds one- and two-instance classes with L <= 6.  Three and
+    # four instances at L = 7-9 split a round into up to eight observation
+    # branches, and budgets up to 3 nest the query stages one deeper.
+    rng = random.Random(61)
+    space = InstanceSpace(tuple(alphabet))
+    for _ in range(12):
+        L, want = rng.randint(7, 9), rng.randint(4, 10)
+        pats = set()
+        while len(pats) < want:
+            pats.add(tuple((rng.choice(alphabet), rng.randint(0, 1)) for _ in range(L)))
+        P = PatternClass(space, L, tuple(DiscretePattern(p) for p in sorted(pats)))
+        for Q in (0, 1, 2, 3):
+            w = qld(P, Q)
+            assert w.value == game_value(P, Q) == worst_case_mistakes(w.to_strategy(), P, Q)
 
 
 # --- strategies -----------------------------------------------------------------------

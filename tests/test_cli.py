@@ -522,9 +522,12 @@ STREAM = {"horizon": 1, "segments": [{"start": 0, "end": 1, "x": "a", "y": 0}]}
     ("qld", {**PATTERNS, "instances": [{"num": 1, "den": 0}]}, None),
     ("ld", {"instances": ["a"], "concepts": [{"labels": [0], "name": []}]}, None),
     ("ld", {"instances": ["a"], "concepts": [{"labels": [0], "name": None}]}, None),
+    # a string reads as the list of its characters
+    ("ld", {"instances": "ab", "concepts": [{"labels": [0, 1]}]}, None),
+    ("qld", {**PATTERNS, "instances": "a"}, None),
 ], ids=["horizon-inf", "horizon-2.5", "y-inf", "num-inf", "label-inf", "label-0.7",
         "config-budget-inf", "den-inf", "instance-list", "instance-dict", "name-list",
-        "name-null"])
+        "name-null", "ld-instances-string", "qld-instances-string"])
 def test_hostile_json_field_exit_2(files, capsys, monkeypatch, command, doc, config):
     _, write = files
     path = write("doc.json", json.dumps(doc))
