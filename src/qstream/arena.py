@@ -117,6 +117,17 @@ def mistake_integral(
     return Fraction(total, den)
 
 
+def _delta_float(delta: RationalLike) -> float:
+    """The sampler's window width as a float: positive and finite."""
+    try:
+        delta_f = float(as_fraction(delta))
+    except OverflowError:
+        raise ValueError(f"delta {delta} does not fit a float") from None
+    if delta_f <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    return delta_f
+
+
 def run_uniform_sampler(
     H: ConceptClass,
     stream: PiecewiseStream,
@@ -151,9 +162,7 @@ def run_uniform_sampler(
     """
     if on_empty not in ("error", "reset"):
         raise ValueError(f"on_empty must be 'error' or 'reset', got {on_empty!r}")
-    delta_f = float(as_fraction(delta))
-    if delta_f <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    delta_f = _delta_float(delta)
     rng = np.random.default_rng(seed)
     solver = LittlestoneSolver.of(H)
     segments = stream.segments
@@ -305,8 +314,7 @@ def monte_carlo_uniform(
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    if float(as_fraction(delta)) <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _delta_float(delta)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     integrals: list[Fraction] = []
     epoch_values: dict[int, list[Fraction]] = {}

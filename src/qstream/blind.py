@@ -161,18 +161,17 @@ class _Plan:
 class QldSolver:
     """Backward-induction solver over information sets of one pattern class.
 
-    ``steps[pid]`` holds pattern pid's (x, y) per round.  One backward pass
-    from t = L builds the per-class tables: ``_group[t][pid]`` is the
-    smallest pattern id whose rounds t+1..L equal pid's (two patterns agree
-    there exactly when their (x, y) in round t+1 and their
-    ``_group[t+1]`` ids agree), and ``_suffix[t][pid]`` packs the labels of
-    those rounds big-endian, so ascending ints are lexicographically
-    ascending label vectors.  Patterns of one future group are merged into
-    one entry carrying the largest accrual, represented by the group's
-    smallest pattern id.  Values and stage plans are memoized on
-    (accrual-normalized merged state, queries left, last query time); the
-    subtracted minimum accrual is added back, so states differing by a
-    constant share one entry.
+    ``steps[pid]`` holds pattern pid's (x, y) per round; ``_suffix[t][pid]``
+    packs the labels of rounds t+1..L big-endian, so ascending ints are
+    lexicographically ascending label vectors.  A state holds one (pattern
+    id, accrual) per consistent pattern, in pid order.  Values and stage
+    plans are memoized on (state shifted to a minimum accrual of 0, queries
+    left, last query time), so states differing by a constant share one
+    entry.  Patterns agreeing on every remaining round are not merged: on
+    the bench workloads and test classes the merge cost more time than the
+    memo entries it saved.  It pays only where many patterns share a future
+    after a distinguishing round, such as 50-100 round-1 instances with a
+    few shared tails, where each round-1 observation takes its own entry.
     Interim vectors are searched as a bounded search tree: no play undoes an
     accrued mistake, so a prefix that cannot beat the best plan so far on
     accruals alone is dropped before any of its children is solved.  The
@@ -185,17 +184,10 @@ class QldSolver:
             raise QstreamError("; ".join(problems))
         self.L = P.horizon
         self.steps = steps = [p.steps for p in P.patterns]
-        self._group: list[list[int]] = [[0] * len(steps)]
         self._suffix: list[list[int]] = [[0] * len(steps)]
         for t in range(self.L - 1, -1, -1):
-            first: dict[tuple[tuple[str, Label], int], int] = {}
-            rows = enumerate(zip(steps, self._group[-1]))
-            self._group.append([first.setdefault((st[t], g), pid) for pid, (st, g) in rows])
             bit = 1 << (self.L - 1 - t)
-            self._suffix.append(
-                [s | bit if st[t][1] else s for st, s in zip(steps, self._suffix[-1])]
-            )
-        self._group.reverse()
+            self._suffix.append([s | bit * st[t][1] for st, s in zip(steps, self._suffix[-1])])
         self._suffix.reverse()
         self._memo: dict[tuple[State, int, int], tuple[int, _Plan]] = {}
 
@@ -204,21 +196,7 @@ class QldSolver:
 
     # -- state plumbing ----------------------------------------------------
 
-    def _canonical(self, state: State, t_prev: int) -> tuple[State, int]:
-        """Merge future-identical patterns (max accrual wins), shift to 0."""
-        group = self._group[t_prev]
-        merged: dict[int, int] = {}
-        for pid, acc in state:
-            g = group[pid]
-            if acc > merged.get(g, -1):
-                merged[g] = acc
-        offset = min(merged.values())
-        canon = tuple(sorted((g, acc - offset) for g, acc in merged.items()))
-        return canon, offset
-
-    def advance(
-        self, state: State, plan: _Plan, t: int, x: str, y: Label
-    ) -> State:
+    def advance(self, state: State, plan: _Plan, t: int, x: str, y: Label) -> State:
         """Fold one observed query into the information set."""
         assert plan.time == t and plan.predict is not None
         out = []
@@ -237,15 +215,16 @@ class QldSolver:
     def solve(self, state: State, q_left: int, t_prev: int) -> tuple[int, _Plan]:
         if not state:
             raise QstreamError("solve on an empty information set")
-        canon, offset = self._canonical(state, t_prev)
-        value, plan = self._memoized(canon, q_left, t_prev)
+        offset = min(acc for _, acc in state)
+        shifted = tuple((pid, acc - offset) for pid, acc in state)
+        value, plan = self._memoized(shifted, q_left, t_prev)
         return value + offset, plan
 
-    def _memoized(self, canon: State, q_left: int, t_prev: int) -> tuple[int, _Plan]:
-        key = (canon, q_left, t_prev)
+    def _memoized(self, state: State, q_left: int, t_prev: int) -> tuple[int, _Plan]:
+        key = (state, q_left, t_prev)
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._memo[key] = self._solve_canonical(canon, q_left, t_prev)
+            hit = self._memo[key] = self._solve_shifted(state, q_left, t_prev)
         return hit
 
     def _blind(self, state: State, t_prev: int) -> tuple[int, _Plan]:
@@ -256,7 +235,7 @@ class QldSolver:
         value, cand = _weighted_one_center(vecs, weights, width)
         return value, _Plan(None, _int_to_bits(cand, width), None)
 
-    def _solve_canonical(self, state: State, q_left: int, t_prev: int) -> tuple[int, _Plan]:
+    def _solve_shifted(self, state: State, q_left: int, t_prev: int) -> tuple[int, _Plan]:
         """Blind plan, or the first best (query time t, interim yh, prediction r).
 
         The blind plan is solved only where it is returned, with no query or
@@ -284,14 +263,13 @@ class QldSolver:
         for t in range(t_prev + 1, self.L + 1):
             gap_len = t - t_prev - 1
             miss0, miss1 = flips[gap_len]
-            # per observation (x, b): member indices per future group at t
-            branches: dict[tuple[str, Label], dict[int, list[int]]] = {}
-            for i, (pid, _) in enumerate(state):
-                obs = rows[i][t - 1]
-                branches.setdefault(obs, {}).setdefault(self._group[t][pid], []).append(i)
+            # per observation (x, b): the indices of its members
+            branches: dict[tuple[str, Label], list[int]] = {}
+            for i, st in enumerate(rows):
+                branches.setdefault(st[t - 1], []).append(i)
             leaves = [
-                (b, sorted(groups), [groups[g] for g in sorted(groups)])
-                for (_, b), groups in sorted(branches.items())
+                (b, [state[i][0] for i in idx], idx)
+                for (_, b), idx in sorted(branches.items())
             ]
 
             def descend(k: int, yh: int, accs: list[int]) -> None:
@@ -304,11 +282,10 @@ class QldSolver:
                     descend(k + 1, yh << 1 | 1, list(map(add, accs, flips[k][1])))
                     return
                 worst0 = worst1 = 0
-                for b, gids, idxs in leaves:
-                    vals = [max([accs[i] for i in ids]) for ids in idxs]
-                    offset = min(vals)
-                    canon = tuple(zip(gids, [v - offset for v in vals]))
-                    value = self._memoized(canon, q_left - 1, t)[0] + offset
+                for b, pids, idx in leaves:
+                    offset = min([accs[i] for i in idx])
+                    child = tuple(zip(pids, [accs[i] - offset for i in idx]))
+                    value = self._memoized(child, q_left - 1, t)[0] + offset
                     if value + b > worst0:
                         worst0 = value + b
                     if value + 1 - b > worst1:
@@ -487,7 +464,7 @@ def game_value(P: PatternClass, Q: int) -> int:
     After round L the value is the largest accrual.  Before round t + 1 the
     learner picks r, each pattern accrues [y_p != r], and the learner goes on
     unqueried or, with a query left, faces the worst observed (x, y) branch.
-    Kept naive: no ``QldSolver`` code, grouping, pruning, one-center kernel or
+    Kept naive: no ``QldSolver`` code, pruning, one-center kernel or
     interim vector; it shares only the solver's offset-normalized memo key.
     """
     if P.is_empty:

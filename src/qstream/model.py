@@ -79,9 +79,12 @@ def fraction_to_json(value: Fraction) -> Any:
     """Emit an int, a decimal-exact float, or a {num, den} object."""
     if value.denominator == 1:
         return int(value)
-    f = float(value)
-    if Fraction(repr(f)) == value:
-        return f
+    try:
+        f = float(value)
+        if Fraction(repr(f)) == value:
+            return f
+    except OverflowError:  # beyond the float range
+        pass
     return {"num": value.numerator, "den": value.denominator}
 
 

@@ -319,8 +319,8 @@ def test_oracle_equality_random():
 @pytest.mark.parametrize("alphabet", ["a", "abc"])
 def test_oracle_equality_random_alphabets(alphabet):
     # Three instances split a round into up to six observation branches; one
-    # instance puts many patterns of a branch into one future group, whose
-    # merged accrual must be the largest of its members'.
+    # instance gives many patterns of a branch the same remaining rounds,
+    # where the worst accrual among them must set the value.
     rng = random.Random(47)
     for _ in range(60):
         P = random_class(rng, max_L=5, max_P=8, alphabet=alphabet)
@@ -354,24 +354,38 @@ def test_qld_value_at_least_largest_accrual():
 
 @pytest.mark.parametrize("alphabet", ["a", "ab", "abc"])
 def test_solver_tables_match_their_slice_definitions(alphabet):
-    # The tables are built backward from t = L.  _group[t] must equal the
-    # first pid whose rounds t+1..L match, and _suffix[t] those rounds'
-    # labels read as a big-endian binary number.  One instance puts many
-    # patterns in one future group, where a wrong representative shows.
+    # The table is built backward from t = L.  _suffix[t] must equal the
+    # labels of rounds t+1..L read as a big-endian binary number.
     rng = random.Random(53)
     for _ in range(40):
         P = random_class(rng, max_L=6, max_P=12, alphabet=alphabet)
-        P = PatternClass(P.space, P.horizon, tuple(rng.sample(P.patterns, len(P.patterns))))
         solver = QldSolver(P)
         steps = [p.steps for p in P.patterns]
         for t in range(P.horizon + 1):
-            first = {}
-            assert solver._group[t] == [
-                first.setdefault(st[t:], pid) for pid, st in enumerate(steps)
-            ]
             assert solver._suffix[t] == [
                 int("0" + "".join(str(y) for _, y in st[t:]), 2) for st in steps
             ]
+
+
+def test_oracle_equality_on_shared_futures():
+    # Every round-1 observation is followed by each of a few shared tails,
+    # so after round 1 many patterns agree on every remaining round and
+    # differ only in their accruals: the solver keeps each one as its own
+    # entry, where the worst of them must still set the value.
+    rng = random.Random(67)
+    for _ in range(12):
+        L, k, n_tails = rng.randint(6, 8), rng.randint(3, 6), rng.randint(2, 3)
+        firsts = [f"x{i}" for i in range(k)]
+        heads = [(x, y) for x in firsts for y in (0, 1) if rng.random() < 0.75]
+        tails = set()
+        while len(tails) < n_tails:
+            tails.add(tuple((rng.choice("ab"), rng.randint(0, 1)) for _ in range(L - 1)))
+        pats = sorted((head,) + tail for head in heads for tail in tails)
+        space = InstanceSpace(tuple(firsts) + ("a", "b"))
+        P = PatternClass(space, L, tuple(DiscretePattern(p) for p in pats))
+        for Q in (0, 1, 2, 3):
+            w = qld(P, Q)
+            assert w.value == game_value(P, Q) == worst_case_mistakes(w.to_strategy(), P, Q)
 
 
 def test_oracle_equality_on_instance_order_sensitive_class():

@@ -525,9 +525,10 @@ STREAM = {"horizon": 1, "segments": [{"start": 0, "end": 1, "x": "a", "y": 0}]}
     # a string reads as the list of its characters
     ("ld", {"instances": "ab", "concepts": [{"labels": [0, 1]}]}, None),
     ("qld", {**PATTERNS, "instances": "a"}, None),
+    ("unif-sim", STREAM, {"delta": "1e400"}),
 ], ids=["horizon-inf", "horizon-2.5", "y-inf", "num-inf", "label-inf", "label-0.7",
         "config-budget-inf", "den-inf", "instance-list", "instance-dict", "name-list",
-        "name-null", "ld-instances-string", "qld-instances-string"])
+        "name-null", "ld-instances-string", "qld-instances-string", "config-delta-1e400"])
 def test_hostile_json_field_exit_2(files, capsys, monkeypatch, command, doc, config):
     _, write = files
     path = write("doc.json", json.dumps(doc))
@@ -578,13 +579,31 @@ def test_non_string_instance_in_a_step_exit_2(files, capsys, command, doc, messa
       "--out", "s.json"], "horizon must be positive, got -1"),
     (["unif-sim", "--adversary", "littlestone-branch", "--delta", "0"],
      "delta must be positive, got 0"),
-], ids=["self-revealing-horizon", "unif-sim-delta"])
+    (["unif-sim", "--adversary", "littlestone-branch", "--delta", "1e400"],
+     f"delta {10**400} does not fit a float"),
+], ids=["self-revealing-horizon", "unif-sim-delta", "unif-sim-delta-1e400"])
 def test_bad_value_is_the_one_named(files, capsys, monkeypatch, argv, message):
     tmp, write = files
     monkeypatch.chdir(tmp)
     code, _, err = run(capsys, *argv, "--class", write("cls.json", FULL_AB), "--seed", "0")
     assert_single_error(code, err)
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "littlestone-branch", "--n", "1"],
+    ["--kind", "self-revealing", "--reveal-times", "0"],
+], ids=["littlestone-branch", "self-revealing"])
+def test_adversary_horizon_past_the_float_range(files, capsys, argv):
+    # the horizon is written as {num, den}, where a float would overflow
+    tmp, write = files
+    horizon = Fraction(10**400 + 1, 2)
+    out = tmp / "s.json"
+    code, _, err = run(capsys, "adversary", *argv, "--class", write("cls.json", FULL_AB),
+                       "--slope", "1/4", "--horizon", str(horizon), "--seed", "0",
+                       "--out", str(out))
+    assert code == 0, err
+    assert model.stream_from_json(json.loads(out.read_text())).horizon == horizon
 
 
 def test_deeply_nested_json_exit_2(files, capsys):
@@ -699,6 +718,8 @@ BAD_FLAGS = [
     ("self-revealing", "--reveal-times", "0,0"),
     ("unif-sim", "--delta", "0"),
     ("unif-sim", "--delta", "-1"),
+    # past the float range: the sampler draws its query times as floats
+    ("unif-sim", "--delta", "1e400"),
     ("unif-sim", "--n", "0"),
     ("adversary", "--units", "-2"),
     ("qld", "--budget", "-1"),

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qstream import model
@@ -237,6 +237,7 @@ rationals = st.fractions(
 
 
 @given(rationals)
+@example(Fraction(10**400 + 1, 2))  # past the float range: written as {num, den}
 def test_fraction_json_round_trip(fr):
     encoded = json.loads(json.dumps(fraction_to_json(fr)))
     assert as_fraction(encoded) == fr
