@@ -34,8 +34,8 @@ from .model import (
 State = tuple[tuple[int, int], ...]
 
 
-def _int_to_bits(value: int, width: int) -> tuple[int, ...]:
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+def _int_to_bits(value: int, width: int) -> list[int]:
+    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
 
 
 def _weighted_one_center(vectors: list[int], weights: list[int], width: int) -> tuple[int, int]:
@@ -142,9 +142,10 @@ def blind_learning_dimension(P: PatternClass) -> DimensionWitness:
     """
     solver = QldSolver(P)
     value, plan = solver.solve(solver.initial_state(), 0, 0)
+    prediction = _int_to_bits(plan.interim, solver.L)
     return DimensionWitness(
         value=value,
-        witness={"kind": "bld", "window": [1, solver.L], "prediction": list(plan.interim)},
+        witness={"kind": "bld", "window": [1, solver.L], "prediction": prediction},
         _factory=lambda: TreeReplanStrategy(solver, 0),
     )
 
@@ -154,7 +155,7 @@ class _Plan:
     """One stage of play: next query time (None = go blind) plus vectors."""
 
     time: int | None
-    interim: tuple[int, ...]  # rounds t_prev+1 .. time-1, or the blind suffix
+    interim: int  # rounds t_prev+1..time-1 (..L if blind), packed as _suffix; bits only in JSON
     predict: Label | None  # committed prediction for the query round
 
 
@@ -163,7 +164,8 @@ class QldSolver:
 
     ``steps[pid]`` holds pattern pid's (x, y) per round; ``_suffix[t][pid]``
     packs the labels of rounds t+1..L big-endian, so ascending ints are
-    lexicographically ascending label vectors.  A state holds one (pattern
+    lexicographically ascending label vectors.  Plans pack their interim
+    vectors alike; only witness JSON holds bits.  A state holds one (pattern
     id, accrual) per consistent pattern, in pid order.  Values and stage
     plans are memoized on (state shifted to a minimum accrual of 0, queries
     left, last query time), so states differing by a constant share one
@@ -196,19 +198,16 @@ class QldSolver:
 
     # -- state plumbing ----------------------------------------------------
 
-    def advance(self, state: State, plan: _Plan, t: int, x: str, y: Label) -> State:
-        """Fold one observed query into the information set."""
-        assert plan.time == t and plan.predict is not None
-        out = []
-        for pid, acc in state:
-            steps = self.steps[pid]
-            if steps[t - 1] != (x, y):
-                continue
-            gap = steps[t - len(plan.interim) - 1 : t - 1]
-            acc += sum(a != b for a, (_, b) in zip(plan.interim, gap))
-            acc += plan.predict != y
-            out.append((pid, acc))
-        return tuple(out)
+    def advance(self, state: State, plan: _Plan, t_prev: int, x: str, y: Label) -> State:
+        """Keep the members showing (x, y) at plan.time; one XOR with the
+        played bits counts their mistakes on rounds t_prev+1 .. plan.time."""
+        t, suffix = plan.time, self._suffix[t_prev]
+        played = plan.interim << 1 | plan.predict
+        return tuple(
+            (pid, acc + ((suffix[pid] >> (self.L - t)) ^ played).bit_count())
+            for pid, acc in state
+            if self.steps[pid][t - 1] == (x, y)
+        )
 
     # -- the recursion -----------------------------------------------------
 
@@ -228,12 +227,11 @@ class QldSolver:
         return hit
 
     def _blind(self, state: State, t_prev: int) -> tuple[int, _Plan]:
-        width = self.L - t_prev
         suffix = self._suffix[t_prev]
         vecs = [suffix[pid] for pid, _ in state]
         weights = [acc for _, acc in state]
-        value, cand = _weighted_one_center(vecs, weights, width)
-        return value, _Plan(None, _int_to_bits(cand, width), None)
+        value, cand = _weighted_one_center(vecs, weights, self.L - t_prev)
+        return value, _Plan(None, cand, None)
 
     def _solve_shifted(self, state: State, q_left: int, t_prev: int) -> tuple[int, _Plan]:
         """Blind plan, or the first best (query time t, interim yh, prediction r).
@@ -295,7 +293,7 @@ class QldSolver:
                 for r, worst in ((0, worst0), (1, worst1)):
                     if worst < best_val:
                         best_val = worst
-                        best_plan = _Plan(t, _int_to_bits(yh, gap_len), r)
+                        best_plan = _Plan(t, yh, r)
 
             descend(0, 0, [acc for _, acc in state])
         return best_val, best_plan
@@ -307,7 +305,7 @@ class QldSolver:
         value, plan = self.solve(state, q_left, t_prev)
         if plan.time is None:
             return {
-                "blind": list(plan.interim),
+                "blind": _int_to_bits(plan.interim, self.L - t_prev),
                 "start_after": t_prev,
                 "unused_budget": q_left,
             }
@@ -315,19 +313,17 @@ class QldSolver:
         children: dict[str, dict] = {}
         for b in (0, 1):
             options = {x for x, y in (self.steps[p][t - 1] for p, _ in state) if y == b}
-            picked = best = None
-            for x in sorted(options):
-                child = self.advance(state, plan, t, x, b)
-                cv, _ = self.solve(child, q_left - 1, t)
-                if best is None or cv > best:
-                    best, picked = cv, child
+            picked = max(  # the first of the worst branches
+                (self.advance(state, plan, t_prev, x, b) for x in sorted(options)),
+                key=lambda child: self.solve(child, q_left - 1, t)[0], default=None,
+            )
             if picked is None:
                 children[str(b)] = {"unreachable": True, "unused_budget": q_left - 1}
             else:
                 children[str(b)] = self.witness_tree(picked, q_left - 1, t)
         return {
             "time": t,
-            "interim": list(plan.interim),
+            "interim": _int_to_bits(plan.interim, t - t_prev - 1),
             "predict": plan.predict,
             "children": children,
         }
@@ -359,20 +355,18 @@ class TreeReplanStrategy(BlindStrategy):
 
     def predict(self, t: int) -> tuple[Label, bool]:
         plan = self.plan
-        if plan.time is not None and t == plan.time:
+        if t == plan.time:
             return plan.predict, True
-        idx = t - self.t_prev - 1
-        if 0 <= idx < len(plan.interim):
-            return plan.interim[idx], False
-        return 0, False
+        end = self.solver.L if plan.time is None else plan.time - 1  # last interim round
+        return (plan.interim >> (end - t)) & 1 if t <= end else 0, False
 
     def observe(self, t: int, x: str, y: Label) -> None:
         if self.plan.time != t:
             raise QstreamError(f"observation at {t} does not match plan {self.plan.time}")
-        super().observe(t, x, y)
-        nxt = self.solver.advance(self.state, self.plan, t, x, y)
+        nxt = self.solver.advance(self.state, self.plan, self.t_prev, x, y)
         if not nxt:
             raise QstreamError("observation inconsistent with the pattern class")
+        super().observe(t, x, y)
         self.state = nxt
         self.q_left -= 1
         self.t_prev = t
@@ -400,29 +394,32 @@ def qld(P: PatternClass, Q: int) -> DimensionWitness:
 
 def validate_witness_tree(tree: dict, Q: int, horizon: int) -> list[str]:
     """Query-tree invariants: strictly increasing node timestamps, 0/1 edges,
-    and Q query nodes per root-to-leaf path (unused budget is recorded at
-    leaves when the horizon runs out first)."""
+    Q query nodes per root-to-leaf path (unused budget is recorded at leaves
+    when the horizon runs out first), blind suffixes from the parent query on."""
     out: list[str] = []
 
     def walk(node: dict, t_prev: int, used: int, path: str) -> None:
+        where = f"path {path or 'root'}"
         if "time" not in node:
             unused = node.get("unused_budget", 0)
             if used + unused != Q:
-                out.append(
-                    f"path {path or 'root'}: {used} query nodes + {unused} unused != {Q}"
-                )
-            if not node.get("unreachable") and "blind" not in node:
-                out.append(f"path {path or 'root'}: leaf carries no suffix vector")
+                out.append(f"{where}: {used} query nodes + {unused} unused != {Q}")
+            blind, start = node.get("blind"), node.get("start_after")
+            if blind is not None and (start, len(blind)) != (t_prev, horizon - t_prev):
+                out.append(f"{where}: blind suffix of {len(blind)} rounds after {start}"
+                           f" != {horizon - t_prev} after {t_prev}")
+            if not node.get("unreachable") and blind is None:
+                out.append(f"{where}: leaf carries no suffix vector")
             return
         t = node["time"]
         if not (t_prev < t <= horizon):
-            out.append(f"path {path or 'root'}: timestamp {t} not in ({t_prev}, {horizon}]")
+            out.append(f"{where}: timestamp {t} not in ({t_prev}, {horizon}]")
         gap = t - t_prev - 1
         if len(node.get("interim", ())) != gap:
-            out.append(f"path {path or 'root'}: interim length != {gap}")
+            out.append(f"{where}: interim length != {gap}")
         children = node.get("children", {})
         if set(children) != {"0", "1"}:
-            out.append(f"path {path or 'root'}: edges are not exactly 0 and 1")
+            out.append(f"{where}: edges are not exactly 0 and 1")
         for edge, child in sorted(children.items()):
             walk(child, t, used + 1, path + edge)
 

@@ -298,7 +298,10 @@ def cmd_blind_bound(args: argparse.Namespace) -> str:
     if args.placement:
         doc = _load_json(args.placement)
         try:
-            times = [model.as_fraction(t) for t in doc["query_times"]]
+            times = doc["query_times"]
+            if not isinstance(times, list):
+                raise TypeError(f"query_times must be a list, got {times!r}")
+            times = [model.as_fraction(t) for t in times]
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise CliError(f"bad placement file {args.placement}: {exc}")
     else:

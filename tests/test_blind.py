@@ -331,11 +331,14 @@ def test_oracle_equality_random_alphabets(alphabet):
 def test_qld_value_at_least_largest_accrual():
     # The interim search prunes on this bound: no play can undo a mistake a
     # pattern has already accrued.  States come from advance under random
-    # plans, so accruals spread well beyond those of optimal play.
+    # plans, so accruals spread well beyond those of optimal play.  Each
+    # advance, one XOR of packed labels, must equal a per-round recount of
+    # the interim and query-round mistakes over the steps.
     rng = random.Random(43)
     checked = 0
     for _ in range(40):
         P = random_class(rng, max_L=5, max_P=8, alphabet="abc")
+        steps = [p.steps for p in P.patterns]
         solver = QldSolver(P)
         stack = [(solver.initial_state(), rng.randint(1, 3), 0)]
         while stack:
@@ -345,10 +348,17 @@ def test_qld_value_at_least_largest_accrual():
             if q == 0 or t_prev == P.horizon:
                 continue
             t = rng.randint(t_prev + 1, P.horizon)
-            interim = tuple(rng.randint(0, 1) for _ in range(t - t_prev - 1))
-            plan = _Plan(t, interim, rng.randint(0, 1))
-            for x, y in sorted({P.patterns[pid].steps[t - 1] for pid, _ in state}):
-                stack.append((solver.advance(state, plan, t, x, y), q - 1, t))
+            gap = t - t_prev - 1
+            plan = _Plan(t, rng.getrandbits(gap), rng.randint(0, 1))
+            played = [(plan.interim >> (gap - 1 - i)) & 1 for i in range(gap)] + [plan.predict]
+            for x, y in sorted({steps[pid][t - 1] for pid, _ in state}):
+                advanced = solver.advance(state, plan, t_prev, x, y)
+                assert advanced == tuple(
+                    (pid, acc + sum(a != b for a, (_, b) in zip(played, steps[pid][t_prev:t])))
+                    for pid, acc in state
+                    if steps[pid][t - 1] == (x, y)
+                )
+                stack.append((advanced, q - 1, t))
     assert checked > 200
 
 
@@ -502,10 +512,17 @@ def test_witness_trees_satisfy_query_tree_invariants():
     (lambda tree: tree["children"]["0"].pop("blind"),
      ["path 0: leaf carries no suffix vector"]),
     (lambda tree: tree.update(time=5, interim=[0] * 4),
-     ["path root: timestamp 5 not in (0, 4]"]),
+     ["path root: timestamp 5 not in (0, 4]",
+      "path 0: blind suffix of 3 rounds after 1 != -1 after 5",
+      "path 1: blind suffix of 3 rounds after 1 != -1 after 5"]),
     (lambda tree: tree["children"].update({"2": tree["children"].pop("1")}),
      ["path root: edges are not exactly 0 and 1"]),
-], ids=["untouched", "unused-budget", "no-suffix", "time", "edges"])
+    (lambda tree: tree["children"]["1"]["blind"].pop(),
+     ["path 1: blind suffix of 2 rounds after 1 != 3 after 1"]),
+    (lambda tree: tree["children"]["0"].update(start_after=0),
+     ["path 0: blind suffix of 3 rounds after 0 != 3 after 1"]),
+], ids=["untouched", "unused-budget", "no-suffix", "time", "edges", "truncated-suffix",
+        "wrong-start"])
 def test_validate_witness_tree_names_each_broken_invariant(mutate, problems):
     from qstream.blind import validate_witness_tree
 
@@ -515,12 +532,17 @@ def test_validate_witness_tree_names_each_broken_invariant(mutate, problems):
 
 
 def test_replan_strategy_rejects_an_observation_off_its_plan():
+    # a refused observation leaves no trace: the right one is still accepted
     P = make_class([(0, 0, 0, 0), (1, 1, 1, 1)])
     strat = qld(P, 1).to_strategy()
     with pytest.raises(QstreamError, match="observation at 2 does not match plan 1"):
         strat.observe(2, "a", 0)
     with pytest.raises(QstreamError, match="inconsistent with the pattern class"):
         strat.observe(1, "b", 0)
+    assert strat.history == ()
+    strat.observe(1, "a", 0)
+    assert strat.history == ((1, "a", 0),)
+    assert [strat.predict(t) for t in (2, 3, 4)] == [(0, False)] * 3
 
 
 def test_blind_strategy_observe_checks_time_and_budget():

@@ -526,9 +526,13 @@ STREAM = {"horizon": 1, "segments": [{"start": 0, "end": 1, "x": "a", "y": 0}]}
     ("ld", {"instances": "ab", "concepts": [{"labels": [0, 1]}]}, None),
     ("qld", {**PATTERNS, "instances": "a"}, None),
     ("unif-sim", STREAM, {"delta": "1e400"}),
+    # a string reads as its characters, a dict as its keys
+    ("blind-bound", {"query_times": "01"}, None),
+    ("blind-bound", {"query_times": {"0": 1}}, None),
 ], ids=["horizon-inf", "horizon-2.5", "y-inf", "num-inf", "label-inf", "label-0.7",
         "config-budget-inf", "den-inf", "instance-list", "instance-dict", "name-list",
-        "name-null", "ld-instances-string", "qld-instances-string", "config-delta-1e400"])
+        "name-null", "ld-instances-string", "qld-instances-string", "config-delta-1e400",
+        "placement-string", "placement-dict"])
 def test_hostile_json_field_exit_2(files, capsys, monkeypatch, command, doc, config):
     _, write = files
     path = write("doc.json", json.dumps(doc))
