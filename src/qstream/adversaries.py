@@ -9,7 +9,9 @@ error analytically, with no sampling.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +48,11 @@ def _parse_time(value) -> Time:
     is a TypeError."""
     if not isinstance(value, str):
         raise TypeError(f"time must be a string, got {value!r}")
+    return _parse_time_text(value)
+
+
+@functools.lru_cache(maxsize=4096)  # a token's times recur across tokens and trials
+def _parse_time_text(value: str) -> Time:
     if value.isascii():
         p, slash, q = value.partition("/")
         if slash and q.isdigit() and (p[1:] if p[:1] == "-" else p).isdigit():
@@ -55,19 +62,25 @@ def _parse_time(value) -> Time:
     return Fraction(value).as_integer_ratio()
 
 
-def _token(payload: list, next_text: str) -> str:
-    return _TOKEN_PREFIX + _TOKEN_JSON.encode(payload) + _TOKEN_JOINT + next_text
+def _xy(x, y) -> str:  # a step's instance and label as JSON text, "x",y
+    return _TOKEN_JSON.encode([x, y])[1:-1]
+
+
+def _token(rows, next_text: str) -> str:
+    """The token of rows (xy, start, end): ``_xy`` text and two time strings."""
+    body = ",".join([f'[{xy},"{a}","{b}"]' for xy, a, b in rows])
+    return f"{_TOKEN_PREFIX}[{body}]{_TOKEN_JOINT}{next_text}"
 
 
 def encode_reveal_token(
     schedule: list[tuple[str, Label, Fraction, Fraction]], next_reveal: Fraction
 ) -> str:
     """Pack a segment's full (x, y, start, end) schedule into one instance id."""
-    payload = [
-        [x, y, _frac_str(as_fraction(start)), _frac_str(as_fraction(end))]
+    rows = [
+        (_xy(x, y), _frac_str(as_fraction(start)), _frac_str(as_fraction(end)))
         for x, y, start, end in schedule
     ]
-    return _token(payload, _frac_str(as_fraction(next_reveal)))
+    return _token(rows, _frac_str(as_fraction(next_reveal)))
 
 
 def read_reveal_token(token: str) -> tuple[list[tuple[str, Label, Time, Time]], Time]:
@@ -183,13 +196,13 @@ def gen_two_point_stream(
     rng = np.random.default_rng(seed)
     pairs = ((x1, 0), (x2, 1))
     segments = []
+    lo = Fraction(0)  # each cut is built once and ends one piece, starts the next
     for n in range(1, units + 1):
         pieces = _unit_pieces(budget, n)
-        width = Fraction(1, pieces)
-        base = Fraction(n - 1)
-        for j in range(pieces):
-            x, y = pairs[int(rng.integers(0, 2))]
-            segments.append(Segment(base + width * j, base + width * (j + 1), x, y))
+        for j in range((n - 1) * pieces + 1, n * pieces + 1):
+            hi = Fraction(j, pieces)
+            segments.append(Segment(lo, hi, *pairs[int(rng.integers(0, 2))]))
+            lo = hi
     return PiecewiseStream(Fraction(units), tuple(segments))
 
 
@@ -248,34 +261,41 @@ def gen_self_revealing_stream(
     reveals = [as_fraction(t) for t in reveal_times]
     if not reveals or reveals[0] != 0:
         raise ValueError("reveal times must start at 0")
-    if any(b <= a for a, b in zip(reveals, reveals[1:])):
+    bounds = reveals + [total]
+    den = 2 * math.lcm(*(v.denominator for v in bounds))  # even: midpoints stay on it
+    grid = [v.numerator * (den // v.denominator) for v in bounds]  # bounds over den
+    if any(b <= a for a, b in zip(grid, grid[1:-1])):
         raise ValueError("reveal times must be strictly increasing")
-    if reveals[-1] >= total:
+    if grid[-2] >= grid[-1]:
         raise ValueError("reveal times must lie inside [0, horizon)")
     if source.is_empty:
         raise QstreamError("source class is empty")
 
     rng = np.random.default_rng(seed)
     tree = build_littlestone_tree(source, 2)
-    bounds = reveals + [total]
-    # every segment's two branch bits in one draw, the same bits in the same
-    # order as one scalar draw per bit
-    bits = iter(rng.integers(0, 2, size=2 * len(reveals)).tolist() if tree is not None else ())
+    if tree is not None:
+        # every segment's two branch bits in one draw, the same bits in the
+        # same order as one scalar draw per bit; the tree's three instance
+        # names JSON-encoded once, and each (instance, bit) row text built once
+        bits = iter(rng.integers(0, 2, size=2 * len(reveals)).tolist())
+        names = [_TOKEN_JSON.encode(node.x) for node in (tree, tree.left, tree.right)]
+        head = [f"{names[0]},{bit}" for bit in (0, 1)]
+        tail = [[f"{name},{bit}" for bit in (0, 1)] for name in names[1:]]
     text = [_frac_str(v) for v in bounds]  # each bound's time string, once
     segments: list[Segment] = []
     for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
         if tree is not None:
             bit, bit2 = next(bits), next(bits)
             node = tree.right if bit else tree.left
-            mid = (a + b) / 2
+            mid = Fraction((grid[i] + grid[i + 1]) >> 1, den)
             mid_text = _frac_str(mid)
-            steps = [[tree.x, bit, text[i], mid_text], [node.x, bit2, mid_text, text[i + 1]]]
-            token = _token(steps, text[i + 1])
+            rows = ((head[bit], text[i], mid_text), (tail[bit][bit2], mid_text, text[i + 1]))
+            token = _token(rows, text[i + 1])
             segments += (Segment(a, mid, token, bit), Segment(mid, b, node.x, bit2))
         else:
             h = int(rng.integers(0, len(source.concepts)))
             xi = int(rng.integers(0, len(source.space.instances)))
             x, y = source.space.instances[xi], source.concepts[h][xi]
-            token = _token([[x, y, text[i], text[i + 1]]], text[i + 1])
+            token = _token([(_xy(x, y), text[i], text[i + 1])], text[i + 1])
             segments.append(Segment(a, b, token, y))
     return PiecewiseStream(total, tuple(segments))

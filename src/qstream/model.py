@@ -401,18 +401,12 @@ def pattern_class_from_json(doc: dict) -> PatternClass:
 
 
 def stream_to_json(stream: PiecewiseStream) -> dict:
-    return {
-        "horizon": fraction_to_json(stream.horizon),
-        "segments": [
-            {
-                "start": fraction_to_json(s.start),
-                "end": fraction_to_json(s.end),
-                "x": s.x,
-                "y": s.y,
-            }
-            for s in stream.segments
-        ],
-    }
+    rows, end, end_json = [], None, None
+    for s in stream.segments:  # a start equal to the last end reuses its value
+        start_json = end_json if s.start == end else fraction_to_json(s.start)
+        end, end_json = s.end, fraction_to_json(s.end)
+        rows.append({"start": start_json, "end": end_json, "x": s.x, "y": s.y})
+    return {"horizon": fraction_to_json(stream.horizon), "segments": rows}
 
 
 def stream_from_json(doc: dict) -> PiecewiseStream:

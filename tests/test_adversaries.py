@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qstream.adversaries import (
     _parse_time,
+    _parse_time_text,
     decode_reveal_token,
     encode_reveal_token,
     exact_blind_error,
@@ -18,6 +19,7 @@ from qstream.adversaries import (
     gen_two_point_stream,
     is_reveal_token,
 )
+from qstream.arena import run_adaptive_sampler
 from qstream.littlestone import (
     LittlestoneSolver,
     build_littlestone_tree,
@@ -69,6 +71,23 @@ def test_token_round_trip_with_hostile_instance_ids():
     token = encode_reveal_token(schedule, Fraction(1))
     decoded, nxt = decode_reveal_token(token)
     assert decoded == schedule and nxt == 1
+
+
+@given(st.lists(st.tuples(
+    st.text(max_size=4),
+    st.sampled_from([0, 1, True, 2]),
+    st.fractions(max_denominator=50),
+    st.fractions(max_denominator=50),
+), max_size=3), st.fractions(max_denominator=50))
+@example([], Fraction(0))
+@example([('é"\\\n', True, Fraction(-1, 3), Fraction(2))], Fraction(5, 2))
+def test_encode_reveal_token_writes_json_dumps_bytes(schedule, next_reveal):
+    # every schedule the encoder accepts, decodable or not, as json.dumps writes it
+    payload = [[x, y, f"{a.numerator}/{a.denominator}", f"{b.numerator}/{b.denominator}"]
+               for x, y, a, b in schedule]
+    expected = (f"SEG({json.dumps(payload, separators=(',', ':'))})"
+                f"|next={next_reveal.numerator}/{next_reveal.denominator}")
+    assert encode_reveal_token(schedule, next_reveal) == expected
 
 
 def test_token_decode_rejects_garbage():
@@ -175,9 +194,21 @@ def test_parse_time_agrees_with_fraction(s):
             _parse_time(s)
         assert str(got.value) == str(exc)
     else:
-        p, q = _parse_time(s)
+        first = _parse_time(s)
+        hits = _parse_time_text.cache_info().hits
+        assert _parse_time(s) == first  # the second read comes from the cache
+        assert _parse_time_text.cache_info().hits == hits + 1
+        p, q = first
         assert type(p) is int and type(q) is int and q > 0
         assert Fraction(p, q) == expected
+
+
+def test_parse_time_rejects_non_strings_past_the_cache():
+    assert _parse_time("1/2") == (1, 2)
+    for value in (["1/2"], 0.5, None):
+        with pytest.raises(TypeError) as got:
+            _parse_time(value)
+        assert str(got.value) == f"time must be a string, got {value!r}"
 
 
 # --- littlestone-branch streams --------------------------------------------------
@@ -406,6 +437,25 @@ def test_self_revealing_rejects_bad_reveals():
         gen_self_revealing_stream(FULL2, [1, 2], 4, 0)  # must start at 0
     with pytest.raises(ValueError):
         gen_self_revealing_stream(FULL2, [0, 5], 4, 0)  # beyond horizon
+
+
+@pytest.mark.parametrize("reveals, horizon, message", [
+    ([0, "1/2", 0.5], 2, "strictly increasing"),  # equal once on one grid
+    ([0, Fraction(4, 2)], "2", "inside \\[0, horizon\\)"),
+    ([1, 2], 1, "start at 0"),  # checked before the horizon check
+])
+def test_self_revealing_reveal_checks_on_the_integer_grid(reveals, horizon, message):
+    with pytest.raises(ValueError, match=message):
+        gen_self_revealing_stream(FULL2, reveals, horizon, 0)
+
+
+def test_self_revealing_tiny_reveal_is_followed_exactly():
+    tiny = Fraction(1, 10**400 + 1)
+    stream = gen_self_revealing_stream(FULL2, [0, tiny], 1, 3)
+    assert validate(stream) == []
+    report = run_adaptive_sampler(stream)
+    assert report.mistake_integral == 0
+    assert [e.time for e in report.query_events] == [0, tiny]
 
 
 def _self_revealing_reference(source, reveals, horizon, seed):
