@@ -19,7 +19,6 @@ subsets understates the optimum on some two-instance classes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
 from typing import Callable
 
 from .model import (
@@ -30,7 +29,7 @@ from .model import (
     validate,
 )
 
-# state: tuple of (pattern id, accrued mistakes), sorted by pattern id
+# game_value's state: tuple of (pattern id, accrued mistakes), sorted by pattern id
 State = tuple[tuple[int, int], ...]
 
 
@@ -162,145 +161,164 @@ class _Plan:
 class QldSolver:
     """Backward-induction solver over information sets of one pattern class.
 
-    ``steps[pid]`` holds pattern pid's (x, y) per round; ``_suffix[t][pid]``
-    packs the labels of rounds t+1..L big-endian, so ascending ints are
-    lexicographically ascending label vectors.  Plans pack their interim
-    vectors alike; only witness JSON holds bits.  A state holds one (pattern
-    id, accrual) per consistent pattern, in pid order.  Values and stage
-    plans are memoized on (state shifted to a minimum accrual of 0, queries
-    left, last query time), so states differing by a constant share one
-    entry.  Patterns agreeing on every remaining round are not merged: on
-    the bench workloads and test classes the merge cost more time than the
-    memo entries it saved.  It pays only where many patterns share a future
-    after a distinguishing round, such as 50-100 round-1 instances with a
-    few shared tails, where each round-1 observation takes its own entry.
-    Interim vectors are searched as a bounded search tree: no play undoes an
-    accrued mistake, so a prefix that cannot beat the best plan so far on
-    accruals alone is dropped before any of its children is solved.  The
-    root solve at budget 0 is the blind learning dimension.
+    ``_suffix[t][pid]`` packs pattern pid's labels of rounds t+1..L
+    big-endian, so ascending ints are lexicographically ascending label
+    vectors.  Plans pack their interim vectors alike; only witness JSON holds
+    bits.  An information set (ones, accs) packs one w-bit field per pattern
+    id, w = (L + 1).bit_length() + 1: ``ones`` holds a 1 in each consistent
+    pattern's field, ``accs`` each member's accrual, 0 in every other field.
+    ``_flips[k][v]`` holds a 1 for each pattern whose round-(k+1) label is
+    not v, so one add counts a played round for every member; ``_obs[k]``
+    maps each round-(k+1) observation (x, y), sorted, to the ``ones`` of the
+    patterns showing it, so one AND keeps a branch.  No field carries into
+    the next, a condition the code does not check: a normalized accrual is
+    at most t_prev, a search field holds at most L plus the prune's offset
+    2^(w-1) > L + 1, and fields outside ``ones`` take at most L flips before
+    a mask clears them.  Values and stage plans are memoized on (state
+    shifted to a minimum accrual of 0, queries left, last query time), so
+    states differing by a constant share one entry.  Patterns agreeing on
+    every remaining round are not merged: on the bench workloads and test
+    classes the merge cost more time than the memo entries it saved.  It
+    pays only where many patterns share a future after a distinguishing
+    round, such as 50-100 round-1 instances with a few shared tails, where
+    each round-1 observation takes its own entry.  Interim vectors are
+    searched as a bounded search tree: no play undoes an accrued mistake, so
+    a prefix that cannot beat the best plan so far on accruals alone is
+    dropped before any of its children is solved.  The root solve at budget
+    0 is the blind learning dimension.
     """
 
     def __init__(self, P: PatternClass):
         problems = validate(P)
         if problems:
             raise QstreamError("; ".join(problems))
-        self.L = P.horizon
-        self.steps = steps = [p.steps for p in P.patterns]
+        self.L = L = P.horizon
+        steps = [p.steps for p in P.patterns]
+        self._w = w = (L + 1).bit_length() + 1
+        self._fmask = (1 << w) - 1
+        units = [1 << (w * pid) for pid in range(len(steps))]
+        self._ones = sum(units)
         self._suffix: list[list[int]] = [[0] * len(steps)]
-        for t in range(self.L - 1, -1, -1):
-            bit = 1 << (self.L - 1 - t)
+        for t in range(L - 1, -1, -1):
+            bit = 1 << (L - 1 - t)
             self._suffix.append([s | bit * st[t][1] for st, s in zip(steps, self._suffix[-1])])
         self._suffix.reverse()
-        self._memo: dict[tuple[State, int, int], tuple[int, _Plan]] = {}
+        self._flips: list[tuple[int, int]] = []
+        self._obs: list[dict[tuple[str, Label], int]] = []
+        for column in zip(*steps):  # one round's (x, y) per pattern
+            obs: dict[tuple[str, Label], int] = {}
+            for xy, unit in zip(column, units):
+                obs[xy] = obs.get(xy, 0) | unit
+            labelled1 = sum(group for (_, y), group in obs.items() if y)
+            self._flips.append((labelled1, self._ones ^ labelled1))
+            self._obs.append(dict(sorted(obs.items())))
+        self._memo: dict[tuple[int, int, int, int], tuple[int, _Plan]] = {}
 
-    def initial_state(self) -> State:
-        return tuple((i, 0) for i in range(len(self.steps)))
+    def initial_state(self) -> tuple[int, int]:
+        return self._ones, 0
 
     # -- state plumbing ----------------------------------------------------
 
-    def advance(self, state: State, plan: _Plan, t_prev: int, x: str, y: Label) -> State:
-        """Keep the members showing (x, y) at plan.time; one XOR with the
-        played bits counts their mistakes on rounds t_prev+1 .. plan.time."""
-        t, suffix = plan.time, self._suffix[t_prev]
-        played = plan.interim << 1 | plan.predict
-        return tuple(
-            (pid, acc + ((suffix[pid] >> (self.L - t)) ^ played).bit_count())
-            for pid, acc in state
-            if self.steps[pid][t - 1] == (x, y)
-        )
+    def advance(self, state: tuple[int, int], plan: _Plan, t_prev: int,
+                x: str, y: Label) -> tuple[int, int]:
+        """Keep the members showing (x, y) at plan.time; one add of packed flips
+        per played bit counts the mistakes on rounds t_prev+1 .. plan.time."""
+        ones, accs = state
+        t, played = plan.time, plan.interim << 1 | plan.predict
+        for k in range(t_prev, t):
+            accs += self._flips[k][(played >> (t - 1 - k)) & 1]
+        c = ones & self._obs[t - 1].get((x, y), 0)
+        return c, accs & c * self._fmask
 
     # -- the recursion -----------------------------------------------------
 
-    def solve(self, state: State, q_left: int, t_prev: int) -> tuple[int, _Plan]:
-        if not state:
+    def solve(self, state: tuple[int, int], q_left: int, t_prev: int) -> tuple[int, _Plan]:
+        ones, accs = state
+        if not ones:
             raise QstreamError("solve on an empty information set")
-        offset = min(acc for _, acc in state)
-        shifted = tuple((pid, acc - offset) for pid, acc in state)
-        value, plan = self._memoized(shifted, q_left, t_prev)
-        return value + offset, plan
-
-    def _memoized(self, state: State, q_left: int, t_prev: int) -> tuple[int, _Plan]:
-        key = (state, q_left, t_prev)
+        # lift every member field by half, then take ones off while all stay >= half
+        high = ones << (self._w - 1)
+        lifted, offset = accs + high, 0
+        while (lifted - ones) & high == high:
+            lifted -= ones
+            offset += 1
+        key = (ones, lifted - high, q_left, t_prev)
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._memo[key] = self._solve_shifted(state, q_left, t_prev)
-        return hit
+            hit = self._memo[key] = self._solve_shifted(*key)
+        return hit[0] + offset, hit[1]
 
-    def _blind(self, state: State, t_prev: int) -> tuple[int, _Plan]:
-        suffix = self._suffix[t_prev]
-        vecs = [suffix[pid] for pid, _ in state]
-        weights = [acc for _, acc in state]
+    def _blind(self, ones: int, accs: int, t_prev: int) -> tuple[int, _Plan]:
+        suffix, w, fmask = self._suffix[t_prev], self._w, self._fmask
+        vecs, weights = [], []
+        while ones:  # members in pid order, lowest field first
+            low = ones & -ones
+            shift = low.bit_length() - 1
+            vecs.append(suffix[shift // w])
+            weights.append((accs >> shift) & fmask)
+            ones ^= low
         value, cand = _weighted_one_center(vecs, weights, self.L - t_prev)
         return value, _Plan(None, cand, None)
 
-    def _solve_shifted(self, state: State, q_left: int, t_prev: int) -> tuple[int, _Plan]:
+    def _solve_shifted(self, ones: int, accs: int, q_left: int, t_prev: int) -> tuple[int, _Plan]:
         """Blind plan, or the first best (query time t, interim yh, prediction r).
 
         The blind plan is solved only where it is returned, with no query or
-        round left; else the search starts with no plan at max(acc) + rounds
-        left + 1, which no plan reaches.  Per t, a depth-first search over the
-        bits of yh, 0 first, meets yh in ascending order.  A prefix with partial
-        distances d is dropped once lb_r = max(acc + d + (r != b)) over the
-        members is >= best_val for both r, as no completion can then strictly
+        round left; else the search starts with no plan at L + 1, which no
+        plan reaches.  Per t, a depth-first search over the bits of yh, 0
+        first, meets yh in ascending order.  A prefix is dropped once some
+        member's accrual plus partial distance plus (r != b) reaches best_val
+        for both r: adding half - best_val to every member field sets a
+        field's top bit exactly then.  No completion can then strictly
         improve; only a strict improvement replaces the best, so the first
         optimum in (t, yh, r) order wins.  The t = L plans reach the blind value.
-        The flip rows of rounds t_prev+1..L are built once and shared by every t.
         """
         if q_left == 0 or t_prev == self.L:
-            return self._blind(state, t_prev)
+            return self._blind(ones, accs, t_prev)
+        flips, fmask = self._flips, self._fmask
+        half, high = 1 << (self._w - 1), ones << (self._w - 1)
+        best_val, best_plan = self.L + 1, None
 
-        best_val = max(acc for _, acc in state) + (self.L - t_prev) + 1
-        best_plan = None
-        # flips[k][v][i]: member i's label in round t_prev + k + 1 is not v; for
-        # query time t, k = t - t_prev - 1 is the query round, where it is r != b
-        rows = [self.steps[pid] for pid, _ in state]
-        flips = [
-            [[st[k][1] != v for st in rows] for v in (0, 1)]
-            for k in range(t_prev, self.L)
-        ]
+        def cuts() -> tuple[int, int]:
+            lift = (half - best_val) * ones
+            return miss0 + lift, miss1 + lift
+
+        def descend(k: int, yh: int, x: int) -> None:
+            nonlocal best_val, best_plan, cut0, cut1
+            if (x + cut0) & high and (x + cut1) & high:
+                return
+            if k < t - 1:
+                f0, f1 = flips[k]
+                descend(k + 1, yh << 1, x + f0)
+                descend(k + 1, yh << 1 | 1, x + f1)
+                return
+            worst0 = worst1 = 0
+            for b, c, cmask in leaves:
+                value = self.solve((c, x & cmask), q_left - 1, t)[0]
+                if value + b > worst0:
+                    worst0 = value + b
+                if value + 1 - b > worst1:
+                    worst1 = value + 1 - b
+                if worst0 >= best_val and worst1 >= best_val:
+                    return
+            for r, worst in ((0, worst0), (1, worst1)):
+                if worst < best_val:
+                    best_val = worst
+                    best_plan = _Plan(t, yh, r)
+                    cut0, cut1 = cuts()
+
         for t in range(t_prev + 1, self.L + 1):
-            gap_len = t - t_prev - 1
-            miss0, miss1 = flips[gap_len]
-            # per observation (x, b): the indices of its members
-            branches: dict[tuple[str, Label], list[int]] = {}
-            for i, st in enumerate(rows):
-                branches.setdefault(st[t - 1], []).append(i)
-            leaves = [
-                (b, [state[i][0] for i in idx], idx)
-                for (_, b), idx in sorted(branches.items())
-            ]
-
-            def descend(k: int, yh: int, accs: list[int]) -> None:
-                nonlocal best_val, best_plan
-                if (max(map(add, accs, miss0)) >= best_val
-                        and max(map(add, accs, miss1)) >= best_val):
-                    return
-                if k < gap_len:
-                    descend(k + 1, yh << 1, list(map(add, accs, flips[k][0])))
-                    descend(k + 1, yh << 1 | 1, list(map(add, accs, flips[k][1])))
-                    return
-                worst0 = worst1 = 0
-                for b, pids, idx in leaves:
-                    offset = min([accs[i] for i in idx])
-                    child = tuple(zip(pids, [accs[i] - offset for i in idx]))
-                    value = self._memoized(child, q_left - 1, t)[0] + offset
-                    if value + b > worst0:
-                        worst0 = value + b
-                    if value + 1 - b > worst1:
-                        worst1 = value + 1 - b
-                    if worst0 >= best_val and worst1 >= best_val:
-                        return
-                for r, worst in ((0, worst0), (1, worst1)):
-                    if worst < best_val:
-                        best_val = worst
-                        best_plan = _Plan(t, yh, r)
-
-            descend(0, 0, [acc for _, acc in state])
+            # the members of each round-t observation (x, b), sorted by (x, b)
+            leaves = [(b, c, c * fmask) for (_, b), group in self._obs[t - 1].items()
+                      if (c := ones & group)]
+            miss0, miss1 = flips[t - 1]
+            cut0, cut1 = cuts()
+            descend(t_prev, 0, accs)
         return best_val, best_plan
 
     # -- witness serialization ----------------------------------------------
 
-    def witness_tree(self, state: State, q_left: int, t_prev: int) -> dict:
+    def witness_tree(self, state: tuple[int, int], q_left: int, t_prev: int) -> dict:
         """Adversary-canonical query tree: per label edge, the worst branch."""
         value, plan = self.solve(state, q_left, t_prev)
         if plan.time is None:
@@ -312,9 +330,10 @@ class QldSolver:
         t = plan.time
         children: dict[str, dict] = {}
         for b in (0, 1):
-            options = {x for x, y in (self.steps[p][t - 1] for p, _ in state) if y == b}
+            options = [x for (x, y), group in self._obs[t - 1].items()
+                       if y == b and state[0] & group]
             picked = max(  # the first of the worst branches
-                (self.advance(state, plan, t_prev, x, b) for x in sorted(options)),
+                (self.advance(state, plan, t_prev, x, b) for x in options),
                 key=lambda child: self.solve(child, q_left - 1, t)[0], default=None,
             )
             if picked is None:
@@ -364,7 +383,7 @@ class TreeReplanStrategy(BlindStrategy):
         if self.plan.time != t:
             raise QstreamError(f"observation at {t} does not match plan {self.plan.time}")
         nxt = self.solver.advance(self.state, self.plan, self.t_prev, x, y)
-        if not nxt:
+        if not nxt[0]:
             raise QstreamError("observation inconsistent with the pattern class")
         super().observe(t, x, y)
         self.state = nxt
@@ -462,7 +481,7 @@ def game_value(P: PatternClass, Q: int) -> int:
     learner picks r, each pattern accrues [y_p != r], and the learner goes on
     unqueried or, with a query left, faces the worst observed (x, y) branch.
     Kept naive: no ``QldSolver`` code, pruning, one-center kernel or
-    interim vector; it shares only the solver's offset-normalized memo key.
+    interim vector; it shares no representation with the solver.
     """
     if P.is_empty:
         raise QstreamError("game value of an empty pattern class")

@@ -76,16 +76,25 @@ def as_int(value: Any) -> int:
 
 
 def fraction_to_json(value: Fraction) -> Any:
-    """Emit an int, a decimal-exact float, or a {num, den} object."""
-    if value.denominator == 1:
+    """Emit an int, a decimal-exact float, or a {num, den} object.
+
+    Every float is a finite decimal, so a value whose reduced denominator has
+    a prime factor other than 2 and 5 goes to {num, den} without a float.
+    """
+    den = value.denominator
+    if den == 1:
         return int(value)
-    try:
-        f = float(value)
-        if Fraction(repr(f)) == value:
-            return f
-    except OverflowError:  # beyond the float range
-        pass
-    return {"num": value.numerator, "den": value.denominator}
+    rest = den >> ((den & -den).bit_length() - 1)  # the odd part
+    while rest % 5 == 0:
+        rest //= 5
+    if rest == 1:
+        try:
+            f = float(value)
+            if Fraction(repr(f)) == value:
+                return f
+        except OverflowError:  # beyond the float range
+            pass
+    return {"num": value.numerator, "den": den}
 
 
 Label = int

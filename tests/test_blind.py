@@ -328,12 +328,27 @@ def test_oracle_equality_random_alphabets(alphabet):
             assert qld(P, Q).value == game_value(P, Q)
 
 
+def decode_state(solver, state):
+    """The packed (ones, accs) information set as (pattern id, accrual)
+    pairs in pid order, read one field at a time; accs must be 0 outside
+    the members' fields."""
+    ones, accs = state
+    w = solver._w
+    pairs = tuple(
+        (pid, (accs >> (w * pid)) & ((1 << w) - 1))
+        for pid in range(len(solver._suffix[0]))
+        if (ones >> (w * pid)) & 1
+    )
+    assert accs == sum(acc << (w * pid) for pid, acc in pairs)  # 0 off the members
+    return pairs
+
+
 def test_qld_value_at_least_largest_accrual():
     # The interim search prunes on this bound: no play can undo a mistake a
     # pattern has already accrued.  States come from advance under random
     # plans, so accruals spread well beyond those of optimal play.  Each
-    # advance, one XOR of packed labels, must equal a per-round recount of
-    # the interim and query-round mistakes over the steps.
+    # advance, one add of packed flips per played round, must equal a
+    # per-round recount of the interim and query-round mistakes over the steps.
     rng = random.Random(43)
     checked = 0
     for _ in range(40):
@@ -343,7 +358,8 @@ def test_qld_value_at_least_largest_accrual():
         stack = [(solver.initial_state(), rng.randint(1, 3), 0)]
         while stack:
             state, q, t_prev = stack.pop()
-            assert solver.solve(state, q, t_prev)[0] >= max(acc for _, acc in state)
+            pairs = decode_state(solver, state)
+            assert solver.solve(state, q, t_prev)[0] >= max(acc for _, acc in pairs)
             checked += 1
             if q == 0 or t_prev == P.horizon:
                 continue
@@ -351,11 +367,11 @@ def test_qld_value_at_least_largest_accrual():
             gap = t - t_prev - 1
             plan = _Plan(t, rng.getrandbits(gap), rng.randint(0, 1))
             played = [(plan.interim >> (gap - 1 - i)) & 1 for i in range(gap)] + [plan.predict]
-            for x, y in sorted({steps[pid][t - 1] for pid, _ in state}):
+            for x, y in sorted({steps[pid][t - 1] for pid, _ in pairs}):
                 advanced = solver.advance(state, plan, t_prev, x, y)
-                assert advanced == tuple(
+                assert decode_state(solver, advanced) == tuple(
                     (pid, acc + sum(a != b for a, (_, b) in zip(played, steps[pid][t_prev:t])))
-                    for pid, acc in state
+                    for pid, acc in pairs
                     if steps[pid][t - 1] == (x, y)
                 )
                 stack.append((advanced, q - 1, t))
@@ -414,6 +430,31 @@ def test_oracle_equality_past_the_sweep(alphabet):
         pats = set()
         while len(pats) < want:
             pats.add(tuple((rng.choice(alphabet), rng.randint(0, 1)) for _ in range(L)))
+        P = PatternClass(space, L, tuple(DiscretePattern(p) for p in sorted(pats)))
+        for Q in (0, 1, 2, 3):
+            w = qld(P, Q)
+            assert w.value == game_value(P, Q) == worst_case_mistakes(w.to_strategy(), P, Q)
+
+
+@pytest.mark.parametrize("L", [6, 7, 14, 15])
+def test_packed_fields_hold_at_the_width_edges(L):
+    # A pattern's field is (L + 1).bit_length() + 1 bits wide, and the prune
+    # lifts each member field by the top bit 2^(w-1).  At L = 6 and 14 that
+    # is only L + 2, the least room a search field can have; L = 7 and 15
+    # add one more bit.  A field one bit narrower carries into its neighbour.
+    P = make_class([(0,) * L, (1,) * L])
+    assert blind_learning_dimension(P).value == (L + 1) // 2
+    for Q in (1, 2):
+        w = qld(P, Q)
+        assert w.value == game_value(P, Q) == worst_case_mistakes(w.to_strategy(), P, Q) == 1
+    if L > 7:
+        return
+    rng = random.Random(71 + L)
+    space = InstanceSpace(("a", "b", "c"))
+    for _ in range(10):
+        want, pats = rng.randint(3, 12), set()
+        while len(pats) < want:
+            pats.add(tuple((rng.choice("abc"), rng.randint(0, 1)) for _ in range(L)))
         P = PatternClass(space, L, tuple(DiscretePattern(p) for p in sorted(pats)))
         for Q in (0, 1, 2, 3):
             w = qld(P, Q)

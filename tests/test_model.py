@@ -243,6 +243,38 @@ def test_fraction_json_round_trip(fr):
     assert as_fraction(encoded) == fr
 
 
+def fraction_to_json_by_round_trip(value):
+    """The rule without the denominator test: a float wherever its repr
+    reads back as the value."""
+    if value.denominator == 1:
+        return int(value)
+    try:
+        f = float(value)
+        if Fraction(repr(f)) == value:
+            return f
+    except OverflowError:
+        pass
+    return {"num": value.numerator, "den": value.denominator}
+
+
+@given(st.one_of(
+    rationals,
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+    st.builds(  # denominators of 2s and 5s only, where a float may or may not match
+        lambda n, a, b: Fraction(n, 2**a * 5**b),
+        st.integers(-10**20, 10**20), st.integers(0, 1100), st.integers(0, 400),
+    ),
+))
+@example(Fraction(1, 3))
+@example(Fraction(1, 5**20))  # not a float, yet its float's repr reads back as it
+@example(Fraction(1, 2**1074))  # a float, but its shortest repr is not exact
+@example(Fraction(123456789123456789123, 10**5))  # more digits than a float holds
+@example(Fraction(10**400 + 1, 2))  # past the float range
+@example(Fraction(1, 5**400))  # underflows to 0.0
+def test_fraction_to_json_matches_the_round_trip_rule(fr):
+    assert json.dumps(fraction_to_json(fr)) == json.dumps(fraction_to_json_by_round_trip(fr))
+
+
 @given(st.integers(1, 4), st.integers(1, 6))
 def test_concept_class_round_trip(n_inst, n_conc):
     space = InstanceSpace(tuple(f"x{i}" for i in range(n_inst)))
