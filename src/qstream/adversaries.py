@@ -26,7 +26,6 @@ from .model import (
     QstreamError,
     QueryBudgetPolicy,
     RationalLike,
-    Segment,
     as_fraction,
     as_int,
 )
@@ -48,11 +47,6 @@ def _parse_time(value) -> Time:
     is a TypeError."""
     if not isinstance(value, str):
         raise TypeError(f"time must be a string, got {value!r}")
-    return _parse_time_text(value)
-
-
-@functools.lru_cache(maxsize=4096)  # a token's times recur across tokens and trials
-def _parse_time_text(value: str) -> Time:
     if value.isascii():
         p, slash, q = value.partition("/")
         if slash and q.isdigit() and (p[1:] if p[:1] == "-" else p).isdigit():
@@ -83,17 +77,25 @@ def encode_reveal_token(
     return _token(rows, _frac_str(as_fraction(next_reveal)))
 
 
-def read_reveal_token(token: str) -> tuple[list[tuple[str, Label, Time, Time]], Time]:
-    """``decode_reveal_token`` with each time a ``_parse_time`` pair."""
+def read_reveal_token(token: str) -> tuple[tuple[tuple[str, Label, Time, Time], ...], Time]:
+    """``decode_reveal_token`` with each time a ``_parse_time`` pair, as
+    tuples; a token read before comes from the cache, errors never do."""
+    if not isinstance(token, str):
+        raise TypeError(f"token must be a string, got {token!r}")
+    return _read_token(token)
+
+
+@functools.lru_cache(maxsize=4096)  # a stream's tokens recur across trials
+def _read_token(token: str) -> tuple[tuple[tuple[str, Label, Time, Time], ...], Time]:
     if not token.startswith(_TOKEN_PREFIX) or _TOKEN_JOINT not in token:
         raise MalformedTokenError("not a self-revealing stream")
     body, _, tail = token[len(_TOKEN_PREFIX):].rpartition(_TOKEN_JOINT)
     try:
         payload = json.loads(body)
-        schedule = [
+        schedule = tuple([
             (x, as_int(y), _parse_time(start), _parse_time(end))
             for x, y, start, end in payload
-        ]
+        ])
         next_reveal = _parse_time(tail)
     except (ValueError, TypeError, ZeroDivisionError, RecursionError) as exc:
         raise MalformedTokenError(f"not a self-revealing stream: {exc}") from exc
@@ -145,17 +147,15 @@ def gen_littlestone_branch_stream(
         path.append((node.x, b))
         node = node.right if b else node.left
 
-    width = Fraction(2 * n, k)
-    segments = [
-        Segment(width * j, width * (j + 1), x, y) for j, (x, y) in enumerate(path)
-    ]
-
     total = as_fraction(horizon) if horizon is not None else Fraction(4 * n)
     if total < 4 * n:
         raise ValueError(f"horizon {total} shorter than the painted prefix {4 * n}")
+    q = total.denominator  # over den = k q, each step's width 2n / k is 2n q
+    cuts = list(range(0, 2 * n * q * len(path) + 1, 2 * n * q))
     if total > 4 * n:
-        segments.append(Segment(Fraction(4 * n), total, *_consistent_tail(H, path)))
-    return PiecewiseStream(total, tuple(segments))
+        cuts.append(total.numerator * k)
+        path.append(_consistent_tail(H, path))
+    return PiecewiseStream._on_grid(k * q, cuts, path)
 
 
 def _consistent_tail(H: ConceptClass, path: list[tuple[str, Label]]) -> tuple[str, Label]:
@@ -194,16 +194,14 @@ def gen_two_point_stream(
     if units < 1:
         raise ValueError(f"units must be a positive integer, got {units}")
     rng = np.random.default_rng(seed)
+    pieces = [_unit_pieces(budget, n) for n in range(1, units + 1)]
+    den = math.lcm(*pieces)
+    cuts = [0]  # unit n's cuts n - 1 + j / m, j = 1..m, over den
+    for n, m in enumerate(pieces, 1):
+        cuts += range(cuts[-1] + den // m, n * den + 1, den // m)
     pairs = ((x1, 0), (x2, 1))
-    segments = []
-    lo = Fraction(0)  # each cut is built once and ends one piece, starts the next
-    for n in range(1, units + 1):
-        pieces = _unit_pieces(budget, n)
-        for j in range((n - 1) * pieces + 1, n * pieces + 1):
-            hi = Fraction(j, pieces)
-            segments.append(Segment(lo, hi, *pairs[int(rng.integers(0, 2))]))
-            lo = hi
-    return PiecewiseStream(Fraction(units), tuple(segments))
+    bits = rng.integers(0, 2, size=len(cuts) - 1).tolist()  # as one scalar draw per piece
+    return PiecewiseStream._on_grid(den, cuts, [pairs[b] for b in bits])
 
 
 def exact_blind_error(
@@ -282,20 +280,22 @@ def gen_self_revealing_stream(
         head = [f"{names[0]},{bit}" for bit in (0, 1)]
         tail = [[f"{name},{bit}" for bit in (0, 1)] for name in names[1:]]
     text = [_frac_str(v) for v in bounds]  # each bound's time string, once
-    segments: list[Segment] = []
-    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+    cuts, pairs = [], []  # each reveal's bound and, on a tree, its midpoint
+    for i, lo in enumerate(grid[:-1]):
+        cuts.append(lo)
         if tree is not None:
             bit, bit2 = next(bits), next(bits)
             node = tree.right if bit else tree.left
-            mid = Fraction((grid[i] + grid[i + 1]) >> 1, den)
-            mid_text = _frac_str(mid)
+            mid = (lo + grid[i + 1]) >> 1
+            g = math.gcd(mid, den)
+            mid_text = f"{mid // g}/{den // g}"
             rows = ((head[bit], text[i], mid_text), (tail[bit][bit2], mid_text, text[i + 1]))
-            token = _token(rows, text[i + 1])
-            segments += (Segment(a, mid, token, bit), Segment(mid, b, node.x, bit2))
+            cuts.append(mid)
+            pairs += ((_token(rows, text[i + 1]), bit), (node.x, bit2))
         else:
             h = int(rng.integers(0, len(source.concepts)))
             xi = int(rng.integers(0, len(source.space.instances)))
             x, y = source.space.instances[xi], source.concepts[h][xi]
-            token = _token([(_xy(x, y), text[i], text[i + 1])], text[i + 1])
-            segments.append(Segment(a, b, token, y))
-    return PiecewiseStream(total, tuple(segments))
+            pairs.append((_token([(_xy(x, y), text[i], text[i + 1])], text[i + 1]), y))
+    cuts.append(grid[-1])
+    return PiecewiseStream._on_grid(den, cuts, pairs)

@@ -7,9 +7,10 @@ Query times drawn from the RNG are binary floats n / 2^k, so a seeded run
 has one well-defined exact mistake integral.  The uniform sampler keeps its
 times and epoch sums as integers over one unit per run, 1 / (den << shift),
 and builds each Fraction once, at the end.  The adaptive sampler follows
-decoded schedules on the grid, keeps its predictions as integer pieces over
-the same unit and builds one Fraction per query time.  All runs on a class
-share its one ``LittlestoneSolver``.
+schedules on the grid, each distinct token parsed once by the cache behind
+``read_reveal_token``, keeps its predictions as integer pieces over the same
+unit and builds one Fraction per query time.  All runs on a class share its
+one ``LittlestoneSolver``.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 Everything downstream (samplers, adversarial stream generators, discrete
 solvers, CLI) builds on the immutable value types defined here.  Times and
 interval boundaries are ``fractions.Fraction`` throughout so that mistake
-integrals and the blind-error arithmetic stay exact; JSON emits a plain
-number whenever the value survives a decimal round trip and a
-``{"num": p, "den": q}`` object otherwise.
+integrals and the blind-error arithmetic stay exact; a stream also holds
+them as integers over one den, its ``grid``, on which the generators build
+it.  JSON emits a plain number whenever the value survives a decimal round
+trip and a ``{"num": p, "den": q}`` object otherwise.
 """
 
 from __future__ import annotations
@@ -79,21 +80,23 @@ def fraction_to_json(value: Fraction) -> Any:
     """Emit an int, a decimal-exact float, or a {num, den} object.
 
     Every float is a finite decimal, so a value whose reduced denominator has
-    a prime factor other than 2 and 5 goes to {num, den} without a float.
+    a prime factor other than 2 and 5 goes to {num, den} without a float; the
+    rest go by their digit count, and 16-17 digits by the ``repr`` round trip.
     """
     den = value.denominator
     if den == 1:
         return int(value)
-    rest = den >> ((den & -den).bit_length() - 1)  # the odd part
+    a = (den & -den).bit_length() - 1  # den = 2^a 5^b rest
+    rest, b = den >> a, 0
     while rest % 5 == 0:
-        rest //= 5
-    if rest == 1:
-        try:
-            f = float(value)
-            if Fraction(repr(f)) == value:
-                return f
-        except OverflowError:  # beyond the float range
-            pass
+        rest, b = rest // 5, b + 1
+    if rest == 1:  # value = digits / 10^d, and digits ends in no 0
+        d = max(a, b)
+        digits = (abs(value.numerator) << (d - a)) * 5 ** (d - b)
+        if digits < 10**15 and d < 300:  # a normal float reads back 15 digits
+            return float(value)
+        if digits < 10**17 and Fraction(repr(float(value))) == value:  # no float's repr has 18
+            return float(value)
     return {"num": value.numerator, "den": den}
 
 
@@ -189,6 +192,22 @@ class PiecewiseStream:
         ends = tuple([seg.end.numerator * (den // seg.end.denominator) for seg in segments])
         end = horizon.numerator * (den // horizon.denominator)
         object.__setattr__(self, "grid", (den, starts, ends, end))
+
+    @classmethod
+    def _on_grid(cls, den: int, cuts: list[int], pairs) -> PiecewiseStream:
+        """The stream cut at ``cuts`` over den, the last cut the horizon, one
+        (x, y) of ``pairs`` per segment; ``grid`` is the constructor's, and each
+        bound is one Fraction shared by its segments, which skip ``as_fraction``."""
+        g = math.gcd(den, *cuts)  # den as the lcm of the bounds' denominators
+        den, cuts = den // g, [c // g for c in cuts]
+        times = [Fraction(c, den) for c in cuts]
+        segments = [object.__new__(Segment) for _ in pairs]
+        for seg, a, b, (x, y) in zip(segments, times, times[1:], pairs):
+            vars(seg).update(start=a, end=b, x=x, y=y)
+        stream = object.__new__(cls)
+        vars(stream).update(horizon=times[-1], segments=tuple(segments),
+                            grid=(den, tuple(cuts[:-1]), tuple(cuts[1:]), cuts[-1]))
+        return stream
 
     def value_at(self, t: Fraction) -> tuple[str, Label]:
         """Return (x, y) for the segment containing time t, searched on the

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qstream.adversaries import (
     _parse_time,
-    _parse_time_text,
+    _read_token,
     decode_reveal_token,
     encode_reveal_token,
     exact_blind_error,
@@ -18,6 +18,7 @@ from qstream.adversaries import (
     gen_self_revealing_stream,
     gen_two_point_stream,
     is_reveal_token,
+    read_reveal_token,
 )
 from qstream.arena import run_adaptive_sampler
 from qstream.littlestone import (
@@ -30,6 +31,7 @@ from qstream.model import (
     ConceptClass,
     InstanceSpace,
     MalformedTokenError,
+    PiecewiseStream,
     QstreamError,
     QueryBudgetPolicy,
     Segment,
@@ -195,20 +197,51 @@ def test_parse_time_agrees_with_fraction(s):
         assert str(got.value) == str(exc)
     else:
         first = _parse_time(s)
-        hits = _parse_time_text.cache_info().hits
-        assert _parse_time(s) == first  # the second read comes from the cache
-        assert _parse_time_text.cache_info().hits == hits + 1
+        token = f'SEG([["a",0,"0","1"]])|next={s}'  # s as a token's next reveal
+        read = read_reveal_token(token)
+        hits = _read_token.cache_info().hits
+        assert read_reveal_token(token) is read  # the second read comes from the cache
+        assert _read_token.cache_info().hits == hits + 1
+        assert read[1] == first
         p, q = first
         assert type(p) is int and type(q) is int and q > 0
         assert Fraction(p, q) == expected
 
 
-def test_parse_time_rejects_non_strings_past_the_cache():
+def test_parse_time_rejects_non_strings():
     assert _parse_time("1/2") == (1, 2)
     for value in (["1/2"], 0.5, None):
         with pytest.raises(TypeError) as got:
             _parse_time(value)
         assert str(got.value) == f"time must be a string, got {value!r}"
+
+
+def test_read_reveal_token_caches_good_tokens_only():
+    token = encode_reveal_token([("a", 1, Fraction(0), Fraction(2, 6))], Fraction(1, 3))
+    first = read_reveal_token(token)
+    hits = _read_token.cache_info().hits
+    assert read_reveal_token(token) is first  # the second read is a cache hit
+    assert _read_token.cache_info().hits == hits + 1
+    schedule, nxt = first
+    assert type(schedule) is tuple and schedule == (("a", 1, (0, 1), (1, 3)),)
+    assert nxt == (1, 3)
+    # errors are never cached: every read parses again and raises the same
+    bad = MALFORMED_TOKENS + [f"SEG({body})|next=1" for body in MALFORMED_STEPS.values()]
+    for token in bad:
+        messages = []
+        for _ in range(2):
+            misses = _read_token.cache_info().misses
+            with pytest.raises(MalformedTokenError) as got:
+                read_reveal_token(token)
+            assert _read_token.cache_info().misses == misses + 1
+            messages.append(str(got.value))
+        assert messages[0] == messages[1]
+    info = _read_token.cache_info()
+    for value in (None, 7, b"SEG([])|next=1", ["SEG([])|next=1"]):
+        with pytest.raises(TypeError) as got:
+            read_reveal_token(value)
+        assert str(got.value) == f"token must be a string, got {value!r}"
+    assert _read_token.cache_info() == info  # rejected before the cache
 
 
 # --- littlestone-branch streams --------------------------------------------------
@@ -503,3 +536,75 @@ def test_self_revealing_matches_scalar_draw_reference(source, dim):
         stream = gen_self_revealing_stream(source, reveals, horizon, seed)
         assert list(stream.segments) == _self_revealing_reference(source, reveals, horizon, seed)
         assert stream.horizon == horizon
+
+
+# --- every generator builds what the public constructor builds ----------------------
+
+def assert_public_stream(stream):
+    """The stream equals its public-constructor rebuild, grid included, is
+    valid, and holds every bound as a Fraction."""
+    public = PiecewiseStream(
+        stream.horizon, [Segment(s.start, s.end, s.x, s.y) for s in stream.segments]
+    )
+    assert stream == public
+    assert stream.grid == public.grid
+    assert validate(stream) == []
+    times = [stream.horizon, *(v for s in stream.segments for v in (s.start, s.end))]
+    assert all(type(v) is Fraction for v in times)
+
+
+SOURCES = [ConceptClass(FULL2.space, ((0, 1),)), ConceptClass(FULL2.space, ((0, 0), (1, 0))),
+           FULL2, full_class(3)]  # Littlestone dimension 0, 1, 2, 3
+
+
+@given(st.sampled_from(SOURCES),
+       st.fractions(min_value=Fraction(1, 8), max_value=40, max_denominator=12),
+       st.lists(st.fractions(min_value=0, max_value=40, max_denominator=12), max_size=10),
+       st.integers(0, 2**32))
+@example(FULL2, Fraction(6), [Fraction(2), Fraction(4)], 0)  # even reveals: den reduces
+@example(full_class(3), Fraction(9, 2), [Fraction(3, 2), Fraction(5, 2)], 1)
+@example(SOURCES[0], Fraction(4), [Fraction(2)], 2)
+def test_self_revealing_stream_equals_the_public_construction(source, horizon, cuts, seed):
+    reveals = [Fraction(0), *sorted({t for t in cuts if 0 < t < horizon})]
+    assert_public_stream(gen_self_revealing_stream(source, reveals, horizon, seed))
+
+
+@given(st.sampled_from([(full_class(4), 4), (full_class(8), 8)]), st.integers(1, 3),
+       st.integers(1, 4), st.integers(0, 3),
+       st.one_of(st.none(), st.just(Fraction(10**400 + 1, 2)),
+                 st.fractions(min_value=0, max_value=30, max_denominator=9)),
+       st.integers(0, 2**32))
+@example((full_class(8), 8), 1, 4, 0, Fraction(10**400 + 1, 2), 0)
+@example((full_class(4), 4), 2, 1, 0, Fraction(8), 0)
+def test_branch_stream_equals_the_public_construction(source, n, k, extra, horizon, seed):
+    H, dim = source
+    k = min(k, dim // 2)  # budget(4n) = k, so the tree has depth 2k <= dim
+    if horizon is not None:
+        horizon = max(horizon, Fraction(4 * n)) + extra
+    budget = QueryBudgetPolicy(Fraction(k, 4 * n))
+    assert_public_stream(gen_littlestone_branch_stream(H, n, budget, seed, horizon=horizon))
+
+
+@given(st.integers(1, 12), st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12),
+       st.integers(0, 2**32))
+@example(3, Fraction(1, 3), 0)  # budget(1) = budget(2) = 0: one piece per unit
+@example(4, Fraction(1), 1)
+def test_two_point_stream_equals_the_public_construction(units, slope, seed):
+    budget = QueryBudgetPolicy(slope)
+    stream = gen_two_point_stream("x1", "x2", units, budget, seed)
+    assert_public_stream(stream)
+    assert list(stream.segments) == _two_point_reference(units, budget, seed)
+
+
+def _two_point_reference(units, budget, seed):
+    """Reference: one scalar ``rng.integers(0, 2)`` draw per piece, each
+    bound a Fraction of its own."""
+    rng = np.random.default_rng(seed)
+    segments = []
+    for n in range(1, units + 1):
+        pieces = max(2 * budget.budget(n), 1)
+        for j in range(pieces):
+            lo = n - 1 + Fraction(j, pieces)
+            x, y = (("x1", 0), ("x2", 1))[int(rng.integers(0, 2))]
+            segments.append(Segment(lo, lo + Fraction(1, pieces), x, y))
+    return segments

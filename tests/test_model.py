@@ -271,6 +271,15 @@ def fraction_to_json_by_round_trip(value):
 @example(Fraction(123456789123456789123, 10**5))  # more digits than a float holds
 @example(Fraction(10**400 + 1, 2))  # past the float range
 @example(Fraction(1, 5**400))  # underflows to 0.0
+@example(Fraction(123456789012347, 10**7))  # 15 digits: a float
+@example(Fraction(1234567890123457, 10**7))  # 16 digits: the round trip decides
+@example(Fraction(6471313452454534, 10**16))  # 16 digits that no float reads back as
+@example(Fraction(1, 2**22))  # 16 digits, a float whose repr is exact
+@example(Fraction(12345678901234567, 10**7))  # 17 digits: the round trip decides
+@example(Fraction(1, 2**24))  # 17 digits, a float whose repr is shorter
+@example(Fraction(1, 10**307))  # one digit near the bottom of the normal range
+@example(Fraction(17, 10**310))  # subnormal
+@example(Fraction(123456789012347, 10**325))  # 15 digits, too many for a subnormal
 def test_fraction_to_json_matches_the_round_trip_rule(fr):
     assert json.dumps(fraction_to_json(fr)) == json.dumps(fraction_to_json_by_round_trip(fr))
 
