@@ -4,13 +4,13 @@ Mistake integrals are computed on the common refinement of segment
 boundaries in integers over one common denominator, never by quadrature.
 Both samplers start from the stream's integer grid, ``PiecewiseStream.grid``.
 Query times drawn from the RNG are binary floats n / 2^k, so a seeded run
-has one well-defined exact mistake integral.  The uniform sampler keeps its
-times and epoch sums as integers over one unit per run, 1 / (den << shift),
-and builds each Fraction once, at the end.  The adaptive sampler follows
-schedules on the grid, each distinct token parsed once by the cache behind
-``read_reveal_token``, keeps its predictions as integer pieces over the same
-unit and builds one Fraction per query time.  All runs on a class share its
-one ``LittlestoneSolver``.
+has one well-defined exact mistake integral.  The uniform sampler draws
+its uniforms 64 at a time, holds its times and epoch sums as integers
+over one unit per run, 1 / (den << shift), and builds each Fraction once,
+at the end.  The adaptive sampler follows schedules on the grid, each
+distinct token parsed once by the cache behind ``read_reveal_token``,
+keeps its predictions as integer pieces over the same unit and builds
+one Fraction per query time.  Runs on a class share its ``LittlestoneSolver``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,24 +38,17 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class QueryEvent:
+class QueryEvent(NamedTuple):
     time: Fraction
     x: str
     y: Label
     success: bool  # deployed predictor disagreed with the revealed label
 
     def to_json(self) -> dict:
-        return {
-            "time": fraction_to_json(self.time),
-            "x": self.x,
-            "y": self.y,
-            "success": self.success,
-        }
+        return {**self._asdict(), "time": fraction_to_json(self.time)}
 
 
-@dataclass(frozen=True)
-class EpochError:
+class EpochError(NamedTuple):
     """Error accrued while waiting for the k-th successful query."""
 
     epoch: int
@@ -142,7 +136,9 @@ def run_uniform_sampler(
     previous query time (0 initially) and read as the float's exact integer
     ratio; each query observes the stream pair, is marked successful when
     the deployed prediction disagrees, and shrinks the version space.
-    Queries landing past the horizon are not executed.
+    Queries landing past the horizon are not executed.  ``seed`` is anything
+    ``np.random.default_rng`` accepts; the uniforms come in blocks of 64, so
+    a ``Generator`` seed ends up advanced by whole blocks, its draws unchanged.
 
     Instances outside H's space (reveal tokens) are predicted as 0 and do
     not restrict the version space.  ``on_empty`` decides what an
@@ -165,6 +161,8 @@ def run_uniform_sampler(
         raise ValueError(f"on_empty must be 'error' or 'reset', got {on_empty!r}")
     delta_f = _delta_float(delta)
     rng = np.random.default_rng(seed)
+    # the doubles of successive rng.random() calls, drawn 64 at a time
+    draw = chain.from_iterable(iter(lambda: rng.random(64).tolist(), None)).__next__
     solver = LittlestoneSolver.of(H)
     segments = stream.segments
     # position of each segment's instance in the space; -1 (outside the
@@ -215,9 +213,9 @@ def run_uniform_sampler(
         # numpy's uniform(anchor, anchor + delta_f) bit for bit; it includes
         # the lower endpoint, but query times must strictly increase
         span = (anchor + delta_f) - anchor
-        t_float = anchor + span * rng.random()
+        t_float = anchor + span * draw()
         while queried and t_float == anchor:
-            t_float = anchor + span * rng.random()
+            t_float = anchor + span * draw()
         n, d = t_float.as_integer_ratio()
         k = d.bit_length() - 1
         if k > shift:
@@ -231,7 +229,7 @@ def run_uniform_sampler(
         if t >= end:
             break
         t_q = Fraction(n, d)
-        seg = seek(t)
+        seg = seek(t) if ends[si] <= t else segments[si]
         x, y, xi = seg.x, seg.y, seg_xi[si]
         success = (soa_predict(H, x, ids) if xi >= 0 else 0) != y
         events.append(QueryEvent(t_q, x, y, success))

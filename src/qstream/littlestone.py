@@ -37,7 +37,7 @@ class LittlestoneSolver:
     ``root.concepts[i]`` survives.  Restricting to a label is one ``&`` with
     a mask precomputed per (instance, label), and the dimension memo and the
     SOA label tables are keyed by the subset mask, so every run that shares
-    the solver shares them.
+    the solver shares them, as it shares the shattered tree of each depth.
     """
 
     def __init__(self, root: ConceptClass):
@@ -53,6 +53,7 @@ class LittlestoneSolver:
         )
         self._memo: dict[int, int] = {}
         self._soa: dict[int, tuple[Label, ...]] = {}
+        self._trees: dict[int, ShatteredTree | None] = {}  # by depth
 
     @classmethod
     def of(cls, H: ConceptClass) -> "LittlestoneSolver":
@@ -124,7 +125,7 @@ def build_littlestone_tree(H: ConceptClass, d: int) -> ShatteredTree | None:
     """Build a depth-d shattered tree for H, or None if LD(H) < d.
 
     Node instances are chosen smallest-first in space order, so equal inputs
-    build equal trees.
+    build equal trees.  Each depth is built once per class and shared.
     """
     if d <= 0:
         raise ValueError(f"tree depth must be positive, got {d}")
@@ -145,7 +146,9 @@ def build_littlestone_tree(H: ConceptClass, d: int) -> ShatteredTree | None:
                 return ShatteredTree(H.space.instances[xi], left, right)
         return None
 
-    return grow(solver.full(), d)
+    if d not in solver._trees:  # None too
+        solver._trees[d] = grow(solver.full(), d)
+    return solver._trees[d]
 
 
 def soa_predict(H: ConceptClass, x: str, ids: int | None = None) -> Label:

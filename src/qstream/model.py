@@ -263,7 +263,8 @@ class QueryBudgetPolicy:
         object.__setattr__(self, "slope", as_fraction(self.slope))
 
     def budget(self, t: RationalLike) -> int:
-        return math.floor(self.slope * as_fraction(t))
+        t = as_fraction(t)  # one floor division, as both denominators are positive
+        return (self.slope.numerator * t.numerator) // (self.slope.denominator * t.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +438,18 @@ def stream_to_json(stream: PiecewiseStream) -> dict:
     return {"horizon": fraction_to_json(stream.horizon), "segments": rows}
 
 
+def _same_json(a: Any, b: Any) -> bool:
+    """Equal JSON numbers of one type, a {num, den}'s entries too: ``true`` is not ``1``."""
+    return type(a) is type(b) and a == b and (
+        type(a) is not dict or all(type(a[k]) is type(b[k]) for k in ("num", "den")))
+
+
 def stream_from_json(doc: dict) -> PiecewiseStream:
-    segments = tuple(
-        Segment(as_fraction(s["start"]), as_fraction(s["end"]), s["x"], as_int(s["y"]))
-        for s in doc["segments"]
-    )
+    segments: list[Segment] = []
+    for s in doc["segments"]:  # a start written as the last end reuses its value
+        start = end if segments and _same_json(s["start"], end_json) else as_fraction(s["start"])
+        end_json, end = s["end"], as_fraction(s["end"])
+        segments.append(Segment(start, end, s["x"], as_int(s["y"])))
     return PiecewiseStream(as_fraction(doc["horizon"]), segments)
 
 

@@ -756,7 +756,8 @@ def test_uniform_sampler_integer_accounting_matches_fraction_reference():
     rng = random.Random(2026)
     outcomes = dict.fromkeys(
         ("value", "on-end", "on-horizon", "past-horizon",
-         "coverage gap", "coverage ends", "not realizable"), 0
+         "coverage gap", "coverage ends", "not realizable",
+         "over 64 queries", "over 128 queries"), 0  # the draws cross blocks of 64
     )
     for _ in range(300):
         H, stream, delta, seed, on_empty, on_horizon = _accounting_case(rng)
@@ -773,6 +774,8 @@ def test_uniform_sampler_integer_accounting_matches_fraction_reference():
         outcomes["on-end"] += any(e.time in ends for e in events)
         outcomes["past-horizon"] += stream.segments[-1].end > stream.horizon
         outcomes["on-horizon"] += on_horizon
+        outcomes["over 64 queries"] += len(events) > 64
+        outcomes["over 128 queries"] += len(events) > 128
         report = run_uniform_sampler(H, stream, delta, seed, on_empty)
         assert report.mistake_integral == value and type(report.mistake_integral) is Fraction
         assert list(report.query_events) == events
@@ -780,6 +783,26 @@ def test_uniform_sampler_integer_accounting_matches_fraction_reference():
         assert [e.epoch for e in report.epoch_errors] == list(range(1, len(epochs) + 1))
     assert all(outcomes.values()), outcomes
     assert outcomes["value"] >= 150, outcomes
+
+
+def test_uniform_sampler_matches_reference_over_many_blocks_of_draws():
+    H = ConceptClass(ABC, tuple(product((0, 1), repeat=3)))
+    rng = random.Random(22)
+    stream = PiecewiseStream(48, tuple(
+        Segment(Fraction(i, 2), Fraction(i + 1, 2), "abcz"[i % 4], rng.randint(0, 1))
+        for i in range(96)))
+    value, events, epochs = _uniform_sampler_reference(H, stream, Fraction(1, 4), 5, "reset")
+    assert len(events) >= 300
+    gen = np.random.default_rng(5)
+    report = run_uniform_sampler(H, stream, Fraction(1, 4), gen, "reset")
+    assert report.mistake_integral == value
+    assert list(report.query_events) == events
+    assert [e.error for e in report.epoch_errors] == epochs
+    # a Generator seed is left advanced by whole blocks: every query's draw
+    # and the one past the horizon, rounded up to a multiple of 64
+    fresh = np.random.default_rng(5)
+    fresh.random(-(-(len(events) + 1) // 64) * 64)
+    assert gen.random() == fresh.random()
 
 
 if __name__ == "__main__":

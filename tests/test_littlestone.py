@@ -179,6 +179,19 @@ def test_tree_feasible_iff_dimension_reaches_depth():
                     assert {len(path) for path in tree_paths(tree)} == {d}
 
 
+def test_tree_is_built_once_per_depth_and_shared():
+    for n_inst in (2, 3):
+        for H in all_classes(n_inst):
+            depths = range(1, littlestone_dimension(H) + 2)
+            trees = {d: build_littlestone_tree(H, d) for d in depths}
+            memo = LittlestoneSolver.of(H)._trees
+            assert memo == trees and memo[depths[-1]] is None  # None memoized too
+            for d in reversed(depths):
+                assert build_littlestone_tree(H, d) is trees[d]
+                fresh = ConceptClass(H.space, H.concepts)  # equal, own solver
+                assert build_littlestone_tree(fresh, d) == trees[d]
+
+
 # --- SOA ----------------------------------------------------------------------
 
 def test_soa_predict_singleton_follows_concept():

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -66,6 +67,24 @@ def test_budget_policy_floor():
     assert [b.budget(t) for t in range(5)] == [0, 0, 1, 1, 2]
     assert b.budget(Fraction(3, 2)) == 0
     assert b.budget(0) == 0
+
+
+budget_times = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.fractions(max_denominator=10**12),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions(max_denominator=10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
+@given(st.fractions(max_denominator=10**6).filter(bool), budget_times)
+@example(Fraction(1, 16), -1)
+@example(Fraction(1, 3), "-7/2")
+@example(Fraction(3, 7), -0.5)
+@example(Fraction(1, 2), Fraction(-3, 2))
+def test_budget_floors_as_the_fraction_product_does(slope, t):
+    assert QueryBudgetPolicy(slope).budget(t) == math.floor(slope * as_fraction(t))
 
 
 @pytest.mark.parametrize("segments", [(), (Segment(0, 1, "a", 0),)])
@@ -330,6 +349,70 @@ def test_stream_round_trip(widths):
     assert validate(stream) == []
     doc = json.loads(model.dumps(stream))
     assert model.stream_from_json(doc) == stream
+
+
+def stream_from_json_bound_by_bound(doc):
+    """The reader with every bound parsed on its own."""
+    return PiecewiseStream(as_fraction(doc["horizon"]), tuple(
+        Segment(as_fraction(s["start"]), as_fraction(s["end"]), s["x"], model.as_int(s["y"]))
+        for s in doc["segments"]))
+
+
+def json_forms(v):
+    """Ways a JSON document may write the value v."""
+    p, q = v.numerator, v.denominator
+    return [fraction_to_json(v), str(v), {"num": p, "den": q},
+            {"num": 2 * p, "den": 2 * q}, {"num": float(p), "den": q}]
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_stream_from_json_reads_each_bound_as_on_its_own(data):
+    """Starts equal to the last end, written alike or not, and gaps,
+    overlaps, empty segments and horizons short of or past the last end."""
+    steps = st.sampled_from([Fraction(0)] * 4 + [Fraction(1, 3), Fraction(-1, 2)])
+    start, last_end, rows = data.draw(steps), None, []
+    for i in range(data.draw(st.integers(0, 5))):
+        end = start + data.draw(rationals)
+        a, b = data.draw(st.permutations(range(5)))[:2]
+        row = {"start": json_forms(start)[a], "end": json_forms(end)[b],
+               "x": "ab"[i % 2], "y": i % 2}
+        if start == last_end and data.draw(st.booleans()):
+            row["start"] = rows[-1]["end"]  # the very JSON value of the last end
+        rows.append(row)
+        last_end, start = end, end + data.draw(steps)
+    horizon = data.draw(st.sampled_from(json_forms(start)))
+    doc = json.loads(json.dumps({"horizon": horizon, "segments": rows}))
+    got, want = model.stream_from_json(doc), stream_from_json_bound_by_bound(doc)
+    assert got == want and got.grid == want.grid
+    assert validate(got) == validate(want)
+    assert model.stream_from_json(json.loads(model.dumps(got))) == got
+
+
+@pytest.mark.parametrize("bounds, horizon, messages", [
+    ([(0, 1), (2, 3)], 3, ["gap [1,2)"]),
+    ([(0, 0.5), ("1/4", 1)], 1, ["overlap at 1/4 (segment 1)"]),
+    ([(0, 1), (1, 2.5)], 2, ["segments extend to 5/2, beyond horizon 2"]),
+    ([(0, {"num": 1, "den": 3}), ({"num": 2, "den": 6}, 1)], {"num": 2, "den": 3},
+     ["segments extend to 1, beyond horizon 2/3"]),
+])
+def test_stream_from_json_validates_as_before(bounds, horizon, messages):
+    doc = {"horizon": horizon, "segments": [
+        {"start": a, "end": b, "x": "a", "y": 0} for a, b in bounds]}
+    assert validate(model.stream_from_json(doc)) == messages
+    assert validate(stream_from_json_bound_by_bound(doc)) == messages
+
+
+@pytest.mark.parametrize("end, start, error", [
+    (1, True, TypeError),
+    (0, False, TypeError),
+    ({"num": 1, "den": 2}, {"num": True, "den": 2}, ValueError),
+])
+def test_stream_from_json_rejects_a_boolean_start_equal_to_the_last_end(end, start, error):
+    doc = {"horizon": 2, "segments": [{"start": 0, "end": end, "x": "a", "y": 0},
+                                      {"start": start, "end": 2, "x": "b", "y": 1}]}
+    with pytest.raises(error):
+        model.stream_from_json(doc)
 
 
 def test_budget_round_trip_exact():
