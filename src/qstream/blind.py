@@ -29,10 +29,6 @@ from .model import (
     validate,
 )
 
-# game_value's state: tuple of (pattern id, accrued mistakes), sorted by pattern id
-State = tuple[tuple[int, int], ...]
-
-
 def _int_to_bits(value: int, width: int) -> list[int]:
     return [(value >> (width - 1 - i)) & 1 for i in range(width)]
 
@@ -138,8 +134,11 @@ def blind_learning_dimension(P: PatternClass) -> DimensionWitness:
     """Exact min over prediction vectors of worst-case Hamming distance over
     the full horizon: ``qld``'s zero-budget answer, the root solve of a
     ``QldSolver`` with no query left, so the class is validated the same way.
+
+    ``QldSolver.of(P)`` keeps the last class's solver for a following
+    ``qld(P, Q)``; at most one class's memo outlives a call.
     """
-    solver = QldSolver(P)
+    solver = QldSolver.of(P)
     value, plan = solver.solve(solver.initial_state(), 0, 0)
     prediction = _int_to_bits(plan.interim, solver.L)
     return DimensionWitness(
@@ -213,6 +212,16 @@ class QldSolver:
             self._flips.append((labelled1, self._ones ^ labelled1))
             self._obs.append(dict(sorted(obs.items())))
         self._memo: dict[tuple[int, int, int, int], tuple[int, _Plan]] = {}
+
+    _last: tuple[PatternClass, QldSolver] | None = None
+
+    @classmethod
+    def of(cls, P: PatternClass) -> QldSolver:
+        """P's solver, from one slot keyed by identity that holds P: only the last class's stays."""
+        last = cls._last
+        if last is None or last[0] is not P:
+            last = cls._last = (P, cls(P))
+        return last[1]
 
     def initial_state(self) -> tuple[int, int]:
         return self._ones, 0
@@ -397,10 +406,13 @@ def qld(P: PatternClass, Q: int) -> DimensionWitness:
 
     Ties break toward the smaller query timestamp, then the lexicographically
     smaller interim vector, then prediction 0.
+
+    ``QldSolver.of(P)`` keeps the last class's solver, so one class is built
+    once for its bld and every budget; at most one class's memo outlives a call.
     """
     if Q < 0:
         raise ValueError(f"query budget must be >= 0, got {Q}")
-    solver = QldSolver(P)
+    solver = QldSolver.of(P)
     state = solver.initial_state()
     value, _ = solver.solve(state, Q, 0)
     tree = solver.witness_tree(state, Q, 0)
@@ -487,25 +499,28 @@ def game_value(P: PatternClass, Q: int) -> int:
         raise QstreamError("game value of an empty pattern class")
     if Q < 0:
         raise ValueError(f"query budget must be >= 0, got {Q}")
-    steps = [p.steps for p in P.patterns]
-    memo: dict[tuple[State, int, int], int] = {}
+    rounds = list(zip(*(p.steps for p in P.patterns)))  # rounds[t][pid]: round t + 1's (x, y)
+    misses = [tuple(tuple(y != r for _, y in row) for r in (0, 1)) for row in rounds]
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...], int, int], int] = {}
 
-    def value(state: State, q: int, t: int) -> int:
+    def value(pids: tuple[int, ...], accs: tuple[int, ...], q: int, t: int) -> int:
         if t == P.horizon:
-            return max(acc for _, acc in state)
-        offset = min(acc for _, acc in state)
-        state = tuple((pid, acc - offset) for pid, acc in state)
-        if (state, q, t) not in memo:
+            return max(accs)
+        offset = min(accs)
+        if offset:
+            accs = tuple([acc - offset for acc in accs])
+        best = memo.get(key := (pids, accs, q, t))
+        if best is None:
             options = []
-            for r in (0, 1):
-                nxt = tuple((pid, acc + (steps[pid][t][1] != r)) for pid, acc in state)
-                options.append(value(nxt, q, t + 1))
+            for miss in misses[t]:
+                nxt = tuple([acc + miss[pid] for pid, acc in zip(pids, accs)])
+                options.append(value(pids, nxt, q, t + 1))
                 if q > 0:
                     branches: dict[tuple[str, Label], list[tuple[int, int]]] = {}
-                    for pid, acc in nxt:
-                        branches.setdefault(steps[pid][t], []).append((pid, acc))
-                    options.append(max(value(tuple(b), q - 1, t + 1) for b in branches.values()))
-            memo[state, q, t] = min(options)
-        return memo[state, q, t] + offset
+                    for pid, acc in zip(pids, nxt):
+                        branches.setdefault(rounds[t][pid], []).append((pid, acc))
+                    options.append(max([value(*zip(*b), q - 1, t + 1) for b in branches.values()]))
+            best = memo[key] = min(options)
+        return best + offset
 
-    return value(tuple((i, 0) for i in range(len(steps))), Q, 0)
+    return value(tuple(range(len(P.patterns))), (0,) * len(P.patterns), Q, 0)

@@ -264,6 +264,29 @@ def test_branch_stream_deterministic():
     )
 
 
+def _branch_reference(H, k, seed):
+    """Reference: the tree walk with one scalar ``rng.integers(0, 2)`` draw
+    per node, the 2k bits of a depth-2k tree."""
+    rng = np.random.default_rng(seed)
+    node, path = build_littlestone_tree(H, 2 * k), []
+    while node is not None:
+        b = int(rng.integers(0, 2))
+        path.append((node.x, b))
+        node = node.right if b else node.left
+    return path
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_branch_stream_matches_scalar_draw_reference(k):
+    # the branch takes one scalar draw per node, in walk order; seeded
+    # streams and the arena goldens rest on that order
+    H = full_class(2 * k)
+    budget = QueryBudgetPolicy(Fraction(k, 4))
+    for seed in range(150):
+        stream = gen_littlestone_branch_stream(H, 1, budget, seed)
+        assert [(s.x, s.y) for s in stream.segments] == _branch_reference(H, k, seed)
+
+
 def test_branch_stream_realizable_via_restrict_chain():
     H = full_class(8)
     for seed in range(5):

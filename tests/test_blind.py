@@ -1,6 +1,8 @@
+import gc
 import json
 import random
-from itertools import product
+import weakref
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from qstream import blind
 from qstream.blind import (
     BlindStrategy,
     QldSolver,
+    _int_to_bits,
     _Plan,
     _weighted_one_center,
     blind_learning_dimension,
@@ -275,6 +278,69 @@ def test_qld_rejects_invalid_class(solve, P, problem):
         solve(P)
 
 
+# --- one solver per class ---------------------------------------------------------------
+
+def test_bld_then_every_budget_builds_one_solver(monkeypatch):
+    built = []
+    init = QldSolver.__init__
+
+    def counting_init(self, P):
+        built.append(P)
+        init(self, P)
+
+    monkeypatch.setattr(QldSolver, "__init__", counting_init)
+    P = random_class(random.Random(73), max_L=5, max_P=8, alphabet="abc")
+    blind_learning_dimension(P)
+    for Q in range(4):
+        qld(P, Q)
+    assert built == [P]
+
+
+def fresh_answers(P, budgets):
+    """bld and each qld(P, Q) as JSON, each from a new solver with an empty memo."""
+    solver = QldSolver(P)
+    value, plan = solver.solve(solver.initial_state(), 0, 0)
+    out = {"bld": {"value": value, "witness": {
+        "kind": "bld", "window": [1, P.horizon], "prediction": _int_to_bits(plan.interim, P.horizon),
+    }}}
+    for Q in budgets:
+        solver = QldSolver(P)
+        state = solver.initial_state()
+        out[Q] = {"value": solver.solve(state, Q, 0)[0], "witness": {
+            "kind": "qld", "budget": Q, "tree": solver.witness_tree(state, Q, 0),
+        }}
+    return out
+
+
+@pytest.mark.parametrize("alphabet", ["ab", "abc"])
+def test_shared_solver_answers_as_fresh_solvers_in_any_budget_order(alphabet):
+    # the memo a class's solver keeps from earlier budgets, and from its bld,
+    # must leave every later value and witness as a fresh solver gives them
+    rng = random.Random(79)
+    for _ in range(6):
+        P = random_class(rng, max_L=5, max_P=8, alphabet=alphabet)
+        want = fresh_answers(P, range(4))
+        for order in permutations(range(4)):
+            for bld_first in (True, False):
+                P = PatternClass(P.space, P.horizon, P.patterns)  # a new key for the slot
+                got = {"bld": blind_learning_dimension(P).to_json()} if bld_first else {}
+                got.update((Q, qld(P, Q).to_json()) for Q in order)
+                if not bld_first:
+                    got["bld"] = blind_learning_dimension(P).to_json()
+                assert got == want, (order, bld_first)
+
+
+def test_shared_solver_of_an_earlier_class_dies():
+    # the slot keeps only the last class's solver, so its memo cannot pile up
+    rng = random.Random(83)
+    first, second = (random_class(rng, max_L=5, max_P=8) for _ in range(2))
+    qld(first, 2)
+    ref = weakref.ref(QldSolver.of(first))
+    qld(second, 2)
+    gc.collect()
+    assert ref() is None
+
+
 # --- oracle agreement ----------------------------------------------------------------
 
 FOUR_ROUND_PAIR = make_class([(0, 0, 0, 0), (1, 1, 1, 1)])
@@ -297,10 +363,47 @@ def test_game_value_shares_no_solver_code(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("game_value called solver code")
 
+    monkeypatch.setattr(QldSolver, "of", refuse)
     monkeypatch.setattr(blind, "QldSolver", refuse)
     monkeypatch.setattr(blind, "_weighted_one_center", refuse)
     assert [game_value(FOUR_ROUND_PAIR, Q) for Q in (0, 1, 2)] == [2, 1, 1]
     assert [game_value(ORDER_SENSITIVE, Q) for Q in (0, 1, 2)] == [2, 2, 1]
+
+
+def game_value_pairs(P, Q):
+    """Reference: the oracle's round recursion with each state a tuple of
+    (pattern id, accrual) pairs, normalized at every round."""
+    steps = [p.steps for p in P.patterns]
+    memo = {}
+
+    def value(state, q, t):
+        if t == P.horizon:
+            return max(acc for _, acc in state)
+        offset = min(acc for _, acc in state)
+        state = tuple((pid, acc - offset) for pid, acc in state)
+        if (state, q, t) not in memo:
+            options = []
+            for r in (0, 1):
+                nxt = tuple((pid, acc + (steps[pid][t][1] != r)) for pid, acc in state)
+                options.append(value(nxt, q, t + 1))
+                if q > 0:
+                    branches = {}
+                    for pid, acc in nxt:
+                        branches.setdefault(steps[pid][t], []).append((pid, acc))
+                    options.append(max(value(tuple(b), q - 1, t + 1) for b in branches.values()))
+            memo[state, q, t] = min(options)
+        return memo[state, q, t] + offset
+
+    return value(tuple((i, 0) for i in range(len(steps))), Q, 0)
+
+
+@pytest.mark.parametrize("alphabet", ["a", "ab", "abc"])
+def test_game_value_matches_the_pair_tuple_recursion(alphabet):
+    rng = random.Random(89)
+    for _ in range(40):
+        P = random_class(rng, max_L=6, max_P=10, alphabet=alphabet)
+        for Q in (0, 1, 2, 3):
+            assert game_value(P, Q) == game_value_pairs(P, Q)
 
 
 def test_game_value_monotone_in_budget():
