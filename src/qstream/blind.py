@@ -5,7 +5,9 @@ results; the adversary must stay realizable with respect to the pattern
 class.  ``qld`` computes the optimal worst-case mistake count for a budget of
 Q queries by backward induction over information sets; ``game_value`` is an
 independent oracle that plays the same game one round at a time (predict,
-then query or not) and shares no code with the solver;
+then query or not, a last-round query folded as no round is left to use it),
+shares no code with the solver and keeps, in a slot of its own, only the last
+class's memo, which serves every budget;
 ``qld(P, Q).to_strategy()`` turns the solve into a playable strategy whose
 worst-case replay meets the computed value exactly.
 
@@ -486,41 +488,51 @@ def worst_case_mistakes(strategy: BlindStrategy, P: PatternClass, Q: int) -> int
     return worst
 
 
+_game_last: tuple = (None,)  # game_value's slot: the last class, its rows, miss rows and memo
+
+
 def game_value(P: PatternClass, Q: int) -> int:
     """Independent oracle for the game ``qld`` solves, played round by round.
 
-    After round L the value is the largest accrual.  Before round t + 1 the
-    learner picks r, each pattern accrues [y_p != r], and the learner goes on
-    unqueried or, with a query left, faces the worst observed (x, y) branch.
-    Kept naive: no ``QldSolver`` code, pruning, one-center kernel or
-    interim vector; it shares no representation with the solver.
+    Before round t + 1 the learner picks r, each pattern accrues [y_p != r],
+    and the learner goes on unqueried or, with a query left, faces the worst
+    observed (x, y) branch.  After round L the value is the largest accrual,
+    so the last round is folded: its query branches partition the members,
+    and with no round left the worst of them is the largest accrual too.  Kept
+    naive: no ``QldSolver`` code, pruning, one-center kernel or interim vector.
+    Its own slot, keyed by identity and holding P, keeps the last class's rows
+    and memo for every budget (keys carry q); at most one class's memo outlives a call.
     """
+    global _game_last
     if P.is_empty:
         raise QstreamError("game value of an empty pattern class")
     if Q < 0:
         raise ValueError(f"query budget must be >= 0, got {Q}")
-    rounds = list(zip(*(p.steps for p in P.patterns)))  # rounds[t][pid]: round t + 1's (x, y)
-    misses = [tuple(tuple(y != r for _, y in row) for r in (0, 1)) for row in rounds]
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...], int, int], int] = {}
+    if _game_last[0] is not P:
+        if problems := validate(P):
+            raise QstreamError("; ".join(problems))
+        rounds = list(zip(*(p.steps for p in P.patterns)))  # rounds[t][pid]: round t + 1's (x, y)
+        misses = [tuple(tuple(y != r for _, y in row) for r in (0, 1)) for row in rounds]
+        _game_last = (P, rounds, misses, {})
+    _, rounds, misses, memo = _game_last
+    L, get = P.horizon, memo.get
 
     def value(pids: tuple[int, ...], accs: tuple[int, ...], q: int, t: int) -> int:
-        if t == P.horizon:
-            return max(accs)
         offset = min(accs)
         if offset:
             accs = tuple([acc - offset for acc in accs])
-        best = memo.get(key := (pids, accs, q, t))
+        best = get(key := (pids, accs, q, t))
         if best is None:
-            options = []
+            best, row, last = L, rounds[t], t + 1 == L  # no option exceeds L
             for miss in misses[t]:
                 nxt = tuple([acc + miss[pid] for pid, acc in zip(pids, accs)])
-                options.append(value(pids, nxt, q, t + 1))
-                if q > 0:
+                best = min(best, max(nxt) if last else value(pids, nxt, q, t + 1))
+                if q > 0 and not last:  # a last-round query is folded: see the docstring
                     branches: dict[tuple[str, Label], list[tuple[int, int]]] = {}
                     for pid, acc in zip(pids, nxt):
-                        branches.setdefault(rounds[t][pid], []).append((pid, acc))
-                    options.append(max([value(*zip(*b), q - 1, t + 1) for b in branches.values()]))
-            best = memo[key] = min(options)
+                        branches.setdefault(row[pid], []).append((pid, acc))
+                    best = min(best, max([value(*zip(*b), q - 1, t + 1) for b in branches.values()]))
+            memo[key] = best
         return best + offset
 
     return value(tuple(range(len(P.patterns))), (0,) * len(P.patterns), Q, 0)

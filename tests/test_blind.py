@@ -44,8 +44,8 @@ def make_class(labels_list, insts_list=None, space=None):
     return PatternClass(space, L, pats)
 
 
-def random_class(rng, max_L=6, max_P=12, alphabet="ab"):
-    L = rng.randint(2, max_L)
+def random_class(rng, max_L=6, max_P=12, alphabet="ab", min_L=2):
+    L = rng.randint(min_L, max_L)
     want = rng.randint(1, max_P)
     pats = set()
     for _ in range(4 * want):
@@ -263,17 +263,22 @@ INVALID_CLASSES = [
      "length mismatch", "short-pattern"),
     (PatternClass(InstanceSpace(("a",)), 1, (DiscretePattern((("b", 0),)),)),
      "instance not in space: 'b'", "unknown-instance"),
+    # unvalidated, the oracle's value 0
+    (PatternClass(InstanceSpace(("a",)), 0, (DiscretePattern(()),)),
+     "horizon must be positive, got 0", "horizon-0"),
 ]
 
 
 @pytest.mark.parametrize("solve, P, problem", [
     pytest.param(solve, P, problem, id=prefix + case)
-    for prefix, solve in (("", lambda P: qld(P, 1)), ("bld-", blind_learning_dimension))
+    for prefix, solve in (("", lambda P: qld(P, 1)), ("bld-", blind_learning_dimension),
+                          ("gv-", lambda P: game_value(P, 1)))
     for P, problem, case in INVALID_CLASSES
 ])
 def test_qld_rejects_invalid_class(solve, P, problem):
-    # the solver validates its class like every other entry point, and the
-    # blind learning dimension is the solver's zero-budget answer
+    # the solver validates its class like every other entry point, the
+    # blind learning dimension is the solver's zero-budget answer, and the
+    # oracle validates with the model's own check, not the solver's
     with pytest.raises(QstreamError, match=problem):
         solve(P)
 
@@ -359,15 +364,18 @@ def test_game_value_equals_qld_on_known_cases():
 
 def test_game_value_shares_no_solver_code(monkeypatch):
     # The oracle checks the solver, so it must reach neither the solver nor
-    # its one-center kernel.
+    # its one-center kernel, and its slot is not the solver's.
     def refuse(*args, **kwargs):
         raise AssertionError("game_value called solver code")
 
+    qld(FOUR_ROUND_PAIR, 1)
+    solver_slot = QldSolver._last
     monkeypatch.setattr(QldSolver, "of", refuse)
     monkeypatch.setattr(blind, "QldSolver", refuse)
     monkeypatch.setattr(blind, "_weighted_one_center", refuse)
     assert [game_value(FOUR_ROUND_PAIR, Q) for Q in (0, 1, 2)] == [2, 1, 1]
     assert [game_value(ORDER_SENSITIVE, Q) for Q in (0, 1, 2)] == [2, 2, 1]
+    assert QldSolver._last is solver_slot
 
 
 def game_value_pairs(P, Q):
@@ -404,6 +412,38 @@ def test_game_value_matches_the_pair_tuple_recursion(alphabet):
         P = random_class(rng, max_L=6, max_P=10, alphabet=alphabet)
         for Q in (0, 1, 2, 3):
             assert game_value(P, Q) == game_value_pairs(P, Q)
+
+
+@pytest.mark.parametrize("alphabet", ["a", "ab", "abc"])
+def test_game_value_slot_answers_as_the_reference_in_any_budget_order(alphabet):
+    # the memo a class keeps from earlier budgets must leave every later
+    # value as the reference computes it; at L = 1 the root is the folded
+    # last round, and Q = L + 2 has more queries than rounds
+    rng = random.Random(97)
+    for L in (1, 1, 2, 3, 4):
+        P = random_class(rng, max_L=L, max_P=6, alphabet=alphabet, min_L=L)
+        budgets = (0, 1, 2, 3, L + 2)
+        want = {Q: game_value_pairs(P, Q) for Q in budgets}
+        for order in permutations(budgets):
+            P = PatternClass(P.space, P.horizon, P.patterns)  # a new key for the slot
+            assert {Q: game_value(P, Q) for Q in order} == want, order
+
+
+def test_game_value_slot_of_an_earlier_class_dies():
+    # the slot keeps only the last class's memo, so memos cannot pile up
+    class Probe:
+        pass
+
+    rng = random.Random(101)
+    first, second = (random_class(rng, max_L=5, max_P=8) for _ in range(2))
+    game_value(first, 2)
+    probe = Probe()
+    blind._game_last[3][("probe",)] = probe  # an object only the first memo holds
+    refs = weakref.ref(first), weakref.ref(probe)
+    del first, probe
+    game_value(second, 2)
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_game_value_monotone_in_budget():
