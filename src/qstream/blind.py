@@ -21,6 +21,7 @@ subsets understates the optimum on some two-instance classes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 from .model import (
@@ -35,48 +36,70 @@ def _int_to_bits(value: int, width: int) -> list[int]:
     return [(value >> (width - 1 - i)) & 1 for i in range(width)]
 
 
+@cache
+def _center_tables(b: int) -> tuple[int, int, list[int], list[int], int]:
+    """2^b candidates in f-bit fields, half = 2^(f-1): f, the low-bit mask, dist[u]
+    (field c holds H(c, u)), lift[s] = (half - s) * ones and every field's top bit."""
+    f, n, half = b.bit_length() + 1, 1 << b, 1 << b.bit_length()
+    ones = sum(1 << f * c for c in range(n))
+    cols = [sum(1 << f * c for c in range(n) if c >> i & 1) for i in range(b)]
+    dist = [sum(cols)]
+    for col in cols:  # setting bit i of u turns each field's c_i into 1 - c_i
+        dist += [d + ones - 2 * col for d in dist]
+    return f, n - 1, dist, [(half - s) * ones for s in range(b + 1)], half * ones
+
+
 def _weighted_one_center(vectors: list[int], weights: list[int], width: int) -> tuple[int, int]:
     """Minimize over candidates c the max of weights[j] + H(c, vectors[j]).
 
     Returns (value, candidate) with the lexicographically smallest optimal
-    candidate; ``vectors`` is non-empty.  Identical vectors are merged,
-    keeping the largest weight, and one scan visits candidates in ascending
-    order.  A candidate fails on the first vector v whose weight w plus
-    distance reaches the best value; then every candidate sharing the
-    shortest prefix (high bits) of cand that already carries best_val - w
-    mismatches with v fails on v too, so the scan jumps past them.  Only a strict improvement replaces the best and no
-    skipped candidate could make one, so the first optimum in ascending order
-    wins.  The scan stops once the best value equals the largest weight,
-    which no candidate can go below.
+    candidate; ``vectors`` is non-empty.  Blocks of 2^b candidates, b =
+    min(width, 8), share a prefix h of the width - b high bits and are scored
+    in the fields of one int (``_center_tables``).  At threshold V, a vector of
+    weight w at distance dh from h fails the fields whose low bits lie at
+    distance >= s = V + 1 - w - dh from its own: dist[v & low] + lift[s] sets
+    just their top bits, and no carry crosses a field, since half > b >= every
+    distance and 1 <= s <= b (V starts at the largest w + dh; a vector with s >
+    b fails nothing and is skipped).  The lowest unmarked field is the block's
+    smallest candidate within V.  Prefixes go in ascending order, V rising in
+    each to best_val - 1, and those where a vector reaches best_val are jumped
+    past.  Only a strict improvement replaces the best and no skipped candidate
+    could make one, so the first optimum in ascending order wins; the walk
+    stops at the largest weight, which no candidate goes below.
     """
-    heaviest: dict[int, int] = {}
-    for v, w in zip(vectors, weights):
-        if v not in heaviest or w > heaviest[v]:
-            heaviest[v] = w
-    # heaviest first, so a losing candidate reaches best_val sooner
-    pairs = sorted(heaviest.items(), key=lambda vw: -vw[1])
-    floor = pairs[0][1]
+    b = width if width < 8 else 8
+    f, low, dist, lift, highs = _center_tables(b)
+    rows = list(zip(vectors, weights))
+    if width > b:  # heaviest first, so a losing prefix reaches best_val sooner
+        rows.sort(key=lambda vw: -vw[1])
+    floor = max(weights)
     best_val, best_cand = floor + width + 1, 0
-    cand, end = 0, 1 << width
-    while cand < end:
-        worst = 0
-        for v, w in pairs:
-            x = cand ^ v
+    h, end = 0, 1 << (width - b)
+    while h < end:
+        block, lb = [], 0
+        for v, w in rows:
+            x = h ^ v >> b
             d = w + x.bit_count()
-            if d > worst:
-                worst = d
-                if d >= best_val:
-                    # keep the best_val - w highest mismatches: the lowest
-                    # kept bit ends the prefix that already fails on v
-                    for _ in range(d - best_val):
-                        x &= x - 1
-                    cand = (cand | ((x & -x) - 1)) + 1
-                    break
-        else:  # never reached best_val, so a strict improvement
-            best_val, best_cand = worst, cand
-            if worst == floor:
+            if d >= best_val:
+                # the lowest of the best_val - w highest mismatches ends a prefix failing on v
+                for _ in range(d - best_val):
+                    x &= x - 1
+                h = (h | ((x & -x) - 1)) + 1
                 break
-            cand += 1
+            lb = d if d > lb else lb
+            block.append((dist[v & low], d - 1))  # V - (d - 1) is s
+        else:
+            for V in range(lb, best_val):
+                marks = 0
+                for dv, d in block:
+                    if V - d <= b:
+                        marks |= dv + lift[V - d]
+                if free := highs & ~marks:  # no sum carries, so OR first, mask once
+                    best_val, best_cand = V, h << b | (free & -free).bit_length() // f - 1
+                    break
+            if best_val == floor:
+                break
+            h += 1
     return best_val, best_cand
 
 
@@ -526,12 +549,14 @@ def game_value(P: PatternClass, Q: int) -> int:
             best, row, last = L, rounds[t], t + 1 == L  # no option exceeds L
             for miss in misses[t]:
                 nxt = tuple([acc + miss[pid] for pid, acc in zip(pids, accs)])
-                best = min(best, max(nxt) if last else value(pids, nxt, q, t + 1))
+                if (v := max(nxt) if last else value(pids, nxt, q, t + 1)) < best:
+                    best = v
                 if q > 0 and not last:  # a last-round query is folded: see the docstring
                     branches: dict[tuple[str, Label], list[tuple[int, int]]] = {}
                     for pid, acc in zip(pids, nxt):
                         branches.setdefault(row[pid], []).append((pid, acc))
-                    best = min(best, max([value(*zip(*b), q - 1, t + 1) for b in branches.values()]))
+                    if (v := max([value(*zip(*b), q - 1, t + 1) for b in branches.values()])) < best:
+                        best = v
             memo[key] = best
         return best + offset
 

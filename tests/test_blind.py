@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import random
 import weakref
@@ -6,6 +7,8 @@ from itertools import permutations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qstream import blind
 from qstream.blind import (
@@ -170,6 +173,49 @@ def test_weighted_one_center_wide_complementary_pair():
     # Two complementary 21-bit vectors: the best candidate splits the
     # distance 11/10, and the smallest one is eleven zeros then ten ones.
     assert _weighted_one_center([0, (1 << 21) - 1], [0, 0], 21) == (11, (1 << 10) - 1)
+
+
+@st.composite
+def one_center_cases(draw):
+    """Up to six distinct vectors at widths 0-12, each maybe repeated under
+    another weight, with weights spread past the width."""
+    width = draw(st.integers(0, 12))
+    distinct = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=6))
+    vectors = distinct + draw(st.lists(st.sampled_from(distinct), max_size=4))
+    weights = draw(st.lists(st.integers(0, 2 * width + 3), min_size=len(vectors),
+                            max_size=len(vectors)))
+    return vectors, weights, width
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(one_center_cases())
+# a repeated vector whose second copy is the heavier
+@example(([0b1011, 0b0100, 0b1011], [0, 1, 3], 4))
+# weight gaps wider than the width, across blocks of 256 candidates
+@example(([0b10_1100_1010, 0b01_0011_0101, 0b11_1111_0000], [12, 0, 1], 10))
+@example(([0b1111_0000_1111, 0, 0b1111_0000_1111], [1, 30, 2], 12))
+def test_weighted_one_center_matches_naive_oracle_property(case):
+    vectors, weights, width = case
+    want_value, want_cand = one_center_naive(vectors, weights, width)
+    want_int = int("".join(map(str, want_cand)), 2) if width else 0
+    assert _weighted_one_center(vectors, weights, width) == (want_value, want_int)
+
+
+@pytest.mark.parametrize("v", [0, 1, 0b1011_0110_0101_1100_1010, (1 << 20) - 1, 1 << 19])
+def test_weighted_one_center_single_vector_is_its_own_center(v):
+    # k = 1 at width 20: the vector itself, at its weight, also when it repeats lighter
+    assert _weighted_one_center([v], [3], 20) == (3, v)
+    assert _weighted_one_center([v, v], [1, 3], 20) == (3, v)
+
+
+@pytest.mark.parametrize("u", [0, 0b1_0110_1001_0011_1100, (1 << 17) - 1])
+def test_weighted_one_center_dominated_pair(u):
+    # v lies 2 away from u and is 2 lighter, so u alone reaches u's weight:
+    # every other candidate is at least 1 from u.  Width 17 spans 512 blocks.
+    for flips in (0b101, 0b1_0000_0001_0000_0000, 0b1_0000_0000_0000_0001):
+        v = u ^ flips
+        assert _weighted_one_center([v, u], [1, 3], 17) == (3, u)
+        assert _weighted_one_center([u, v], [3, 1], 17) == (3, u)
 
 
 # --- qld ----------------------------------------------------------------------------
@@ -843,6 +889,29 @@ def test_qld_witnesses_match_frozen_frontier_goldens():
     ]
     assert [(rec["class"], rec["budget"]) for rec in frozen] == classes
     _assert_matches_frozen(frozen)
+
+
+# SHA-256 of {"bld": ..., "qld": ...} (qld at Q = 2) on the frontier probe's seed-1
+# classes, frozen from the candidate-at-a-time scan the bit-sliced kernel replaced
+WIDE_WITNESS_SHA256 = {
+    16: "d014145518ba34aab52ce51b9b1ac7d36991c7890438b7bf3fb0594768fb80ee",
+    18: "3fc05287cc360ade74cab3b521d1b6032f38fac9209758af97f3fa5fdd346dc6",
+}
+
+
+@pytest.mark.parametrize("L", sorted(WIDE_WITNESS_SHA256))
+def test_wide_witnesses_match_frozen_digests(L):
+    # The 24-pattern two-instance class the frontier probe builds at L; its
+    # one-center calls run widths up to L, many blocks of 256 candidates,
+    # which the L = 11-12 goldens barely reach.
+    rng = random.Random(f"frontier-L:1:{L}")
+    pats = set()
+    while len(pats) < 24:
+        pats.add(tuple((rng.choice("ab"), rng.randint(0, 1)) for _ in range(L)))
+    P = PatternClass(AB, L, tuple(DiscretePattern(p) for p in sorted(pats)))
+    doc = {"bld": blind_learning_dimension(P).to_json(), "qld": qld(P, 2).to_json()}
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == WIDE_WITNESS_SHA256[L]
 
 
 if __name__ == "__main__":
