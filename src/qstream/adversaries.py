@@ -33,7 +33,7 @@ from .model import (
 _TOKEN_PREFIX = "SEG("
 _TOKEN_JOINT = ")|next="
 _TOKEN_JSON = json.JSONEncoder(separators=(",", ":"))
-Time = tuple[int, int]  # a token time p / q as (p, q), q > 0
+Time = tuple[int, int]  # a token time p / q as (p, q), reduced, q > 0
 
 
 def _frac_str(value: Fraction) -> str:
@@ -41,18 +41,11 @@ def _frac_str(value: Fraction) -> str:
 
 
 def _parse_time(value) -> Time:
-    """A time string as (p, q), q > 0, not reduced, with p / q equal to
-    ``Fraction(value)``, or what that raises; ``_frac_str``'s form skips the
-    regex and the gcd.  The encoder writes only strings, so any other type
-    is a TypeError."""
+    """A time string as the reduced pair (p, q) of ``Fraction(value)``, or
+    what that raises.  The encoder writes only strings, so any other type is
+    a TypeError."""
     if not isinstance(value, str):
         raise TypeError(f"time must be a string, got {value!r}")
-    if value.isascii():
-        p, slash, q = value.partition("/")
-        if slash and q.isdigit() and (p[1:] if p[:1] == "-" else p).isdigit():
-            den = int(q)
-            if den:
-                return int(p), den
     return Fraction(value).as_integer_ratio()
 
 

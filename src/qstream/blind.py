@@ -49,11 +49,11 @@ def _center_tables(b: int) -> tuple[int, int, list[int], list[int], int]:
     return f, n - 1, dist, [(half - s) * ones for s in range(b + 1)], half * ones
 
 
-def _weighted_one_center(vectors: list[int], weights: list[int], width: int) -> tuple[int, int]:
-    """Minimize over candidates c the max of weights[j] + H(c, vectors[j]).
+def _weighted_one_center(rows: list[tuple[int, int]], width: int) -> tuple[int, int]:
+    """Minimize over candidates c the max over (v, w) in rows of w + H(c, v).
 
     Returns (value, candidate) with the lexicographically smallest optimal
-    candidate; ``vectors`` is non-empty.  Blocks of 2^b candidates, b =
+    candidate; ``rows`` is non-empty.  Blocks of 2^b candidates, b =
     min(width, 8), share a prefix h of the width - b high bits and are scored
     in the fields of one int (``_center_tables``).  At threshold V, a vector of
     weight w at distance dh from h fails the fields whose low bits lie at
@@ -65,14 +65,14 @@ def _weighted_one_center(vectors: list[int], weights: list[int], width: int) -> 
     each to best_val - 1, and those where a vector reaches best_val are jumped
     past.  Only a strict improvement replaces the best and no skipped candidate
     could make one, so the first optimum in ascending order wins; the walk
-    stops at the largest weight, which no candidate goes below.
+    stops at the largest weight, which no candidate goes below.  Heavy rows go
+    first in a multi-block scan, so ``rows`` may come back reordered.
     """
     b = width if width < 8 else 8
     f, low, dist, lift, highs = _center_tables(b)
-    rows = list(zip(vectors, weights))
     if width > b:  # heaviest first, so a losing prefix reaches best_val sooner
         rows.sort(key=lambda vw: -vw[1])
-    floor = max(weights)
+    floor = max([w for _, w in rows])
     best_val, best_cand = floor + width + 1, 0
     h, end = 0, 1 << (width - b)
     while h < end:
@@ -178,19 +178,20 @@ class _Plan:
     """One stage of play: next query time (None = go blind) plus vectors."""
 
     time: int | None
-    interim: int  # rounds t_prev+1..time-1 (..L if blind), packed as _suffix; bits only in JSON
+    interim: int  # rounds t_prev+1..time-1 (..L if blind), packed as _labels; bits only in JSON
     predict: Label | None  # committed prediction for the query round
 
 
 class QldSolver:
     """Backward-induction solver over information sets of one pattern class.
 
-    ``_suffix[t][pid]`` packs pattern pid's labels of rounds t+1..L
-    big-endian, so ascending ints are lexicographically ascending label
-    vectors.  Plans pack their interim vectors alike; only witness JSON holds
-    bits.  An information set (ones, accs) packs one w-bit field per pattern
-    id, w = (L + 1).bit_length() + 1: ``ones`` holds a 1 in each consistent
-    pattern's field, ``accs`` each member's accrual, 0 in every other field.
+    ``_labels[pid]`` packs pattern pid's L labels big-endian: its low L - t
+    bits are the labels of rounds t+1..L, and ascending ints are
+    lexicographically ascending label vectors.  Plans pack their interim
+    vectors alike; only witness JSON holds bits.  An information set (ones,
+    accs) packs one w-bit field per pattern id, w = (L + 1).bit_length() + 1:
+    ``ones`` holds a 1 in each consistent pattern's field, ``accs`` each
+    member's accrual, 0 in every other field.
     ``_flips[k][v]`` holds a 1 for each pattern whose round-(k+1) label is
     not v, so one add counts a played round for every member; ``_obs[k]``
     maps each round-(k+1) observation (x, y), sorted, to the ``ones`` of the
@@ -222,11 +223,7 @@ class QldSolver:
         self._fmask = (1 << w) - 1
         units = [1 << (w * pid) for pid in range(len(steps))]
         self._ones = sum(units)
-        self._suffix: list[list[int]] = [[0] * len(steps)]
-        for t in range(L - 1, -1, -1):
-            bit = 1 << (L - 1 - t)
-            self._suffix.append([s | bit * st[t][1] for st, s in zip(steps, self._suffix[-1])])
-        self._suffix.reverse()
+        self._labels = [sum(y << (L - 1 - t) for t, (_, y) in enumerate(st)) for st in steps]
         self._flips: list[tuple[int, int]] = []
         self._obs: list[dict[tuple[str, Label], int]] = []
         for column in zip(*steps):  # one round's (x, y) per pattern
@@ -283,15 +280,14 @@ class QldSolver:
         return hit[0] + offset, hit[1]
 
     def _blind(self, ones: int, accs: int, t_prev: int) -> tuple[int, _Plan]:
-        suffix, w, fmask = self._suffix[t_prev], self._w, self._fmask
-        vecs, weights = [], []
+        labels, w, fmask, width = self._labels, self._w, self._fmask, self.L - t_prev
+        future, rows = (1 << width) - 1, []  # future: the labels of rounds t_prev+1..L
         while ones:  # members in pid order, lowest field first
             low = ones & -ones
             shift = low.bit_length() - 1
-            vecs.append(suffix[shift // w])
-            weights.append((accs >> shift) & fmask)
+            rows.append((labels[shift // w] & future, (accs >> shift) & fmask))
             ones ^= low
-        value, cand = _weighted_one_center(vecs, weights, self.L - t_prev)
+        value, cand = _weighted_one_center(rows, width)
         return value, _Plan(None, cand, None)
 
     def _solve_shifted(self, ones: int, accs: int, q_left: int, t_prev: int) -> tuple[int, _Plan]:
@@ -403,8 +399,6 @@ class TreeReplanStrategy(BlindStrategy):
     def reset(self) -> None:
         super().reset()
         self.state, self.plan = self._root, self._root_plan
-        self.q_left = self.budget
-        self.t_prev = 0
 
     def predict(self, t: int) -> tuple[Label, bool]:
         plan = self.plan
@@ -416,14 +410,13 @@ class TreeReplanStrategy(BlindStrategy):
     def observe(self, t: int, x: str, y: Label) -> None:
         if self.plan.time != t:
             raise QstreamError(f"observation at {t} does not match plan {self.plan.time}")
-        nxt = self.solver.advance(self.state, self.plan, self.t_prev, x, y)
+        t_prev = self.history[-1][0] if self.history else 0
+        nxt = self.solver.advance(self.state, self.plan, t_prev, x, y)
         if not nxt[0]:
             raise QstreamError("observation inconsistent with the pattern class")
         super().observe(t, x, y)
         self.state = nxt
-        self.q_left -= 1
-        self.t_prev = t
-        _, self.plan = self.solver.solve(self.state, self.q_left, t)
+        _, self.plan = self.solver.solve(nxt, self.budget - len(self.history), t)
 
 
 def qld(P: PatternClass, Q: int) -> DimensionWitness:
@@ -527,8 +520,6 @@ def game_value(P: PatternClass, Q: int) -> int:
     and memo for every budget (keys carry q); at most one class's memo outlives a call.
     """
     global _game_last
-    if P.is_empty:
-        raise QstreamError("game value of an empty pattern class")
     if Q < 0:
         raise ValueError(f"query budget must be >= 0, got {Q}")
     if _game_last[0] is not P:

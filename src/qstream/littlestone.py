@@ -74,22 +74,24 @@ class LittlestoneSolver:
 
     def dimension(self, ids: int | None = None) -> int:
         """LD of the subset whose int mask is ``ids`` (default: the whole
-        root class); QstreamError for the empty mask 0."""
+        root class); QstreamError for the empty mask 0.  Both cuts are exact,
+        as the 2^d leaves of a depth-d shattered tree need distinct concepts,
+        so LD(S) <= floor(log2 |S|) (Littlestone 1988): the search stops once
+        ``best`` reaches that bound, and skips an instance where even
+        1 + floor(log2 min(|zeros|, |ones|)) cannot beat ``best``."""
         ids = self.full() if ids is None else ids
         if not ids:
             raise QstreamError("Littlestone dimension of an empty class")
         cached = self._memo.get(ids)
         if cached is not None:
             return cached
-        best = 0
-        if ids & (ids - 1):  # two or more concepts
-            for zeros_mask, ones_mask in self.label_masks:
-                zeros = ids & zeros_mask
-                ones = ids & ones_mask
-                if zeros and ones:
-                    score = 1 + min(self.dimension(zeros), self.dimension(ones))
-                    if score > best:
-                        best = score
+        best, cap = 0, ids.bit_count().bit_length() - 1
+        for zeros_mask, ones_mask in self.label_masks:
+            if best == cap:
+                break
+            zeros, ones = ids & zeros_mask, ids & ones_mask
+            if min(zeros.bit_count(), ones.bit_count()).bit_length() > best:
+                best = max(best, 1 + min(self.dimension(zeros), self.dimension(ones)))
         self._memo[ids] = best
         return best
 

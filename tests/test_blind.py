@@ -162,7 +162,7 @@ def test_weighted_one_center_matches_naive_oracle(weight_offset):
             vectors = [rng.getrandbits(width) for _ in range(n)]
             vectors += rng.sample(vectors, rng.randint(0, n))
             weights = [weight_offset + rng.randint(0, 4) for _ in vectors]
-            value, cand = _weighted_one_center(vectors, weights, width)
+            value, cand = _weighted_one_center(list(zip(vectors, weights)), width)
             want_value, want_cand = one_center_naive(vectors, weights, width)
             assert value == want_value, (vectors, weights, width)
             want_int = int("".join(map(str, want_cand)), 2) if width else 0
@@ -172,7 +172,7 @@ def test_weighted_one_center_matches_naive_oracle(weight_offset):
 def test_weighted_one_center_wide_complementary_pair():
     # Two complementary 21-bit vectors: the best candidate splits the
     # distance 11/10, and the smallest one is eleven zeros then ten ones.
-    assert _weighted_one_center([0, (1 << 21) - 1], [0, 0], 21) == (11, (1 << 10) - 1)
+    assert _weighted_one_center([(0, 0), ((1 << 21) - 1, 0)], 21) == (11, (1 << 10) - 1)
 
 
 @st.composite
@@ -198,14 +198,14 @@ def test_weighted_one_center_matches_naive_oracle_property(case):
     vectors, weights, width = case
     want_value, want_cand = one_center_naive(vectors, weights, width)
     want_int = int("".join(map(str, want_cand)), 2) if width else 0
-    assert _weighted_one_center(vectors, weights, width) == (want_value, want_int)
+    assert _weighted_one_center(list(zip(vectors, weights)), width) == (want_value, want_int)
 
 
 @pytest.mark.parametrize("v", [0, 1, 0b1011_0110_0101_1100_1010, (1 << 20) - 1, 1 << 19])
 def test_weighted_one_center_single_vector_is_its_own_center(v):
     # k = 1 at width 20: the vector itself, at its weight, also when it repeats lighter
-    assert _weighted_one_center([v], [3], 20) == (3, v)
-    assert _weighted_one_center([v, v], [1, 3], 20) == (3, v)
+    assert _weighted_one_center([(v, 3)], 20) == (3, v)
+    assert _weighted_one_center([(v, 1), (v, 3)], 20) == (3, v)
 
 
 @pytest.mark.parametrize("u", [0, 0b1_0110_1001_0011_1100, (1 << 17) - 1])
@@ -214,8 +214,8 @@ def test_weighted_one_center_dominated_pair(u):
     # every other candidate is at least 1 from u.  Width 17 spans 512 blocks.
     for flips in (0b101, 0b1_0000_0001_0000_0000, 0b1_0000_0000_0000_0001):
         v = u ^ flips
-        assert _weighted_one_center([v, u], [1, 3], 17) == (3, u)
-        assert _weighted_one_center([u, v], [3, 1], 17) == (3, u)
+        assert _weighted_one_center([(v, 1), (u, 3)], 17) == (3, u)
+        assert _weighted_one_center([(u, 3), (v, 1)], 17) == (3, u)
 
 
 # --- qld ----------------------------------------------------------------------------
@@ -525,7 +525,7 @@ def decode_state(solver, state):
     w = solver._w
     pairs = tuple(
         (pid, (accs >> (w * pid)) & ((1 << w) - 1))
-        for pid in range(len(solver._suffix[0]))
+        for pid in range(len(solver._labels))
         if (ones >> (w * pid)) & 1
     )
     assert accs == sum(acc << (w * pid) for pid, acc in pairs)  # 0 off the members
@@ -569,15 +569,15 @@ def test_qld_value_at_least_largest_accrual():
 
 @pytest.mark.parametrize("alphabet", ["a", "ab", "abc"])
 def test_solver_tables_match_their_slice_definitions(alphabet):
-    # The table is built backward from t = L.  _suffix[t] must equal the
-    # labels of rounds t+1..L read as a big-endian binary number.
+    # _labels[pid] packs all L labels; its low L - t bits must equal the
+    # labels of rounds t+1..L read as a big-endian binary number, for every t.
     rng = random.Random(53)
     for _ in range(40):
         P = random_class(rng, max_L=6, max_P=12, alphabet=alphabet)
         solver = QldSolver(P)
         steps = [p.steps for p in P.patterns]
         for t in range(P.horizon + 1):
-            assert solver._suffix[t] == [
+            assert [row & ((1 << (P.horizon - t)) - 1) for row in solver._labels] == [
                 int("0" + "".join(str(y) for _, y in st[t:]), 2) for st in steps
             ]
 
@@ -809,7 +809,6 @@ def test_strategy_reset_restores_the_root_and_replays_the_same():
             assert strat.history == ()
             assert strat.state == solver.initial_state()
             assert strat.plan == solver.solve(solver.initial_state(), Q, 0)[1]
-            assert (strat.q_left, strat.t_prev) == (Q, 0)
             assert worst_case_mistakes(strat, P, Q) == first
 
 

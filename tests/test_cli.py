@@ -336,15 +336,25 @@ def test_slope_not_positive_exit_2(files, capsys, monkeypatch, command, slope, s
     assert out == "" and not (tmp / "s.json").exists()
 
 
-def run_child(*argv):
-    """The CLI in a child process with a 10 s timeout, so an endless or
-    unbounded run fails the test instead of hanging the suite."""
+def run_child(*argv, timeout=10):
+    """The CLI in a child process with a timeout (10 s by default), so an
+    endless or unbounded run fails the test instead of hanging the suite."""
     src = str(Path(model.__file__).parents[1])
     return subprocess.run(
         [sys.executable, "-m", "qstream.cli", *argv],
-        capture_output=True, text=True, timeout=10,
+        capture_output=True, text=True, timeout=timeout,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def test_ld_full_class_over_13_instances_in_time(tmp_path):
+    # 8,192 concepts: the search ends at log2 |H| = 13 on the first branch
+    # that reaches it; the unpruned recursion took 53 s on a 2-core machine
+    space = InstanceSpace(tuple(f"x{i}" for i in range(13)))
+    path = tmp_path / "full13.json"
+    path.write_text(model.dumps(ConceptClass(space, tuple(product((0, 1), repeat=13)))))
+    proc = run_child("ld", "--class", str(path), timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "13\n", "")
 
 
 @pytest.mark.parametrize("step", ["0", "-1/2"])

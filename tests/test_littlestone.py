@@ -1,6 +1,8 @@
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qstream.littlestone import (
     LittlestoneSolver,
@@ -139,6 +141,50 @@ def test_ld_monotone_under_subclass_two_instances():
         for k in range(1, len(H.concepts)):
             for combo in combinations(H.concepts, k):
                 assert littlestone_dimension(ConceptClass(AB, combo)) <= ld
+
+
+def dimension_unpruned(label_masks, ids, memo):
+    """The dimension recursion without the log2 |S| cuts: every instance
+    that splits ``ids`` is tried at every mask."""
+    if ids not in memo:
+        best = 0
+        if ids & (ids - 1):
+            for zeros_mask, ones_mask in label_masks:
+                zeros, ones = ids & zeros_mask, ids & ones_mask
+                if zeros and ones:
+                    score = 1 + min(dimension_unpruned(label_masks, zeros, memo),
+                                    dimension_unpruned(label_masks, ones, memo))
+                    best = max(best, score)
+        memo[ids] = best
+    return memo[ids]
+
+
+@st.composite
+def classes_and_masks(draw):
+    """A class of up to 24 distinct concepts over 1-6 instances, and up to
+    30 nonempty subset masks of it."""
+    n = draw(st.integers(1, 6))
+    vectors = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                            max_size=min(1 << n, 24), unique=True))
+    concepts = tuple(tuple((v >> i) & 1 for i in range(n)) for v in vectors)
+    H = ConceptClass(InstanceSpace(tuple(f"x{i}" for i in range(n))), concepts)
+    masks = draw(st.lists(st.integers(1, (1 << len(concepts)) - 1), min_size=1, max_size=30))
+    return H, masks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(classes_and_masks())
+def test_dimension_cuts_match_the_unpruned_recursion(case):
+    # The cuts skip work, never a better tree: every mask asked for, and
+    # every sub-mask the pruned search memoized on the way, reads the
+    # unpruned value.
+    H, masks = case
+    solver = LittlestoneSolver(H)
+    memo = {}
+    for ids in masks:
+        assert solver.dimension(ids) == dimension_unpruned(solver.label_masks, ids, memo)
+    for ids, value in solver._memo.items():
+        assert value == dimension_unpruned(solver.label_masks, ids, memo)
 
 
 # --- shattered trees ---------------------------------------------------------

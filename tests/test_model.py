@@ -62,6 +62,30 @@ def test_validate_empty_concepts_flagged():
     assert any("empty" in v for v in validate(cls))
 
 
+@pytest.mark.parametrize("fn, value, expected", [
+    (validate, InstanceSpace(()), ["instance space is empty"]),
+    (validate, InstanceSpace(("a", "b", "a")), ["instance identifiers are not pairwise distinct"]),
+    (validate, ConceptClass(SPACE, ((0, 1), (1, 2))), ["concept 1 has non-binary label 2"]),
+    (validate, ConceptClass(SPACE, ((0, 1), (0, 1))),
+     ["concepts are not pairwise distinct as label vectors"]),
+    (validate, ConceptClass(SPACE, ((0, 1),), ("h1", "h2")),
+     ["concept names do not match concept count"]),
+    (validate, PiecewiseStream(1, (Segment(0, 1, "a", 2),)), ["segment 0 has non-binary label 2"]),
+    (validate, pattern(("a", 0), ("b", -1)), ["pattern step 2 has non-binary label -1"]),
+    (validate, 3, TypeError("validate does not know type int")),
+    (model.dumps, SPACE, TypeError("no JSON format for type InstanceSpace")),
+], ids=["empty-space", "duplicate-ids", "concept-label", "duplicate-concepts", "names",
+        "stream-label", "pattern", "unknown-type", "dumps-space"])
+def test_validate_and_dumps_report_each_problem(fn, value, expected):
+    # each problem reads back as its own exact message, or its exact error
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as got:
+            fn(value)
+        assert str(got.value) == str(expected)
+    else:
+        assert fn(value) == expected
+
+
 def test_budget_policy_floor():
     b = QueryBudgetPolicy(Fraction(1, 2))
     assert [b.budget(t) for t in range(5)] == [0, 0, 1, 1, 2]
