@@ -26,6 +26,7 @@ from .model import (
     QstreamError,
     QueryBudgetPolicy,
     RationalLike,
+    _coprime_fraction,
     as_fraction,
     as_int,
 )
@@ -100,8 +101,9 @@ def _read_token(token: str) -> tuple[tuple[tuple[str, Label, Time, Time], ...], 
 
 def decode_reveal_token(token: str) -> tuple[list[tuple[str, Label, Fraction, Fraction]], Fraction]:
     """Inverse of ``encode_reveal_token``; raises MalformedTokenError."""
-    schedule, (p, q) = read_reveal_token(token)
-    return [(x, y, Fraction(*a), Fraction(*b)) for x, y, a, b in schedule], Fraction(p, q)
+    schedule, next_reveal = read_reveal_token(token)  # reduced pairs, as from _parse_time
+    return ([(x, y, _coprime_fraction(*a), _coprime_fraction(*b)) for x, y, a, b in schedule],
+            _coprime_fraction(*next_reveal))
 
 
 def is_reveal_token(x: str) -> bool:
@@ -140,13 +142,13 @@ def gen_littlestone_branch_stream(
         path.append((node.x, b))
         node = node.right if b else node.left
 
-    total = as_fraction(horizon) if horizon is not None else Fraction(4 * n)
-    if total < 4 * n:
-        raise ValueError(f"horizon {total} shorter than the painted prefix {4 * n}")
-    q = total.denominator  # over den = k q, each step's width 2n / k is 2n q
+    p, q = (4 * n, 1) if horizon is None else as_fraction(horizon).as_integer_ratio()
+    if p < 4 * n * q:
+        raise ValueError(f"horizon {Fraction(p, q)} shorter than the painted prefix {4 * n}")
+    # the horizon is p / q; over den = k q, each step's width 2n / k is 2n q
     cuts = list(range(0, 2 * n * q * len(path) + 1, 2 * n * q))
-    if total > 4 * n:
-        cuts.append(total.numerator * k)
+    if p > 4 * n * q:
+        cuts.append(p * k)
         path.append(_consistent_tail(H, path))
     return PiecewiseStream._on_grid(k * q, cuts, path)
 

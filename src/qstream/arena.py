@@ -11,6 +11,8 @@ at the end.  The adaptive sampler follows schedules on the grid, each
 distinct token parsed once by the cache behind ``read_reveal_token``,
 keeps its predictions as integer pieces over the same unit and builds
 one Fraction per query time.  Runs on a class share its ``LittlestoneSolver``.
+No Fraction goes through its constructor: each is an integer pair over one gcd
+(``_reduced_fraction``), or a query time's reduced float ratio (``_coprime_fraction``).
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .model import (
     PiecewiseStream,
     RationalLike,
     Segment,
+    _coprime_fraction,
+    _reduced_fraction,
     as_fraction,
     fraction_to_json,
 )
@@ -109,7 +113,7 @@ def mistake_integral(
         if label != segments[si].y:
             total += stop - cursor
         cursor = stop
-    return Fraction(total, den)
+    return _reduced_fraction(total, den)
 
 
 def _delta_float(delta: RationalLike) -> float:
@@ -119,6 +123,8 @@ def _delta_float(delta: RationalLike) -> float:
     except OverflowError:
         raise ValueError(f"delta {delta} does not fit a float") from None
     if delta_f <= 0:
+        if as_fraction(delta) > 0:  # float() rounded it to 0.0, a step that never advances
+            raise ValueError(f"delta {delta} underflows a float to 0.0")
         raise ValueError(f"delta must be positive, got {delta}")
     return delta_f
 
@@ -228,7 +234,7 @@ def run_uniform_sampler(
         t = n * den << (shift - k)
         if t >= end:
             break
-        t_q = Fraction(n, d)
+        t_q = _coprime_fraction(n, d)  # as_integer_ratio's pair is reduced
         seg = seek(t) if ends[si] <= t else segments[si]
         x, y, xi = seg.x, seg.y, seg_xi[si]
         success = (soa_predict(H, x, ids) if xi >= 0 else 0) != y
@@ -261,9 +267,10 @@ def run_uniform_sampler(
     unit = den << shift
     epochs = epoch_acc[:-1] if epoch_acc[-1] == 0 else epoch_acc
     return RunReport(
-        mistake_integral=Fraction(sum(epoch_acc), unit),
+        mistake_integral=_reduced_fraction(sum(epoch_acc), unit),
         query_events=tuple(events),
-        epoch_errors=tuple(EpochError(k + 1, Fraction(e, unit)) for k, e in enumerate(epochs)),
+        epoch_errors=tuple(EpochError(k + 1, _reduced_fraction(e, unit))
+                           for k, e in enumerate(epochs)),
         seed=seed,
         parameters={"delta": str(as_fraction(delta)), "horizon": str(stream.horizon)},
     )
@@ -365,7 +372,7 @@ def run_adaptive_sampler(stream: PiecewiseStream) -> RunReport:
     t = 0
     last_label: Label = 0  # stale-predictor output at the instant of a query
     while t < end:
-        t_q = Fraction(t, den)
+        t_q = _reduced_fraction(t, den)
         x, y = stream.value_at(t_q)
         if not is_reveal_token(x):
             raise MalformedTokenError(f"not a self-revealing stream at t={t_q}")

@@ -76,6 +76,21 @@ def as_int(value: Any) -> int:
     raise ValueError(f"not an integer: {value!r}")
 
 
+def _coprime_fraction(n: int, d: int) -> Fraction:
+    """``Fraction(n, d)`` for ints with gcd(n, d) = 1 and d > 0, its two slots set as
+    CPython 3.12+'s ``Fraction._from_coprime_ints`` does; tests/test_model.py checks
+    it against the constructor, in CI on Python 3.10-3.13."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = n, d
+    return f
+
+
+def _reduced_fraction(n: int, d: int) -> Fraction:
+    """``Fraction(n, d)`` for ints with d > 0, by one gcd."""
+    g = math.gcd(n, d)
+    return _coprime_fraction(n // g, d // g)
+
+
 def fraction_to_json(value: Fraction) -> Any:
     """Emit an int, a decimal-exact float, or a {num, den} object.
 
@@ -197,10 +212,11 @@ class PiecewiseStream:
     def _on_grid(cls, den: int, cuts: list[int], pairs) -> PiecewiseStream:
         """The stream cut at ``cuts`` over den, the last cut the horizon, one
         (x, y) of ``pairs`` per segment; ``grid`` is the constructor's, and each
-        bound is one Fraction shared by its segments, which skip ``as_fraction``."""
+        bound is one Fraction, built by ``_reduced_fraction`` and shared by its
+        segments, which skip ``as_fraction``."""
         g = math.gcd(den, *cuts)  # den as the lcm of the bounds' denominators
         den, cuts = den // g, [c // g for c in cuts]
-        times = [Fraction(c, den) for c in cuts]
+        times = [_reduced_fraction(c, den) for c in cuts]
         segments = [object.__new__(Segment) for _ in pairs]
         for seg, a, b, (x, y) in zip(segments, times, times[1:], pairs):
             vars(seg).update(start=a, end=b, x=x, y=y)

@@ -302,6 +302,13 @@ def test_branch_stream_tail_consistent():
     assert realizable(H, [(seg.x, seg.y) for seg in stream.segments])
 
 
+@pytest.mark.parametrize("horizon, text", [(Fraction(7, 2), "7/2"), (3.5, "7/2"), ("-1", "-1"),
+                                           ({"num": 6, "den": 2}, "3")])
+def test_branch_stream_horizon_shorter_than_the_prefix_is_named(horizon, text):
+    with pytest.raises(ValueError, match=f"^horizon {text} shorter than the painted prefix 4$"):
+        gen_littlestone_branch_stream(full_class(8), 1, SLOPE1, 0, horizon=horizon)
+
+
 def test_branch_stream_too_shallow():
     with pytest.raises(QstreamError, match="too shallow"):
         gen_littlestone_branch_stream(FULL2, 1, SLOPE1, 0)

@@ -283,6 +283,39 @@ def test_uniform_sampler_rejects_delta_not_positive(delta):
         run_uniform_sampler(FULL_AB, stream, delta, 0)
 
 
+@pytest.mark.parametrize("delta", [Fraction(1, 10**400), "1e-400", {"num": 1, "den": 2**1100}])
+def test_sampler_rejects_a_positive_delta_that_underflows_a_float(delta):
+    # float(delta) is 0.0, and a zero step would never advance time
+    stream = PiecewiseStream(1, (Segment(0, 1, "a", 0),))
+    with pytest.raises(ValueError, match=r"underflows a float to 0\.0"):
+        run_uniform_sampler(FULL_AB, stream, delta, 0)
+    with pytest.raises(ValueError, match=r"underflows a float to 0\.0"):
+        monte_carlo_uniform(FULL_AB, branch_stream, delta, 2, 0)
+
+
+@pytest.mark.parametrize("seed, delta", [(0, Fraction(1, 4)), (7, Fraction(1, 3)), (8, 2)])
+def test_uniform_query_times_are_the_drawn_floats_in_lowest_terms(seed, delta):
+    # replay the draws: t = anchor + span * u, redrawn while t equals a
+    # previous query time, up to the horizon 16
+    report = run_uniform_sampler(FULL_AB, branch_stream(seed), delta, seed)
+    uniforms = iter(np.random.default_rng(seed).random(64 * 20).tolist())
+    anchor, drawn, delta_f = 0.0, [], float(delta)
+    while True:
+        t = anchor + ((anchor + delta_f) - anchor) * next(uniforms)
+        while drawn and t == anchor:
+            t = anchor + ((anchor + delta_f) - anchor) * next(uniforms)
+        if t >= 16:
+            break
+        drawn.append(t)
+        anchor = t
+    times = [e.time for e in report.query_events]
+    assert len(times) == len(drawn) > 10
+    for time, t in zip(times, drawn):
+        assert type(time) is Fraction and time == Fraction(t)
+        assert math.gcd(time.numerator, time.denominator) == 1
+        assert time.denominator & (time.denominator - 1) == 0  # a power of two
+
+
 def test_monte_carlo_deterministic():
     a = monte_carlo_uniform(FULL_AB, branch_stream, 1, 50, 77)
     b = monte_carlo_uniform(FULL_AB, branch_stream, 1, 50, 77)

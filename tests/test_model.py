@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -325,6 +326,35 @@ def fraction_to_json_by_round_trip(value):
 @example(Fraction(123456789012347, 10**325))  # 15 digits, too many for a subnormal
 def test_fraction_to_json_matches_the_round_trip_rule(fr):
     assert json.dumps(fraction_to_json(fr)) == json.dumps(fraction_to_json_by_round_trip(fr))
+
+
+def assert_same_fraction(f, ref):
+    """f is a plain Fraction that the constructor's ``ref`` cannot be told from."""
+    assert type(f) is Fraction
+    assert (f, f.numerator, f.denominator, hash(f), str(f), repr(f)) == (
+        ref, ref.numerator, ref.denominator, hash(ref), str(ref), repr(ref))
+    back = pickle.loads(pickle.dumps(f))
+    assert type(back) is Fraction and (back.numerator, back.denominator) == (
+        ref.numerator, ref.denominator)
+    assert json.dumps(fraction_to_json(f)) == json.dumps(fraction_to_json(ref))
+    assert f + 1 == ref + 1 and f * f == ref * ref and (f < 1) == (ref < 1)
+
+
+@given(
+    st.one_of(st.integers(-10**6, 10**6), st.integers(-2**1100, 2**1100)),
+    st.one_of(st.integers(1, 10**6), st.integers(1, 2**1100),
+              st.integers(0, 1100).map(lambda k: 2**k)),  # the sampler's float times
+)
+@example(0, 7)  # zero reduces to 0/1
+@example(-6, 4)
+@example(3**700, 2**1100)  # both past the float range
+@example(1, 2**1074)  # the smallest subnormal float
+@example(-(2**1100), 2**1075)
+@settings(max_examples=300)
+def test_fraction_helpers_match_the_constructor(n, d):
+    ref = Fraction(n, d)
+    assert_same_fraction(model._reduced_fraction(n, d), ref)
+    assert_same_fraction(model._coprime_fraction(*ref.as_integer_ratio()), ref)
 
 
 @given(st.integers(1, 4), st.integers(1, 6))
