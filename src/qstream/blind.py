@@ -103,6 +103,29 @@ def _weighted_one_center(rows: list[tuple[int, int]], width: int) -> tuple[int, 
     return best_val, best_cand
 
 
+def _one_center_value(rows: dict[int, int], width: int) -> int:
+    """``_weighted_one_center``'s value over distinct vectors (``rows`` maps
+    vector to weight), in closed form at up to three vectors and from the
+    kernel beyond.  One vector is its own center.  Two at distance H: a center
+    taking k of their H split columns from b is worth max(a + k, b + H - k), at
+    best max(a, b, ceil((a+b+H)/2)).  Three: the largest of the weights and
+    the three pair bounds.  A bound over all three, ceil((a+b+c+n_1+n_2+n_3)/3)
+    with n_i the columns where v_i is the odd one out, adds nothing: it is the
+    ceiling of the mean of the pairs' (w_i+w_j+H_ij)/2, as H_ij = n_i + n_j.
+    The tests check every form against all 2^width candidates."""
+    if len(rows) > 3:
+        return _weighted_one_center(list(rows.items()), width)[0]
+    if len(rows) == 1:
+        (value,) = rows.values()
+        return value
+    if len(rows) == 2:
+        (u, a), (v, b) = rows.items()
+        return max(a, b, (a + b + (u ^ v).bit_count() + 1) >> 1)
+    (u, a), (v, b), (y, c) = rows.items()
+    return max(a, b, c, (a + b + (u ^ v).bit_count() + 1) >> 1,
+               (a + c + (u ^ y).bit_count() + 1) >> 1, (b + c + (v ^ y).bit_count() + 1) >> 1)
+
+
 ObservationHistory = tuple[tuple[int, str, Label], ...]
 """Executed queries as (time, x, y) triples, strictly increasing in time."""
 
@@ -209,8 +232,13 @@ class QldSolver:
     each round-1 observation takes its own entry.  Interim vectors are
     searched as a bounded search tree: no play undoes an accrued mistake, so
     a prefix that cannot beat the best plan so far on accruals alone is
-    dropped before any of its children is solved.  The root solve at budget
-    0 is the blind learning dimension.
+    dropped before any of its children is solved.  Search leaves are valued
+    without plans: a child with no query left costs ``_leaf_value``, which
+    groups its members by distinct future and writes no memo entry, in
+    closed form at up to three futures and by the kernel beyond.  Plans are
+    built, through ``solve``, only where one is played: ``witness_tree`` and
+    ``TreeReplanStrategy``.  The root solve at budget 0 is the blind
+    learning dimension.
     """
 
     def __init__(self, P: PatternClass):
@@ -279,16 +307,31 @@ class QldSolver:
             hit = self._memo[key] = self._solve_shifted(*key)
         return hit[0] + offset, hit[1]
 
-    def _blind(self, ones: int, accs: int, t_prev: int) -> tuple[int, _Plan]:
-        labels, w, fmask, width = self._labels, self._w, self._fmask, self.L - t_prev
-        future, rows = (1 << width) - 1, []  # future: the labels of rounds t_prev+1..L
+    def _futures(self, ones: int, accs: int, t_prev: int) -> dict[int, int]:
+        """The members' distinct futures (labels of rounds t_prev+1..L), each
+        with its largest accrual: a lighter copy of a vector is never the worst."""
+        labels, w, fmask = self._labels, self._w, self._fmask
+        future, rows = (1 << (self.L - t_prev)) - 1, {}
         while ones:  # members in pid order, lowest field first
             low = ones & -ones
             shift = low.bit_length() - 1
-            rows.append((labels[shift // w] & future, (accs >> shift) & fmask))
+            v, acc = labels[shift // w] & future, (accs >> shift) & fmask
+            if rows.get(v, -1) < acc:
+                rows[v] = acc
             ones ^= low
-        value, cand = _weighted_one_center(rows, width)
+        return rows
+
+    def _blind(self, ones: int, accs: int, t_prev: int) -> tuple[int, _Plan]:
+        rows = self._futures(ones, accs, t_prev)
+        if len(rows) == 1:  # the one future is its own center
+            (cand, value), = rows.items()
+        else:
+            value, cand = _weighted_one_center(list(rows.items()), self.L - t_prev)
         return value, _Plan(None, cand, None)
+
+    def _leaf_value(self, ones: int, accs: int, t_prev: int) -> int:
+        """``solve((ones, accs), 0, t_prev)[0]`` with no memo entry and no plan."""
+        return _one_center_value(self._futures(ones, accs, t_prev), self.L - t_prev)
 
     def _solve_shifted(self, ones: int, accs: int, q_left: int, t_prev: int) -> tuple[int, _Plan]:
         """Blind plan, or the first best (query time t, interim yh, prediction r).
@@ -301,7 +344,11 @@ class QldSolver:
         for both r: adding half - best_val to every member field sets a
         field's top bit exactly then.  No completion can then strictly
         improve; only a strict improvement replaces the best, so the first
-        optimum in (t, yh, r) order wins.  The t = L plans reach the blind value.
+        optimum in (t, yh, r) order wins.  Each prefix is tested before its
+        call, against the cut its elder sibling's subtree left.  With one
+        query left, a branch's value comes from ``_leaf_value``, its plan
+        unbuilt: the search reads values only.  The t = L plans reach the
+        blind value.
         """
         if q_left == 0 or t_prev == self.L:
             return self._blind(ones, accs, t_prev)
@@ -315,16 +362,20 @@ class QldSolver:
 
         def descend(k: int, yh: int, x: int) -> None:
             nonlocal best_val, best_plan, cut0, cut1
-            if (x + cut0) & high and (x + cut1) & high:
-                return
             if k < t - 1:
                 f0, f1 = flips[k]
-                descend(k + 1, yh << 1, x + f0)
-                descend(k + 1, yh << 1 | 1, x + f1)
+                x0, x1 = x + f0, x + f1  # x1's cut is read after x0's subtree moved it
+                if not ((x0 + cut0) & high and (x0 + cut1) & high):
+                    descend(k + 1, yh << 1, x0)
+                if not ((x1 + cut0) & high and (x1 + cut1) & high):
+                    descend(k + 1, yh << 1 | 1, x1)
                 return
             worst0 = worst1 = 0
             for b, c, cmask in leaves:
-                value = self.solve((c, x & cmask), q_left - 1, t)[0]
+                if last_query:
+                    value = leaf_value(c, x & cmask, t)
+                else:
+                    value = self.solve((c, x & cmask), q_left - 1, t)[0]
                 if value + b > worst0:
                     worst0 = value + b
                 if value + 1 - b > worst1:
@@ -337,13 +388,15 @@ class QldSolver:
                     best_plan = _Plan(t, yh, r)
                     cut0, cut1 = cuts()
 
+        last_query, leaf_value = q_left == 1, self._leaf_value
         for t in range(t_prev + 1, self.L + 1):
             # the members of each round-t observation (x, b), sorted by (x, b)
             leaves = [(b, c, c * fmask) for (_, b), group in self._obs[t - 1].items()
                       if (c := ones & group)]
             miss0, miss1 = flips[t - 1]
             cut0, cut1 = cuts()
-            descend(t_prev, 0, accs)
+            if not ((accs + cut0) & high and (accs + cut1) & high):
+                descend(t_prev, 0, accs)
         return best_val, best_plan
 
     # -- witness serialization ----------------------------------------------

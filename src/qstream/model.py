@@ -279,6 +279,8 @@ class QueryBudgetPolicy:
         object.__setattr__(self, "slope", as_fraction(self.slope))
 
     def budget(self, t: RationalLike) -> int:
+        if type(t) is int:  # a bool goes on to as_fraction, which refuses it
+            return self.slope.numerator * t // self.slope.denominator
         t = as_fraction(t)  # one floor division, as both denominators are positive
         return (self.slope.numerator * t.numerator) // (self.slope.denominator * t.denominator)
 
@@ -355,14 +357,25 @@ def _validate_pattern_class(P: PatternClass) -> list[str]:
         out.append(f"horizon must be positive, got {P.horizon}")
     if not P.patterns:
         out.append("pattern class is empty")
+    space = P.space.instances
+    valid_steps = {(x, y) for x in space for y in (0, 1)}
     for i, p in enumerate(P.patterns):
-        out.extend(f"pattern {i}: {v}" for v in _validate_pattern(p))
+        try:  # one set test of every label and instance; only a failing pattern is walked
+            ok = p.steps and valid_steps.issuperset(p.steps)
+        except TypeError:  # an unhashable step fails the test
+            ok = False
+        if not ok:
+            out.extend(f"pattern {i}: {v}" for v in _validate_pattern(p))
         if len(p) != P.horizon:
             out.append(f"pattern {i}: length mismatch ({len(p)} steps, horizon {P.horizon})")
-        for x, _ in p.steps:
-            if x not in P.space:
-                out.append(f"pattern {i}: instance not in space: {x!r}")
-    if len(set(P.patterns)) != len(P.patterns):
+        if not ok:
+            out.extend(f"pattern {i}: instance not in space: {x!r}" for x, _ in p.steps
+                       if x not in space)
+    try:
+        distinct = len(set(P.patterns)) == len(P.patterns)
+    except TypeError:  # an unhashable step, named above
+        distinct = all(p not in P.patterns[:i] for i, p in enumerate(P.patterns))
+    if not distinct:
         out.append("patterns are not pairwise distinct")
     return out
 

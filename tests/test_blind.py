@@ -3,7 +3,7 @@ import hashlib
 import json
 import random
 import weakref
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -16,6 +16,7 @@ from qstream.blind import (
     QldSolver,
     _int_to_bits,
     _Plan,
+    _one_center_value,
     _weighted_one_center,
     blind_learning_dimension,
     game_value,
@@ -216,6 +217,54 @@ def test_weighted_one_center_dominated_pair(u):
         v = u ^ flips
         assert _weighted_one_center([(v, 1), (u, 3)], 17) == (3, u)
         assert _weighted_one_center([(u, 3), (v, 1)], 17) == (3, u)
+
+
+def one_center_value_brute(rows, width):
+    """The least worst weight plus distance over all 2^width candidates."""
+    return min(max(w + (c ^ v).bit_count() for v, w in rows) for c in range(1 << width))
+
+
+def heaviest_per_vector(rows):
+    out = {}
+    for v, w in rows:
+        out[v] = max(out.get(v, w), w)
+    return out
+
+
+def test_one_center_value_closed_forms_exhaustive():
+    # every set of one to three distinct vectors at widths 2-4, weights 0-3
+    cases = 0
+    for width in (2, 3, 4):
+        for k in (1, 2, 3):
+            for vectors in combinations(range(1 << width), k):
+                for weights in product(range(4), repeat=k):
+                    rows = dict(zip(vectors, weights))
+                    assert _one_center_value(rows, width) == one_center_value_brute(
+                        rows.items(), width), (rows, width)
+                    cases += 1
+    assert cases == 42_256
+
+
+@st.composite
+def few_vector_cases(draw):
+    """One to three distinct vectors at widths 1-12, weights 0-12, each maybe
+    repeated under another weight."""
+    width = draw(st.integers(1, 12))
+    distinct = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=3,
+                             unique=True))
+    vectors = distinct + draw(st.lists(st.sampled_from(distinct), max_size=3))
+    return [(v, draw(st.integers(0, 12))) for v in vectors], width
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(few_vector_cases())
+@example(([(0, 0), ((1 << 12) - 1, 0), (0b1010_1010_1010, 0)], 12))
+@example(([(0b101, 5), (0b010, 0), (0b101, 0), (0b111, 12)], 3))
+def test_one_center_value_closed_forms_match_brute_force(case):
+    # the heaviest copy of a repeated vector stands for all of its copies
+    rows, width = case
+    assert _one_center_value(heaviest_per_vector(rows), width) == one_center_value_brute(
+        rows, width)
 
 
 # --- qld ----------------------------------------------------------------------------
@@ -419,6 +468,7 @@ def test_game_value_shares_no_solver_code(monkeypatch):
     monkeypatch.setattr(QldSolver, "of", refuse)
     monkeypatch.setattr(blind, "QldSolver", refuse)
     monkeypatch.setattr(blind, "_weighted_one_center", refuse)
+    monkeypatch.setattr(blind, "_one_center_value", refuse)
     assert [game_value(FOUR_ROUND_PAIR, Q) for Q in (0, 1, 2)] == [2, 1, 1]
     assert [game_value(ORDER_SENSITIVE, Q) for Q in (0, 1, 2)] == [2, 2, 1]
     assert QldSolver._last is solver_slot
@@ -515,6 +565,46 @@ def test_oracle_equality_random_alphabets(alphabet):
         P = random_class(rng, max_L=5, max_P=8, alphabet=alphabet)
         for Q in (0, 1, 2):
             assert qld(P, Q).value == game_value(P, Q)
+
+
+def two_instance_class(rng, L, n=24):
+    pats = set()
+    while len(pats) < n:
+        pats.add(tuple((rng.choice("ab"), rng.randint(0, 1)) for _ in range(L)))
+    return PatternClass(AB, L, tuple(DiscretePattern(p) for p in sorted(pats)))
+
+
+def test_oracle_equality_on_wide_two_instance_classes():
+    # 24 patterns at L = 8-10: search leaves with many members and futures
+    rng = random.Random(2805)
+    for L in (8, 8, 9, 9, 10, 10):
+        P = two_instance_class(rng, L)
+        for Q in range(4):
+            assert qld(P, Q).value == game_value(P, Q), (L, Q)
+
+
+def test_leaf_value_equals_the_budget_zero_solve(monkeypatch):
+    # every leaf the search values, against a fresh solver's blind solve
+    leaf_value, seen = QldSolver._leaf_value, []
+
+    def record(self, ones, accs, t_prev):
+        value = leaf_value(self, ones, accs, t_prev)
+        seen.append((ones, accs, t_prev, value))
+        return value
+
+    monkeypatch.setattr(QldSolver, "_leaf_value", record)
+    rng = random.Random(2806)
+    futures = set()
+    for L in (6, 7, 8):
+        P = two_instance_class(rng, L)
+        solver, reference = QldSolver(P), QldSolver(P)
+        for Q in (1, 2):
+            solver.solve(solver.initial_state(), Q, 0)
+        for ones, accs, t_prev, value in seen:
+            assert value == reference.solve((ones, accs), 0, t_prev)[0]
+            futures.add(min(len(solver._futures(ones, accs, t_prev)), 4))
+        seen.clear()
+    assert futures == {1, 2, 3, 4}
 
 
 def decode_state(solver, state):

@@ -52,6 +52,68 @@ def test_validate_pattern_length_mismatch():
     assert any("length mismatch" in v for v in validate(P))
 
 
+def validate_pattern_class_reference(P):
+    """The per-step validation loop, frozen: labels, then length, then the
+    instances of every pattern.  Patterns are compared pairwise, so an
+    unhashable step raises nothing."""
+    out = model._validate_space(P.space)
+    if P.horizon <= 0:
+        out.append(f"horizon must be positive, got {P.horizon}")
+    if not P.patterns:
+        out.append("pattern class is empty")
+    for i, p in enumerate(P.patterns):
+        if not p.steps:
+            out.append(f"pattern {i}: pattern is empty")
+        for t, (_, y) in enumerate(p.steps, start=1):
+            if y not in (0, 1):
+                out.append(f"pattern {i}: pattern step {t} has non-binary label {y!r}")
+        if len(p) != P.horizon:
+            out.append(f"pattern {i}: length mismatch ({len(p)} steps, horizon {P.horizon})")
+        for x, _ in p.steps:
+            if x not in P.space.instances:
+                out.append(f"pattern {i}: instance not in space: {x!r}")
+    if any(p == q for i, p in enumerate(P.patterns) for q in P.patterns[:i]):
+        out.append("patterns are not pairwise distinct")
+    return out
+
+
+MALFORMED_PATTERNS = [
+    pattern(),
+    pattern(("a", 2), ("b", 1)),
+    pattern(("a", None), ("b", "1")),
+    pattern(("c", 0), ("a", 1)),
+    pattern((["a"], 0), ("b", 1)),
+    pattern(("a", [1]), ("b", 0)),
+    pattern(("a", 0), ("b", 1), ("a", 1)),
+    pattern(("a", 0), ("z", 7)),
+    pattern(("a", 1), ("b", 1)),
+    pattern(("a", True), ("b", 1.0)),
+]
+
+
+def test_validate_pattern_class_matches_the_per_step_loop():
+    rng = random.Random(2802)
+    classes = [PatternClass(SPACE, 2, (p,)) for p in MALFORMED_PATTERNS]
+    classes += [
+        PatternClass(SPACE, 2, (pattern(("a", 1), ("b", 1)),) * 2),
+        PatternClass(SPACE, 2, (pattern((["a"], 0), ("b", 1)),) * 2),
+        PatternClass(SPACE, 0, ()),
+        PatternClass(InstanceSpace(("a", "a")), 2, (pattern(("a", 0), ("a", 1)),)),
+    ]
+    for _ in range(200):
+        pats = rng.sample(MALFORMED_PATTERNS, rng.randint(1, 4))
+        pats += [pattern(("a", 0), ("b", 1))] * rng.randint(0, 2)
+        rng.shuffle(pats)
+        classes.append(PatternClass(SPACE, rng.choice([2, 3]), tuple(pats)))
+    for P in classes:
+        assert validate(P) == validate_pattern_class_reference(P)
+    problems = validate(PatternClass(SPACE, 2, (pattern((["a"], 0), ("b", 1)),) * 2))
+    assert problems == ["pattern 0: instance not in space: ['a']",
+                        "pattern 1: instance not in space: ['a']",
+                        "patterns are not pairwise distinct"]
+    assert validate(PatternClass(SPACE, 2, (pattern(("a", True), ("b", 1.0)),))) == []
+
+
 def test_validate_is_idempotent_and_total():
     bad = PiecewiseStream(2, (Segment(0, 1, "a", 0), Segment(0, 1, "a", 1)))
     assert validate(bad) == validate(bad)
@@ -110,6 +172,18 @@ budget_times = st.one_of(
 @example(Fraction(1, 2), Fraction(-3, 2))
 def test_budget_floors_as_the_fraction_product_does(slope, t):
     assert QueryBudgetPolicy(slope).budget(t) == math.floor(slope * as_fraction(t))
+
+
+def test_budget_of_an_int_equals_the_fraction_path():
+    rng = random.Random(2801)
+    for _ in range(500):
+        slope = Fraction(rng.randint(-10**6, 10**6) or 1, rng.randint(1, 10**6))
+        t = rng.choice([rng.randint(-50, 50), rng.randint(-10**30, 10**30)])
+        b = QueryBudgetPolicy(slope)
+        assert b.budget(t) == b.budget(Fraction(t)) == math.floor(slope * t)
+    for t in (True, False):
+        with pytest.raises(TypeError, match="booleans"):
+            QueryBudgetPolicy(Fraction(1, 4)).budget(t)
 
 
 @pytest.mark.parametrize("segments", [(), (Segment(0, 1, "a", 0),)])
