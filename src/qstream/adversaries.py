@@ -261,7 +261,7 @@ def gen_self_revealing_stream(
         raise ValueError("reveal times must be strictly increasing")
     if grid[-2] >= grid[-1]:
         raise ValueError("reveal times must lie inside [0, horizon)")
-    if source.is_empty:
+    if not source.concepts:
         raise QstreamError("source class is empty")
 
     rng = np.random.default_rng(seed)

@@ -18,7 +18,7 @@ No Fraction goes through its constructor: each is an integer pair over one gcd
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, NamedTuple, Sequence
@@ -297,10 +297,7 @@ class MonteCarloStats:
             "trials": self.trials,
             "mean": self.mean,
             "stderr": self.stderr,
-            "per_epoch": [
-                {"epoch": s.epoch, "mean": s.mean, "stderr": s.stderr, "count": s.count}
-                for s in self.per_epoch
-            ],
+            "per_epoch": [asdict(s) for s in self.per_epoch],
         }
 
 

@@ -481,6 +481,8 @@ def qld(P: PatternClass, Q: int) -> DimensionWitness:
     ``QldSolver.of(P)`` keeps the last class's solver, so one class is built
     once for its bld and every budget; at most one class's memo outlives a call.
     """
+    if type(Q) is not int:  # nor a bool
+        raise TypeError(f"query budget must be an int, got {Q!r}")
     if Q < 0:
         raise ValueError(f"query budget must be >= 0, got {Q}")
     solver = QldSolver.of(P)
@@ -535,7 +537,7 @@ def worst_case_mistakes(strategy: BlindStrategy, P: PatternClass, Q: int) -> int
     Replays the full protocol per pattern: predict, reveal, then observe on
     query rounds.  Raises BudgetViolationError if the strategy exceeds Q.
     """
-    if P.is_empty:
+    if not P.patterns:
         raise QstreamError("worst case over an empty pattern class")
     worst = 0
     for p in P.patterns:
@@ -573,6 +575,8 @@ def game_value(P: PatternClass, Q: int) -> int:
     and memo for every budget (keys carry q); at most one class's memo outlives a call.
     """
     global _game_last
+    if type(Q) is not int:  # nor a bool
+        raise TypeError(f"query budget must be an int, got {Q!r}")
     if Q < 0:
         raise ValueError(f"query budget must be >= 0, got {Q}")
     if _game_last[0] is not P:

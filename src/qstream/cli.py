@@ -152,12 +152,11 @@ def cmd_unif_sim(args: argparse.Namespace) -> dict | str:
         horizon = source.horizon
     elif args.adversary == "littlestone-branch":
         budget = _budget_policy(args)
-        n = args.n if args.n is not None else 1
-        horizon = args.horizon if args.horizon is not None else 4 * n
+        horizon = args.horizon if args.horizon is not None else 4 * args.n
 
         def source(stream_seed):
             return adversaries.gen_littlestone_branch_stream(
-                cls, n, budget, stream_seed, horizon=args.horizon
+                cls, args.n, budget, stream_seed, horizon=args.horizon
             )
     else:
         raise CliError("provide --stream FILE or --adversary littlestone-branch")
@@ -180,11 +179,12 @@ def cmd_unif_sim(args: argparse.Namespace) -> dict | str:
     )
     dim = littlestone.littlestone_dimension(cls)
     bound = float(delta) * dim
+    passed = stats.mean <= bound + 3 * stats.stderr
 
     if args.format == "json":
         doc = stats.to_json()
         doc["bound"] = bound
-        doc["passed"] = stats.mean <= bound + 3 * stats.stderr
+        doc["passed"] = passed
         return doc
 
     lines = ["row,index,value,mean,stderr,bound,passed"]
@@ -196,10 +196,9 @@ def cmd_unif_sim(args: argparse.Namespace) -> dict | str:
             f"epoch,{es.epoch},,{_format_float(es.mean)},{_format_float(es.stderr)},"
             f"{_format_float(float(delta))},{str(ok).lower()}"
         )
-    ok = stats.mean <= bound + 3 * stats.stderr
     lines.append(
         f"summary,,,{_format_float(stats.mean)},{_format_float(stats.stderr)},"
-        f"{_format_float(bound)},{str(ok).lower()}"
+        f"{_format_float(bound)},{str(passed).lower()}"
     )
     return "\n".join(lines) + "\n"
 
@@ -238,23 +237,21 @@ def cmd_adversary(args: argparse.Namespace) -> dict:
         if not args.class_file:
             raise CliError("littlestone-branch needs --class")
         cls = _load(args.class_file, model.concept_class_from_json, "concept class")
-        n = args.n if args.n is not None else 1
         stream = adversaries.gen_littlestone_branch_stream(
-            cls, n, budget, seed, horizon=args.horizon
+            cls, args.n, budget, seed, horizon=args.horizon
         )
-        params.update({"n": n, "class": args.class_file})
+        params.update({"n": args.n, "class": args.class_file})
     elif args.kind == "two-point":
-        units = args.units if args.units is not None else 1
         count = 0
-        for n in range(1, units + 1):
+        for n in range(1, args.units + 1):
             count += adversaries._unit_pieces(budget, n)
             if count > MAX_ITEMS:
                 raise CliError(
-                    f"--units {units} gives more than {MAX_ITEMS} segments at slope "
+                    f"--units {args.units} gives more than {MAX_ITEMS} segments at slope "
                     f"{budget.slope}; at most {MAX_ITEMS} are allowed"
                 )
-        stream = adversaries.gen_two_point_stream(args.x1, args.x2, units, budget, seed)
-        params.update({"units": units, "x1": args.x1, "x2": args.x2})
+        stream = adversaries.gen_two_point_stream(args.x1, args.x2, args.units, budget, seed)
+        params.update({"units": args.units, "x1": args.x1, "x2": args.x2})
     else:  # self-revealing
         if not args.class_file:
             raise CliError("self-revealing needs --class")
@@ -267,7 +264,7 @@ def cmd_adversary(args: argparse.Namespace) -> dict:
             except (ValueError, ZeroDivisionError) as exc:
                 raise CliError(f"bad --reveal-times {args.reveal_times!r}: {exc}")
         else:
-            step = args.reveal_every if args.reveal_every is not None else Fraction(1)
+            step = args.reveal_every
             if step <= 0:
                 raise CliError(f"--reveal-every must be > 0, got {step}")
             # reveals at 0, step, 2 step, ... below the horizon
@@ -329,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="class_file", required=True)
     p.add_argument("--stream")
     p.add_argument("--adversary", choices=["littlestone-branch"])
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, default=1)
     p.add_argument("--delta", type=_fraction)
     p.add_argument("--slope", type=_fraction)
     p.add_argument("--horizon", type=_fraction)
@@ -351,14 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=["littlestone-branch", "two-point", "self-revealing"])
     p.add_argument("--class", dest="class_file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--units", type=int)
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--units", type=int, default=1)
     p.add_argument("--x1", default="x1")
     p.add_argument("--x2", default="x2")
     p.add_argument("--slope", type=_fraction)
     p.add_argument("--horizon", type=_fraction)
     p.add_argument("--reveal-times", dest="reveal_times")
-    p.add_argument("--reveal-every", dest="reveal_every", type=_fraction)
+    p.add_argument("--reveal-every", dest="reveal_every", type=_fraction, default=Fraction(1))
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_adversary)

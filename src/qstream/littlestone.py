@@ -42,14 +42,13 @@ class LittlestoneSolver:
 
     def __init__(self, root: ConceptClass):
         self.root = root
-        self.n_instances = len(root.space.instances)
         # label_masks[xi][y]: the concepts labelling instance xi with y
         self.label_masks: tuple[tuple[int, int], ...] = tuple(
             tuple(
                 sum(1 << i for i, c in enumerate(root.concepts) if c[xi] == y)
                 for y in (0, 1)
             )
-            for xi in range(self.n_instances)
+            for xi in range(len(root.space.instances))
         )
         self._memo: dict[int, int] = {}
         self._soa: dict[int, tuple[Label, ...]] = {}
@@ -134,7 +133,7 @@ def build_littlestone_tree(H: ConceptClass, d: int) -> ShatteredTree | None:
     solver = LittlestoneSolver.of(H)
 
     def grow(ids: int, depth: int) -> ShatteredTree | None:
-        for xi in range(solver.n_instances):
+        for xi in range(len(solver.label_masks)):
             zeros = solver.restrict_ids(ids, xi, 0)
             ones = solver.restrict_ids(ids, xi, 1)
             if not (zeros and ones):

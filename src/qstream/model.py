@@ -137,17 +137,14 @@ class InstanceSpace:
         except ValueError:
             raise UnknownInstanceError(f"instance not in space: {x!r}") from None
 
-    def __contains__(self, x: str) -> bool:
-        return x in self.instances
-
 
 @dataclass(frozen=True)
 class ConceptClass:
     """Finite binary concept class: distinct label vectors over a space.
 
     ``concepts[i][j]`` is the label concept *i* assigns to instance *j* (in
-    space order).  Empty classes are structurally allowed because they arise
-    as restriction results; ``validate`` flags them for standalone values.
+    space order).  An empty class can be built, and ``validate`` flags it; a
+    restriction is an int mask of the class's ``LittlestoneSolver``, not a class.
     """
 
     space: InstanceSpace
@@ -162,10 +159,6 @@ class ConceptClass:
             )
         else:
             object.__setattr__(self, "names", tuple(self.names))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.concepts
 
 
 @dataclass(frozen=True)
@@ -263,10 +256,6 @@ class PatternClass:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "patterns", tuple(self.patterns))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.patterns
 
 
 @dataclass(frozen=True)
@@ -429,12 +418,8 @@ def _strings(values: list, what: str) -> tuple[str, ...]:
     return tuple(values)
 
 
-def _space_from_json(ids: list) -> InstanceSpace:
-    return InstanceSpace(_strings(ids, "instance identifiers"))
-
-
 def concept_class_from_json(doc: dict) -> ConceptClass:
-    space = _space_from_json(doc["instances"])
+    space = InstanceSpace(_strings(doc["instances"], "instance identifiers"))
     concepts = tuple(tuple(as_int(y) for y in c["labels"]) for c in doc["concepts"])
     names = [c.get("name", f"h{i + 1}") for i, c in enumerate(doc["concepts"])]
     return ConceptClass(space, concepts, _strings(names, "concept names"))
@@ -449,7 +434,7 @@ def pattern_class_to_json(P: PatternClass) -> dict:
 
 
 def pattern_class_from_json(doc: dict) -> PatternClass:
-    space = _space_from_json(doc["instances"])
+    space = InstanceSpace(_strings(doc["instances"], "instance identifiers"))
     patterns = tuple(
         DiscretePattern(tuple((x, as_int(y)) for x, y in steps))
         for steps in doc["patterns"]

@@ -638,3 +638,15 @@ def _two_point_reference(units, budget, seed):
             x, y = (("x1", 0), ("x2", 1))[int(rng.integers(0, 2))]
             segments.append(Segment(lo, lo + Fraction(1, pieces), x, y))
     return segments
+
+
+def test_two_point_needs_two_instances():
+    with pytest.raises(ValueError) as exc:
+        gen_two_point_stream("a", "a", 1, QueryBudgetPolicy(1), 0)
+    assert str(exc.value) == "the two instances must be distinct"
+
+
+def test_self_revealing_needs_a_concept():
+    with pytest.raises(QstreamError) as exc:
+        gen_self_revealing_stream(ConceptClass(FULL2.space, ()), [0], 1, 0)
+    assert str(exc.value) == "source class is empty"

@@ -239,6 +239,13 @@ def test_uniform_reset_mode_survives_inconsistency():
     assert report.mistake_integral >= 0
 
 
+def test_uniform_rejects_unknown_on_empty_mode():
+    stream = PiecewiseStream(1, (Segment(0, 1, "a", 0),))
+    with pytest.raises(ValueError) as exc:
+        run_uniform_sampler(FULL_AB, stream, 1, 0, on_empty="x")
+    assert str(exc.value) == "on_empty must be 'error' or 'reset', got 'x'"
+
+
 def test_uniform_rejects_coverage_gap():
     # [1, 2) is covered by no segment; it must not be counted under the
     # next segment's label

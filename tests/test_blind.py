@@ -457,6 +457,38 @@ def test_game_value_equals_qld_on_known_cases():
         assert game_value(FOUR_ROUND_PAIR, Q) == qld(FOUR_ROUND_PAIR, Q).value
 
 
+@pytest.mark.parametrize("solve", [qld, game_value], ids=["qld", "game_value"])
+@pytest.mark.parametrize("Q", [1.5, 2.0, True], ids=["1.5", "2.0", "True"])
+def test_budget_must_be_an_int(solve, Q):
+    # a budget of 1.5 drew a qld witness querying at rounds 1, 2 and 3, with
+    # unused budget -0.5 and -1.5 at its leaves, while game_value allowed
+    # ceil(1.5) queries; a bool was written out as "budget": true
+    P = make_class([(0, 0, 1), (0, 1, 1), (1, 1, 0)])
+    with pytest.raises(TypeError) as exc:
+        solve(P, Q)
+    assert str(exc.value) == f"query budget must be an int, got {Q!r}"
+
+
+@pytest.mark.parametrize("solve", [qld, game_value], ids=["qld", "game_value"])
+def test_budget_must_not_be_negative(solve):
+    with pytest.raises(ValueError) as exc:
+        solve(FOUR_ROUND_PAIR, -1)
+    assert str(exc.value) == "query budget must be >= 0, got -1"
+
+
+def test_solve_on_an_empty_information_set_raises():
+    with pytest.raises(QstreamError) as exc:
+        QldSolver(FOUR_ROUND_PAIR).solve((0, 0), 0, 0)
+    assert str(exc.value) == "solve on an empty information set"
+
+
+def test_worst_case_over_an_empty_class_raises():
+    strategy = qld(FOUR_ROUND_PAIR, 0).to_strategy()
+    with pytest.raises(QstreamError) as exc:
+        worst_case_mistakes(strategy, PatternClass(AB, 4, ()), 0)
+    assert str(exc.value) == "worst case over an empty pattern class"
+
+
 def test_game_value_shares_no_solver_code(monkeypatch):
     # The oracle checks the solver, so it must reach neither the solver nor
     # its one-center kernel, and its slot is not the solver's.

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import json
 import os
@@ -841,3 +842,28 @@ def test_two_point_cap_counts_the_generators_segments(tmp_path, capsys, monkeypa
         code, _, err = run(capsys, *argv)
         assert_single_error(code, err)
         assert "at most 100000" in err
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["unif-sim", "--adversary", "littlestone-branch", "--slope", "1/4", "--trials", "50"],
+     "002fa749038408cb4ac45ac28982639d5580448cacba996ce28892b05b8478b1"),
+    (["unif-sim", "--adversary", "littlestone-branch", "--slope", "1/4", "--trials", "50",
+      "--format", "json"], "fdddd715efaa4fd726dd4f92b64134cd7904f3f5de43895678f5172b9abc1b16"),
+    (["adversary", "--kind", "littlestone-branch", "--slope", "1/4", "--out", "s.json"],
+     "2980c8c0bc2629786f5586e99e19b0ac13eac6275fede34672dbea2d46869983"),
+    (["adversary", "--kind", "two-point", "--slope", "2", "--out", "s.json"],
+     "b6543bbfa4947bbec1f3b85544ad84a071a5e77df9d20cde0fdad4a1fbf7c4c6"),
+    (["adversary", "--kind", "self-revealing", "--horizon", "4", "--out", "s.json"],
+     "64cc0ff621a4f3f3b2f6cc73326205424a42f4bd3af0b62f6c27288ef306330a"),
+], ids=["unif-sim-csv", "unif-sim-json", "littlestone-branch", "two-point", "self-revealing"])
+def test_default_flag_output_digests(files, capsys, monkeypatch, argv, digest):
+    # --n, --units and --reveal-every left at their defaults: the bytes are
+    # pinned by SHA-256, the class file named by a relative path
+    tmp, write = files
+    monkeypatch.chdir(tmp)
+    monkeypatch.delenv("QSTREAM_CONFIG", raising=False)
+    write("cls.json", FULL_AB)
+    code, out, _ = run(capsys, *argv, "--class", "cls.json", "--seed", "3")
+    assert code == 0
+    data = (tmp / "s.json").read_bytes() if "--out" in argv else out.encode()
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -93,6 +93,18 @@ def test_restrict_can_empty():
     assert restrict(H, 0b11, "a", 1) == 0
 
 
+def test_soa_labels_of_the_empty_mask_raises():
+    with pytest.raises(QstreamError) as exc:
+        LittlestoneSolver.of(FULL_AB).soa_labels(0)
+    assert str(exc.value) == "SOA prediction from an empty version space"
+
+
+def test_tree_depth_must_be_positive():
+    with pytest.raises(ValueError) as exc:
+        build_littlestone_tree(FULL_AB, 0)
+    assert str(exc.value) == "tree depth must be positive, got 0"
+
+
 def test_restrict_direct():
     H = cls(AB, (0, 0), (1, 1))
     assert concepts_of(H, restrict(H, 0b11, "b", 1)) == ((1, 1),)
