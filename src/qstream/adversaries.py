@@ -4,7 +4,9 @@ Three generators: the shattered-branch painting over [0, 4n), the two-point
 random painting that defeats blind prediction, and self-revealing streams
 whose segment-initial instance encodes the segment's full schedule plus the
 next reveal time.  ``exact_blind_error`` evaluates the two-point expected
-error analytically, with no sampling.
+error analytically, with no sampling.  Self-revealing streams over one
+(depth-2 tree, den, reveal grid) share one cached layout, the last one used:
+its bounds and at most four (token, branch) segment pairs per reveal.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .model import (
     QstreamError,
     QueryBudgetPolicy,
     RationalLike,
+    Segment,
     _coprime_fraction,
     as_fraction,
     as_int,
@@ -35,6 +38,10 @@ _TOKEN_PREFIX = "SEG("
 _TOKEN_JOINT = ")|next="
 _TOKEN_JSON = json.JSONEncoder(separators=(",", ":"))
 Time = tuple[int, int]  # a token time p / q as (p, q), reduced, q > 0
+# gen_self_revealing_stream's slot: the last (depth-2 tree, den, bounds over
+# den) key, the stream grid, each cut's Fraction and text, the tree's row
+# texts and pair 4 i + 2 bit + bit2, reveal i's segments once drawn
+_layout_last: tuple = (None,)
 
 
 def _frac_str(value: Fraction) -> str:
@@ -248,6 +255,7 @@ def gen_self_revealing_stream(
     instance is replaced by a token encoding the full inner schedule and the
     next reveal time.
     """
+    global _layout_last
     total = as_fraction(horizon)
     if total <= 0:
         raise ValueError(f"horizon must be positive, got {total}")
@@ -266,31 +274,38 @@ def gen_self_revealing_stream(
 
     rng = np.random.default_rng(seed)
     tree = build_littlestone_tree(source, 2)
-    if tree is not None:
-        # every segment's two branch bits in one draw, the same bits in the
-        # same order as one scalar draw per bit; the tree's three instance
-        # names JSON-encoded once, and each (instance, bit) row text built once
-        bits = iter(rng.integers(0, 2, size=2 * len(reveals)).tolist())
-        names = [_TOKEN_JSON.encode(node.x) for node in (tree, tree.left, tree.right)]
-        head = [f"{names[0]},{bit}" for bit in (0, 1)]
-        tail = [[f"{name},{bit}" for bit in (0, 1)] for name in names[1:]]
-    text = [_frac_str(v) for v in bounds]  # each bound's time string, once
-    cuts, pairs = [], []  # each reveal's bound and, on a tree, its midpoint
-    for i, lo in enumerate(grid[:-1]):
-        cuts.append(lo)
-        if tree is not None:
-            bit, bit2 = next(bits), next(bits)
-            node = tree.right if bit else tree.left
-            mid = (lo + grid[i + 1]) >> 1
-            g = math.gcd(mid, den)
-            mid_text = f"{mid // g}/{den // g}"
-            rows = ((head[bit], text[i], mid_text), (tail[bit][bit2], mid_text, text[i + 1]))
-            cuts.append(mid)
-            pairs += ((_token(rows, text[i + 1]), bit), (node.x, bit2))
-        else:
+    if tree is None:
+        text = [_frac_str(v) for v in bounds]  # each bound's time string, once
+        pairs = []
+        for i in range(len(reveals)):
             h = int(rng.integers(0, len(source.concepts)))
             xi = int(rng.integers(0, len(source.space.instances)))
             x, y = source.space.instances[xi], source.concepts[h][xi]
             pairs.append((_token([(_xy(x, y), text[i], text[i + 1])], text[i + 1]), y))
-    cuts.append(grid[-1])
-    return PiecewiseStream._on_grid(den, cuts, pairs)
+        return PiecewiseStream._on_grid(den, grid, pairs)
+    key = (tree, den, tuple(grid))
+    if _layout_last[0] != key:  # cut at each reveal's bound and its midpoint
+        cuts = [c for lo, hi in zip(grid, grid[1:]) for c in (lo, (lo + hi) >> 1)] + grid[-1:]
+        stream_grid, times = PiecewiseStream._grid_times(den, cuts)
+        names = [_TOKEN_JSON.encode(node.x) for node in (tree, tree.left, tree.right)]
+        rows = [[f"{name},{bit}" for bit in (0, 1)] for name in names]  # (instance, bit) texts
+        _layout_last = (key, stream_grid, times, [_frac_str(t) for t in times], rows,
+                        [None] * (4 * len(reveals)))
+    _, stream_grid, times, text, rows, pairs = _layout_last
+    # every segment's two branch bits in one draw, the same bits in the same
+    # order as one scalar draw per bit; pair 4 i + 2 bit + bit2 is reveal i's
+    bits = iter(rng.integers(0, 2, size=2 * len(reveals)).tolist())
+    segments = []
+    for i, (bit, bit2) in enumerate(zip(bits, bits)):
+        k = 4 * i + 2 * bit + bit2
+        pair = pairs[k]
+        if pair is None:
+            node, lo, mid, hi = tree.right if bit else tree.left, 2 * i, 2 * i + 1, 2 * i + 2
+            token = _token(((rows[0][bit], text[lo], text[mid]),
+                            (rows[1 + bit][bit2], text[mid], text[hi])), text[hi])
+            pair = object.__new__(Segment), object.__new__(Segment)
+            vars(pair[0]).update(start=times[lo], end=times[mid], x=token, y=bit)
+            vars(pair[1]).update(start=times[mid], end=times[hi], x=node.x, y=bit2)
+            pairs[k] = pair
+        segments += pair
+    return PiecewiseStream._from_parts(times[-1], segments, stream_grid)

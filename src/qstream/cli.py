@@ -271,8 +271,8 @@ def cmd_adversary(args: argparse.Namespace) -> dict:
             count = math.ceil(args.horizon / step)
             if count > MAX_ITEMS:
                 raise CliError(
-                    f"--reveal-every {step} gives {count} reveals before horizon "
-                    f"{args.horizon}; at most {MAX_ITEMS} are allowed"
+                    f"--reveal-every gives more than {MAX_ITEMS} reveals before the horizon; "
+                    f"at most {MAX_ITEMS} are allowed"
                 )
             reveals = [step * i for i in range(count)]
         stream = adversaries.gen_self_revealing_stream(cls, reveals, args.horizon, seed)

@@ -201,21 +201,32 @@ class PiecewiseStream:
         end = horizon.numerator * (den // horizon.denominator)
         object.__setattr__(self, "grid", (den, starts, ends, end))
 
-    @classmethod
-    def _on_grid(cls, den: int, cuts: list[int], pairs) -> PiecewiseStream:
-        """The stream cut at ``cuts`` over den, the last cut the horizon, one
-        (x, y) of ``pairs`` per segment; ``grid`` is the constructor's, and each
-        bound is one Fraction, built by ``_reduced_fraction`` and shared by its
-        segments, which skip ``as_fraction``."""
+    @staticmethod
+    def _grid_times(den: int, cuts: list[int]) -> tuple[tuple, list[Fraction]]:
+        """The constructor's ``grid`` of a stream cut at ``cuts`` over den, the
+        last cut the horizon, and each cut as one Fraction, built by
+        ``_reduced_fraction``."""
         g = math.gcd(den, *cuts)  # den as the lcm of the bounds' denominators
         den, cuts = den // g, [c // g for c in cuts]
-        times = [_reduced_fraction(c, den) for c in cuts]
+        return ((den, tuple(cuts[:-1]), tuple(cuts[1:]), cuts[-1]),
+                [_reduced_fraction(c, den) for c in cuts])
+
+    @classmethod
+    def _on_grid(cls, den: int, cuts: list[int], pairs) -> PiecewiseStream:
+        """The stream cut at ``cuts`` over den, one (x, y) of ``pairs`` per
+        segment; each bound is one ``_grid_times`` Fraction, shared by its
+        segments, which skip ``as_fraction``."""
+        grid, times = cls._grid_times(den, cuts)
         segments = [object.__new__(Segment) for _ in pairs]
         for seg, a, b, (x, y) in zip(segments, times, times[1:], pairs):
             vars(seg).update(start=a, end=b, x=x, y=y)
+        return cls._from_parts(times[-1], segments, grid)
+
+    @classmethod
+    def _from_parts(cls, horizon: Fraction, segments, grid) -> PiecewiseStream:
+        """The stream of built segments and their ``grid``, unchecked."""
         stream = object.__new__(cls)
-        vars(stream).update(horizon=times[-1], segments=tuple(segments),
-                            grid=(den, tuple(cuts[:-1]), tuple(cuts[1:]), cuts[-1]))
+        vars(stream).update(horizon=horizon, segments=tuple(segments), grid=grid)
         return stream
 
     def value_at(self, t: Fraction) -> tuple[str, Label]:

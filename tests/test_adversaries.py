@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -597,6 +599,35 @@ SOURCES = [ConceptClass(FULL2.space, ((0, 1),)), ConceptClass(FULL2.space, ((0, 
 def test_self_revealing_stream_equals_the_public_construction(source, horizon, cuts, seed):
     reveals = [Fraction(0), *sorted({t for t in cuts if 0 < t < horizon})]
     assert_public_stream(gen_self_revealing_stream(source, reveals, horizon, seed))
+
+
+def test_self_revealing_layout_slot_serves_no_stale_layout():
+    # interleaved layouts replace the one slot at every switch: two reveal
+    # grids, one grid under two trees naming different instances, and one
+    # grid, (0, 2) over den, whose den moves with the horizon alone
+    renamed = ConceptClass(InstanceSpace(("p", "q")), FULL2.concepts)
+    assert build_littlestone_tree(renamed, 2).x != build_littlestone_tree(FULL2, 2).x
+    layouts = [(FULL2, [0, 1, 2, 3], 4), (renamed, [0, 1, 2, 3], 4),
+               (FULL2, [0, Fraction(1, 3), 2], Fraction(5, 2)),
+               (FULL2, [0], 1), (FULL2, [0], Fraction(1, 2)), (FULL2, [0], Fraction(1, 3))]
+    for round_ in range(4):
+        for source, reveals, horizon in layouts:
+            for seed in (round_, round_ + 50):  # the second call reuses the layout
+                stream = gen_self_revealing_stream(source, reveals, horizon, seed)
+                assert list(stream.segments) == _self_revealing_reference(
+                    source, reveals, horizon, seed)
+                assert_public_stream(stream)
+
+
+def test_self_revealing_layout_slot_holds_one_layout():
+    first = gen_self_revealing_stream(FULL2, [0, 1], 2, 0)
+    again = gen_self_revealing_stream(FULL2, [0, 1], 2, 0)
+    assert all(a is b for a, b in zip(first.segments, again.segments))  # shared, not rebuilt
+    refs = [weakref.ref(seg) for seg in first.segments]
+    del first, again
+    gen_self_revealing_stream(FULL2, [0, 1, 2], 3, 0)  # a new layout replaces the slot
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 @given(st.sampled_from([(full_class(4), 4), (full_class(8), 8)]), st.integers(1, 3),

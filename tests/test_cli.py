@@ -382,6 +382,21 @@ def test_adversary_reveal_every_too_many_reveals_exit_2(tmp_path):
     assert not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--reveal-every", "1/3", "--horizon", "1e400"],  # a 401-digit count and horizon
+    ["--horizon", "4", "--reveal-every", "1e-320"],  # a 321-digit count, step 1/10^320
+], ids=["long-horizon", "tiny-step"])
+def test_adversary_reveal_count_refusal_stays_short(files, capsys, flags):
+    # the refusal names the cap, not the count, step or horizon it was given
+    tmp, write = files
+    path = write("cls.json", FULL_AB)
+    code, _, err = run(capsys, "adversary", "--kind", "self-revealing", "--class", path,
+                       *flags, "--seed", "0", "--out", str(tmp / "s.json"))
+    assert_single_error(code, err)
+    assert len(err.encode()) < 200 and "at most 100000" in err
+    assert not (tmp / "s.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     # sum over n <= 20000 of 2 budget(n) at slope 1: about 4 * 10^8 segments
     ["adversary", "--kind", "two-point", "--units", "20000", "--slope", "1",
