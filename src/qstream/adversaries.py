@@ -5,8 +5,9 @@ random painting that defeats blind prediction, and self-revealing streams
 whose segment-initial instance encodes the segment's full schedule plus the
 next reveal time.  ``exact_blind_error`` evaluates the two-point expected
 error analytically, with no sampling.  Self-revealing streams over one
-(depth-2 tree, den, reveal grid) share one cached layout, the last one used:
-its bounds and at most four (token, branch) segment pairs per reveal.
+(depth-2 tree, den, reveal grid) share one cached layout, kept once two
+calls in a row use it: its bounds and at most four (token, branch) segment
+pairs per reveal.
 """
 
 from __future__ import annotations
@@ -38,9 +39,11 @@ _TOKEN_PREFIX = "SEG("
 _TOKEN_JOINT = ")|next="
 _TOKEN_JSON = json.JSONEncoder(separators=(",", ":"))
 Time = tuple[int, int]  # a token time p / q as (p, q), reduced, q > 0
-# gen_self_revealing_stream's slot: the last (depth-2 tree, den, bounds over
-# den) key, the stream grid, each cut's Fraction and text, the tree's row
-# texts and pair 4 i + 2 bit + bit2, reveal i's segments once drawn
+# gen_self_revealing_stream's slot: the last call's (depth-2 tree, den, bounds
+# over den) key and, once a second call in a row meets that key, its layout:
+# the stream grid, each cut's Fraction and text, the tree's row texts and
+# pair 4 i + 2 bit + bit2, reveal i's segments once drawn.  A single call
+# leaves only its key, so its segments die with its stream.
 _layout_last: tuple = (None,)
 
 
@@ -284,14 +287,17 @@ def gen_self_revealing_stream(
             pairs.append((_token([(_xy(x, y), text[i], text[i + 1])], text[i + 1]), y))
         return PiecewiseStream._on_grid(den, grid, pairs)
     key = (tree, den, tuple(grid))
-    if _layout_last[0] != key:  # cut at each reveal's bound and its midpoint
+    met = _layout_last[0] == key  # the key the previous call left
+    layout = _layout_last
+    if not met or len(layout) == 1:  # cut at each reveal's bound and its midpoint
         cuts = [c for lo, hi in zip(grid, grid[1:]) for c in (lo, (lo + hi) >> 1)] + grid[-1:]
         stream_grid, times = PiecewiseStream._grid_times(den, cuts)
         names = [_TOKEN_JSON.encode(node.x) for node in (tree, tree.left, tree.right)]
         rows = [[f"{name},{bit}" for bit in (0, 1)] for name in names]  # (instance, bit) texts
-        _layout_last = (key, stream_grid, times, [_frac_str(t) for t in times], rows,
-                        [None] * (4 * len(reveals)))
-    _, stream_grid, times, text, rows, pairs = _layout_last
+        layout = (key, stream_grid, times, [_frac_str(t) for t in times], rows,
+                  [None] * (4 * len(reveals)))
+        _layout_last = layout if met else (key,)
+    _, stream_grid, times, text, rows, pairs = layout
     # every segment's two branch bits in one draw, the same bits in the same
     # order as one scalar draw per bit; pair 4 i + 2 bit + bit2 is reveal i's
     bits = iter(rng.integers(0, 2, size=2 * len(reveals)).tolist())

@@ -10,7 +10,9 @@ over one unit per run, 1 / (den << shift), and builds each Fraction once,
 at the end.  The adaptive sampler follows schedules on the grid, each
 distinct token parsed once by the cache behind ``read_reveal_token``,
 keeps its predictions as integer pieces over the same unit and builds
-one Fraction per query time.  Runs on a class share its ``LittlestoneSolver``.
+one Fraction per query time.  Runs on a class share its ``LittlestoneSolver``;
+the uniform sampler makes its SOA prediction and restriction once per
+(segment, version space), not once per query.
 No Fraction goes through its constructor: each is an integer pair over one gcd
 (``_reduced_fraction``), or a query time's reduced float ratio (``_coprime_fraction``).
 """
@@ -158,7 +160,11 @@ def run_uniform_sampler(
     Between queries the deployed predictor is the SOA table of the current
     version space, so the error of a segment is accounted once, when the
     cursor leaves it, and the open part of the current segment only when a
-    query ends an epoch or changes the table.  Times are integers over one
+    query ends an epoch or changes the table.  A query's instance, label,
+    SOA prediction and restricted version space depend only on (cursor,
+    version space), so they are looked up at the first query of each such
+    key and reused by the queries that follow at it; each query still adds
+    its own event, and each success its own epoch.  Times are integers over one
     unit: den is the lcm of the stream's denominators and the horizon's, and
     a query time n / 2^k with k > shift rescales every held integer (segment
     bounds, horizon, ``mark``, epoch sums) by 2^(k - shift) and sets shift = k.
@@ -215,6 +221,7 @@ def run_uniform_sampler(
         enter()
     anchor = 0.0
     queried = False
+    looked_si = -1  # the segment of the lookups below, made for the current ids
     while True:
         # numpy's uniform(anchor, anchor + delta_f) bit for bit; it includes
         # the lower endpoint, but query times must strictly increase
@@ -235,24 +242,29 @@ def run_uniform_sampler(
         if t >= end:
             break
         t_q = _coprime_fraction(n, d)  # as_integer_ratio's pair is reduced
-        seg = seek(t) if ends[si] <= t else segments[si]
-        x, y, xi = seg.x, seg.y, seg_xi[si]
-        success = (soa_predict(H, x, ids) if xi >= 0 else 0) != y
+        if ends[si] <= t:
+            seek(t)
+        if si != looked_si:  # the lookups depend only on (si, ids)
+            seg = segments[si]
+            x, y, xi = seg.x, seg.y, seg_xi[si]
+            success = (soa_predict(H, x, ids) if xi >= 0 else 0) != y
+            nxt = ids
+            if xi >= 0:
+                nxt = solver.restrict_ids(ids, xi, y)
+                if not nxt:
+                    if on_empty == "error":
+                        raise NonRealizableError(
+                            f"stream not realizable: ({x!r}, {y}) at {t_q} empties the version space"
+                        )
+                    nxt = solver.full()
+            looked_si = si
         events.append(QueryEvent(t_q, x, y, success))
-        nxt = ids
-        if xi >= 0:
-            nxt = solver.restrict_ids(ids, xi, y)
-            if not nxt:
-                if on_empty == "error":
-                    raise NonRealizableError(
-                        f"stream not realizable: ({x!r}, {y}) at {t_q} empties the version space"
-                    )
-                nxt = solver.full()
         if success or nxt != ids:
             settle(seg, t)
             if nxt != ids:
                 ids = nxt
                 labels = solver.soa_labels(ids) + (0,)
+                looked_si = -1  # a new version space, a new key
             if success:
                 epoch_acc.append(0)
         anchor = t_float

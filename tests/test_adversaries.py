@@ -612,7 +612,8 @@ def test_self_revealing_layout_slot_serves_no_stale_layout():
                (FULL2, [0], 1), (FULL2, [0], Fraction(1, 2)), (FULL2, [0], Fraction(1, 3))]
     for round_ in range(4):
         for source, reveals, horizon in layouts:
-            for seed in (round_, round_ + 50):  # the second call reuses the layout
+            # the second call in a row fills the slot and the third reuses it
+            for seed in (round_, round_ + 50, round_ + 100):
                 stream = gen_self_revealing_stream(source, reveals, horizon, seed)
                 assert list(stream.segments) == _self_revealing_reference(
                     source, reveals, horizon, seed)
@@ -620,12 +621,22 @@ def test_self_revealing_layout_slot_serves_no_stale_layout():
 
 
 def test_self_revealing_layout_slot_holds_one_layout():
-    first = gen_self_revealing_stream(FULL2, [0, 1], 2, 0)
+    gen_self_revealing_stream(FULL2, [0, 1], 2, 0)  # leaves only its key in the slot
+    first = gen_self_revealing_stream(FULL2, [0, 1], 2, 0)  # fills the slot
     again = gen_self_revealing_stream(FULL2, [0, 1], 2, 0)
     assert all(a is b for a, b in zip(first.segments, again.segments))  # shared, not rebuilt
     refs = [weakref.ref(seg) for seg in first.segments]
     del first, again
     gen_self_revealing_stream(FULL2, [0, 1, 2], 3, 0)  # a new layout replaces the slot
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_self_revealing_single_call_keeps_no_segment():
+    gen_self_revealing_stream(FULL2, [0, 1, 2], 3, 0)  # a key no call below meets
+    stream = gen_self_revealing_stream(FULL2, [0, 1], 2, 0)
+    refs = [weakref.ref(seg) for seg in stream.segments]
+    del stream
     gc.collect()
     assert all(ref() is None for ref in refs)
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qstream import arena
 from qstream.arena import (
     QueryEvent,
     RunReport,
@@ -844,6 +845,59 @@ def test_uniform_sampler_matches_reference_over_many_blocks_of_draws():
     fresh.random(-(-(len(events) + 1) // 64) * 64)
     assert gen.random() == fresh.random()
 
+
+
+# --- one SOA lookup per (segment, version space) ------------------------------
+
+def _lookup_keys(H, stream, events):
+    """The distinct (segment index, version space) pairs that the in-space
+    queries of ``events`` meet, replayed with the solver's restriction and
+    the full class after an emptying observation."""
+    solver = LittlestoneSolver.of(H)
+    ids, keys = solver.full(), set()
+    for e in events:
+        if e.x in H.space.instances:
+            si = next(i for i, seg in enumerate(stream.segments) if seg.start <= e.time < seg.end)
+            keys.add((si, ids))
+            ids = solver.restrict_ids(ids, H.space.index_of(e.x), e.y) or solver.full()
+    return keys
+
+
+def test_uniform_sampler_predicts_once_per_segment_and_version_space(monkeypatch):
+    calls = []
+
+    def counted(H, x, ids=None):
+        calls.append(x)
+        return soa_predict(H, x, ids)
+
+    monkeypatch.setattr(arena, "soa_predict", counted)
+    for seed in range(20):  # criterion 1 trials: branch streams, delta 1
+        stream_seed, run_seed = np.random.SeedSequence(seed).spawn(2)
+        stream = branch_stream(stream_seed)
+        calls.clear()
+        report = run_uniform_sampler(FULL_AB, stream, 1, run_seed)
+        keys = _lookup_keys(FULL_AB, stream, report.query_events)
+        assert len(report.query_events) > len(keys) > 0  # some queries repeat a key
+        assert 1 <= len(calls) <= len(keys)
+
+
+def test_uniform_sampler_repeated_successes_at_one_key_each_open_an_epoch():
+    # every query of the first segment, outside the space and labelled 1,
+    # is a success at one (segment, version space); every query of the last
+    # empties the space, and "reset" leaves it full, so each is one too
+    H = ConceptClass(ABC, tuple(c for c in product((0, 1), repeat=3) if c[0] == 0))
+    stream = PiecewiseStream(8, (Segment(0, 4, "z", 1), Segment(4, 6, "b", 0), Segment(6, 8, "a", 1)))
+    value, events, epochs = _uniform_sampler_reference(H, stream, Fraction(1, 2), 3, "reset")
+    report = run_uniform_sampler(H, stream, Fraction(1, 2), 3, "reset")
+    assert report.mistake_integral == value
+    assert list(report.query_events) == events
+    assert [e.error for e in report.epoch_errors] == epochs
+    outside = [e for e in events if e.x == "z"]
+    emptying = [e for e in events if e.x == "a"]
+    assert len(outside) >= 3 and len(emptying) >= 3
+    assert all(e.success for e in outside + emptying)
+    # each success in the first segment closes an epoch that accrued error
+    assert len(epochs) > len(outside) and all(epochs[:len(outside)])
 
 if __name__ == "__main__":
     # Regenerate the frozen reports: python tests/test_arena.py [deltas]
