@@ -184,7 +184,8 @@ def blind_learning_dimension(P: PatternClass) -> DimensionWitness:
     ``QldSolver`` with no query left, so the class is validated the same way.
 
     ``QldSolver.of(P)`` keeps the last class's solver for a following
-    ``qld(P, Q)``; at most one class's memo outlives a call.
+    ``qld(P, Q)``; at most one class's memo outlives a call, and reference
+    counting frees it once the next class's solver replaces it.
     """
     solver = QldSolver.of(P)
     value, plan = solver.solve(solver.initial_state(), 0, 0)
@@ -389,14 +390,17 @@ class QldSolver:
                     cut0, cut1 = cuts()
 
         last_query, leaf_value = q_left == 1, self._leaf_value
-        for t in range(t_prev + 1, self.L + 1):
-            # the members of each round-t observation (x, b), sorted by (x, b)
-            leaves = [(b, c, c * fmask) for (_, b), group in self._obs[t - 1].items()
-                      if (c := ones & group)]
-            miss0, miss1 = flips[t - 1]
-            cut0, cut1 = cuts()
-            if not ((accs + cut0) & high and (accs + cut1) & high):
-                descend(t_prev, 0, accs)
+        try:
+            for t in range(t_prev + 1, self.L + 1):
+                # the members of each round-t observation (x, b), sorted by (x, b)
+                leaves = [(b, c, c * fmask) for (_, b), group in self._obs[t - 1].items()
+                          if (c := ones & group)]
+                miss0, miss1 = flips[t - 1]
+                cut0, cut1 = cuts()
+                if not ((accs + cut0) & high and (accs + cut1) & high):
+                    descend(t_prev, 0, accs)
+        finally:
+            descend = None  # its cell made a cycle: refcounting now frees it and self
         return best_val, best_plan
 
     # -- witness serialization ----------------------------------------------
@@ -479,7 +483,10 @@ def qld(P: PatternClass, Q: int) -> DimensionWitness:
     smaller interim vector, then prediction 0.
 
     ``QldSolver.of(P)`` keeps the last class's solver, so one class is built
-    once for its bld and every budget; at most one class's memo outlives a call.
+    once for its bld and every budget; at most one class's memo outlives a call,
+    and reference counting frees it once the next class's solver replaces it:
+    the search's recursive closure clears its own name when the solve ends,
+    so no cycle holds the solver for the cyclic collector.
     """
     if type(Q) is not int:  # nor a bool
         raise TypeError(f"query budget must be an int, got {Q!r}")
@@ -527,7 +534,10 @@ def validate_witness_tree(tree: dict, Q: int, horizon: int) -> list[str]:
         for edge, child in sorted(children.items()):
             walk(child, t, used + 1, path + edge)
 
-    walk(tree, 0, 0, "")
+    try:
+        walk(tree, 0, 0, "")
+    finally:
+        walk = None  # its cell made a cycle: refcounting now frees it
     return out
 
 
@@ -572,7 +582,10 @@ def game_value(P: PatternClass, Q: int) -> int:
     and with no round left the worst of them is the largest accrual too.  Kept
     naive: no ``QldSolver`` code, pruning, one-center kernel or interim vector.
     Its own slot, keyed by identity and holding P, keeps the last class's rows
-    and memo for every budget (keys carry q); at most one class's memo outlives a call.
+    and memo for every budget (keys carry q); at most one class's memo outlives a call,
+    freed by reference counting once the next class's slot replaces it: the
+    recursive ``value`` clears its own name when the call ends, so no cycle
+    holds the memo for the cyclic collector.
     """
     global _game_last
     if type(Q) is not int:  # nor a bool
@@ -608,4 +621,7 @@ def game_value(P: PatternClass, Q: int) -> int:
             memo[key] = best
         return best + offset
 
-    return value(tuple(range(len(P.patterns))), (0,) * len(P.patterns), Q, 0)
+    try:
+        return value(tuple(range(len(P.patterns))), (0,) * len(P.patterns), Q, 0)
+    finally:
+        value = None  # its cell made a cycle: refcounting now frees it and memo

@@ -305,7 +305,17 @@ def cmd_blind_bound(args: argparse.Namespace) -> str:
         times = []
     value = adversaries.exact_blind_error(args.units, budget, times)
     floor = Fraction(args.units, 4)
-    return f"expected_error = {value} ({float(value)})\n>= units/4: {str(value >= floor).lower()}"
+    # an exact answer can pass Python's int-to-str digit limit (4,300 digits from
+    # Python 3.10.7 on; older versions have none), so lift it for this format only
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = f"expected_error = {value} ({float(value)})"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    return f"{text}\n>= units/4: {str(value >= floor).lower()}"
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,9 @@ def build_littlestone_tree(H: ConceptClass, d: int) -> ShatteredTree | None:
     if d <= 0:
         raise ValueError(f"tree depth must be positive, got {d}")
     solver = LittlestoneSolver.of(H)
+    trees = solver._trees
+    if d in trees:  # None too
+        return trees[d]
 
     def grow(ids: int, depth: int) -> ShatteredTree | None:
         for xi in range(len(solver.label_masks)):
@@ -147,9 +150,11 @@ def build_littlestone_tree(H: ConceptClass, d: int) -> ShatteredTree | None:
                 return ShatteredTree(H.space.instances[xi], left, right)
         return None
 
-    if d not in solver._trees:  # None too
-        solver._trees[d] = grow(solver.full(), d)
-    return solver._trees[d]
+    try:
+        tree = trees[d] = grow(solver.full(), d)
+    finally:
+        grow = None  # its cell made a cycle: refcounting now frees it
+    return tree
 
 
 def soa_predict(H: ConceptClass, x: str, ids: int | None = None) -> Label:

@@ -8,9 +8,13 @@ limit.  The bound is about nine times the slowest phase today, the module
 fixture of the criterion 5 sweep.  It exits rather than raising (as
 ``signal.alarm`` would), because hypothesis re-runs a failing example, and
 that re-run would go on with no alarm armed.
+
+The ``gc_off`` fixture runs a test with the cyclic garbage collector off,
+so what the test sees freed was freed by reference counting.
 """
 
 import faulthandler
+import gc
 import os
 import sys
 
@@ -36,3 +40,14 @@ def pytest_runtest_protocol(item, nextitem):
         yield
     finally:
         faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture
+def gc_off():
+    """Collect once, then keep the cyclic collector off until the test ends."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import weakref
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qstream import blind
+from qstream import adversaries, arena, blind, littlestone
 from qstream.blind import (
     BlindStrategy,
     QldSolver,
@@ -25,10 +26,12 @@ from qstream.blind import (
 )
 from qstream.model import (
     BudgetViolationError,
+    ConceptClass,
     DiscretePattern,
     InstanceSpace,
     PatternClass,
     QstreamError,
+    QueryBudgetPolicy,
     pattern_class_from_json,
     pattern_class_to_json,
 )
@@ -430,15 +433,42 @@ def test_shared_solver_answers_as_fresh_solvers_in_any_budget_order(alphabet):
                 assert got == want, (order, bld_first)
 
 
-def test_shared_solver_of_an_earlier_class_dies():
-    # the slot keeps only the last class's solver, so its memo cannot pile up
+def test_shared_solver_of_an_earlier_class_dies(gc_off):
+    # the slot keeps only the last class's solver, so its memo cannot pile up;
+    # with the collector off, reference counting frees it at the next class
     rng = random.Random(83)
     first, second = (random_class(rng, max_L=5, max_P=8) for _ in range(2))
     qld(first, 2)
     ref = weakref.ref(QldSolver.of(first))
     qld(second, 2)
-    gc.collect()
     assert ref() is None
+
+
+def test_library_calls_leave_no_cyclic_garbage(gc_off):
+    # every call here frees what it builds by reference counting alone, the
+    # solver and oracle memos included; the CLI is left out, as argparse
+    # builds cycles of its own
+    P = random_class(random.Random(107), max_L=5, max_P=8, min_L=4)
+    assert blind_learning_dimension(P).value == qld(P, 0).value
+    for Q in (0, 1, 2):
+        w = qld(P, Q)
+        assert w.value == game_value(P, Q) == worst_case_mistakes(w.to_strategy(), P, Q)
+        assert blind.validate_witness_tree(w.witness["tree"], Q, P.horizon) == []
+    H = ConceptClass(AB, tuple(product((0, 1), repeat=2)))
+    tree = littlestone.build_littlestone_tree(H, 2)  # a miss, then a hit
+    assert littlestone.build_littlestone_tree(H, 2) is tree is not None
+    budget = QueryBudgetPolicy(Fraction(1, 4))  # one query in [0, 4), below LD 2
+    branch = adversaries.gen_littlestone_branch_stream(H, 1, budget, 3)
+    two_point = adversaries.gen_two_point_stream("a", "b", 2, QueryBudgetPolicy(1), 5)
+    revealing = adversaries.gen_self_revealing_stream(H, [0, 1, 2, 3], 4, 7)
+    for stream in (branch, two_point, revealing):
+        arena.run_uniform_sampler(H, stream, Fraction(1, 2), 11, on_empty="reset")
+    assert arena.run_adaptive_sampler(revealing).mistake_integral == 0
+    arena.monte_carlo_uniform(
+        H, lambda seed: adversaries.gen_littlestone_branch_stream(H, 1, budget, seed),
+        Fraction(1, 4), trials=4, seed=13,
+    )
+    assert gc.collect() == 0
 
 
 # --- oracle agreement ----------------------------------------------------------------
@@ -557,8 +587,9 @@ def test_game_value_slot_answers_as_the_reference_in_any_budget_order(alphabet):
             assert {Q: game_value(P, Q) for Q in order} == want, order
 
 
-def test_game_value_slot_of_an_earlier_class_dies():
-    # the slot keeps only the last class's memo, so memos cannot pile up
+def test_game_value_slot_of_an_earlier_class_dies(gc_off):
+    # the slot keeps only the last class's memo, so memos cannot pile up;
+    # with the collector off, reference counting frees it at the next class
     class Probe:
         pass
 
@@ -570,7 +601,6 @@ def test_game_value_slot_of_an_earlier_class_dies():
     refs = weakref.ref(first), weakref.ref(probe)
     del first, probe
     game_value(second, 2)
-    gc.collect()
     assert [ref() for ref in refs] == [None, None]
 
 

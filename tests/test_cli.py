@@ -2,11 +2,13 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -248,6 +250,28 @@ def test_blind_bound_optimal_placement(files, capsys):
 def test_blind_bound_no_queries(files, capsys):
     code, out, _ = run(capsys, "blind-bound", "--units", "1", "--slope", "1")
     assert code == 0 and "expected_error = 1/2 (0.5)" in out
+
+
+def test_blind_bound_prints_an_answer_past_the_int_digit_limit(files, capsys):
+    # one query mid-unit in each of 10,000 units: the value is units/2 - H_units/4,
+    # whose 4,346-digit denominator passes Python's 4,300-digit int-to-str limit
+    _, write = files
+    units = 10_000
+    times = [f"{2 * u + 1}/2" for u in range(units)]
+    placement = write("pl.json", json.dumps({"query_times": times}))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = run(capsys, "blind-bound", "--units", str(units), "--slope", "1",
+                         "--placement", placement)
+    assert code == 0, err
+    lcm = math.lcm(*range(1, units + 1))
+    want = Fraction(units, 2) - Fraction(sum(lcm // n for n in range(1, units + 1)), 4 * lcm)
+    head, _, rest = out.partition(" (")
+    num, den = head.removeprefix("expected_error = ").split("/")
+    # Decimal reads and compares digit strings of any length
+    assert (Decimal(num), Decimal(den)) == (want.numerator, want.denominator)
+    assert len(den) == 4346 and rest.startswith(f"{float(want)})")
+    if limit is not None:  # the format restored the limit it lifted
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_blind_bound_budget_violation_exit_2(files, capsys):
