@@ -339,68 +339,57 @@ class QldSolver:
 
         The blind plan is solved only where it is returned, with no query or
         round left; else the search starts with no plan at L + 1, which no
-        plan reaches.  Per t, a depth-first search over the bits of yh, 0
-        first, meets yh in ascending order.  A prefix is dropped once some
-        member's accrual plus partial distance plus (r != b) reaches best_val
-        for both r: adding half - best_val to every member field sets a
-        field's top bit exactly then.  No completion can then strictly
-        improve; only a strict improvement replaces the best, so the first
-        optimum in (t, yh, r) order wins.  Each prefix is tested before its
-        call, against the cut its elder sibling's subtree left.  With one
-        query left, a branch's value comes from ``_leaf_value``, its plan
-        unbuilt: the search reads values only.  The t = L plans reach the
-        blind value.
+        plan reaches.  Per t, one loop walks the bits of yh depth first, 0
+        first, deferring each 1-child to a stack, so it meets yh in ascending
+        order.  A prefix is dropped once some member's accrual plus partial
+        distance plus (r != b) reaches best_val for both r: adding half -
+        best_val to every member field sets a field's top bit exactly then.
+        No completion can then strictly improve; only a strict improvement
+        replaces the best, so the first optimum in (t, yh, r) order wins.
+        Each prefix is tested once, a 1-child when popped, against the cut
+        its elder sibling's subtree left.  With one query left, a branch's
+        value comes from ``_leaf_value``, its plan unbuilt: the search reads
+        values only.  The t = L plans reach the blind value.
         """
         if q_left == 0 or t_prev == self.L:
             return self._blind(ones, accs, t_prev)
-        flips, fmask = self._flips, self._fmask
+        flips, fmask, leaf_value = self._flips, self._fmask, self._leaf_value
         half, high = 1 << (self._w - 1), ones << (self._w - 1)
-        best_val, best_plan = self.L + 1, None
-
-        def cuts() -> tuple[int, int]:
-            lift = (half - best_val) * ones
-            return miss0 + lift, miss1 + lift
-
-        def descend(k: int, yh: int, x: int) -> None:
-            nonlocal best_val, best_plan, cut0, cut1
-            if k < t - 1:
-                f0, f1 = flips[k]
-                x0, x1 = x + f0, x + f1  # x1's cut is read after x0's subtree moved it
-                if not ((x0 + cut0) & high and (x0 + cut1) & high):
-                    descend(k + 1, yh << 1, x0)
-                if not ((x1 + cut0) & high and (x1 + cut1) & high):
-                    descend(k + 1, yh << 1 | 1, x1)
-                return
-            worst0 = worst1 = 0
-            for b, c, cmask in leaves:
-                if last_query:
-                    value = leaf_value(c, x & cmask, t)
-                else:
-                    value = self.solve((c, x & cmask), q_left - 1, t)[0]
-                if value + b > worst0:
-                    worst0 = value + b
-                if value + 1 - b > worst1:
-                    worst1 = value + 1 - b
-                if worst0 >= best_val and worst1 >= best_val:
-                    return
-            for r, worst in ((0, worst0), (1, worst1)):
-                if worst < best_val:
-                    best_val = worst
-                    best_plan = _Plan(t, yh, r)
-                    cut0, cut1 = cuts()
-
-        last_query, leaf_value = q_left == 1, self._leaf_value
-        try:
-            for t in range(t_prev + 1, self.L + 1):
-                # the members of each round-t observation (x, b), sorted by (x, b)
-                leaves = [(b, c, c * fmask) for (_, b), group in self._obs[t - 1].items()
-                          if (c := ones & group)]
-                miss0, miss1 = flips[t - 1]
-                cut0, cut1 = cuts()
-                if not ((accs + cut0) & high and (accs + cut1) & high):
-                    descend(t_prev, 0, accs)
-        finally:
-            descend = None  # its cell made a cycle: refcounting now frees it and self
+        best_val, best_plan, last_query = self.L + 1, None, q_left == 1
+        lift = (half - best_val) * ones
+        for t in range(t_prev + 1, self.L + 1):
+            # the members of each round-t observation (x, b), sorted by (x, b)
+            leaves = [(b, c, c * fmask) for (_, b), group in self._obs[t - 1].items()
+                      if (c := ones & group)]
+            miss0, miss1 = flips[t - 1]
+            cut0, cut1 = miss0 + lift, miss1 + lift
+            stack = [(t_prev, 0, accs)]  # (k, yh, x) to test: the root, then deferred 1-children
+            while stack:
+                k, yh, x = stack.pop()
+                while not ((x + cut0) & high and (x + cut1) & high):  # the prefix survives
+                    if k == t - 1:  # a full interim: value the round-t branches
+                        worst0 = worst1 = 0
+                        for b, c, cmask in leaves:
+                            if last_query:
+                                value = leaf_value(c, x & cmask, t)
+                            else:
+                                value = self.solve((c, x & cmask), q_left - 1, t)[0]
+                            if value + b > worst0:
+                                worst0 = value + b
+                            if value + 1 - b > worst1:
+                                worst1 = value + 1 - b
+                            if worst0 >= best_val and worst1 >= best_val:
+                                break
+                        else:
+                            for r, worst in ((0, worst0), (1, worst1)):
+                                if worst < best_val:
+                                    best_val, best_plan = worst, _Plan(t, yh, r)
+                                    lift = (half - best_val) * ones
+                                    cut0, cut1 = miss0 + lift, miss1 + lift
+                        break
+                    f0, f1 = flips[k]
+                    stack.append((k + 1, yh << 1 | 1, x + f1))
+                    k, yh, x = k + 1, yh << 1, x + f0
         return best_val, best_plan
 
     # -- witness serialization ----------------------------------------------
@@ -484,9 +473,7 @@ def qld(P: PatternClass, Q: int) -> DimensionWitness:
 
     ``QldSolver.of(P)`` keeps the last class's solver, so one class is built
     once for its bld and every budget; at most one class's memo outlives a call,
-    and reference counting frees it once the next class's solver replaces it:
-    the search's recursive closure clears its own name when the solve ends,
-    so no cycle holds the solver for the cyclic collector.
+    and reference counting frees it once the next class's solver replaces it.
     """
     if type(Q) is not int:  # nor a bool
         raise TypeError(f"query budget must be an int, got {Q!r}")
@@ -508,8 +495,9 @@ def validate_witness_tree(tree: dict, Q: int, horizon: int) -> list[str]:
     Q query nodes per root-to-leaf path (unused budget is recorded at leaves
     when the horizon runs out first), blind suffixes from the parent query on."""
     out: list[str] = []
-
-    def walk(node: dict, t_prev: int, used: int, path: str) -> None:
+    stack = [(tree, 0, 0, "")]  # (node, parent's time, query nodes above, path), preorder
+    while stack:
+        node, t_prev, used, path = stack.pop()
         where = f"path {path or 'root'}"
         if "time" not in node:
             unused = node.get("unused_budget", 0)
@@ -521,7 +509,7 @@ def validate_witness_tree(tree: dict, Q: int, horizon: int) -> list[str]:
                            f" != {horizon - t_prev} after {t_prev}")
             if not node.get("unreachable") and blind is None:
                 out.append(f"{where}: leaf carries no suffix vector")
-            return
+            continue
         t = node["time"]
         if not (t_prev < t <= horizon):
             out.append(f"{where}: timestamp {t} not in ({t_prev}, {horizon}]")
@@ -531,13 +519,8 @@ def validate_witness_tree(tree: dict, Q: int, horizon: int) -> list[str]:
         children = node.get("children", {})
         if set(children) != {"0", "1"}:
             out.append(f"{where}: edges are not exactly 0 and 1")
-        for edge, child in sorted(children.items()):
-            walk(child, t, used + 1, path + edge)
-
-    try:
-        walk(tree, 0, 0, "")
-    finally:
-        walk = None  # its cell made a cycle: refcounting now frees it
+        for edge, child in sorted(children.items(), reverse=True):  # the first edge pops first
+            stack.append((child, t, used + 1, path + edge))
     return out
 
 
@@ -583,9 +566,7 @@ def game_value(P: PatternClass, Q: int) -> int:
     naive: no ``QldSolver`` code, pruning, one-center kernel or interim vector.
     Its own slot, keyed by identity and holding P, keeps the last class's rows
     and memo for every budget (keys carry q); at most one class's memo outlives a call,
-    freed by reference counting once the next class's slot replaces it: the
-    recursive ``value`` clears its own name when the call ends, so no cycle
-    holds the memo for the cyclic collector.
+    freed by reference counting once the next class's slot replaces it.
     """
     global _game_last
     if type(Q) is not int:  # nor a bool
@@ -599,29 +580,32 @@ def game_value(P: PatternClass, Q: int) -> int:
         misses = [tuple(tuple(y != r for _, y in row) for r in (0, 1)) for row in rounds]
         _game_last = (P, rounds, misses, {})
     _, rounds, misses, memo = _game_last
-    L, get = P.horizon, memo.get
+    n = len(P.patterns)
+    return _play(tuple(range(n)), (0,) * n, Q, 0, P.horizon, rounds, misses, memo)
 
-    def value(pids: tuple[int, ...], accs: tuple[int, ...], q: int, t: int) -> int:
-        offset = min(accs)
-        if offset:
-            accs = tuple([acc - offset for acc in accs])
-        best = get(key := (pids, accs, q, t))
-        if best is None:
-            best, row, last = L, rounds[t], t + 1 == L  # no option exceeds L
-            for miss in misses[t]:
-                nxt = tuple([acc + miss[pid] for pid, acc in zip(pids, accs)])
-                if (v := max(nxt) if last else value(pids, nxt, q, t + 1)) < best:
+
+def _play(pids: tuple[int, ...], accs: tuple[int, ...], q: int, t: int, L: int,
+          rounds: list, misses: list, memo: dict) -> int:
+    """``game_value``'s recursion: the members ``pids`` with accruals ``accs``
+    and q queries left, before round t + 1, the memo keyed on accruals
+    shifted to a minimum of 0."""
+    offset = min(accs)
+    if offset:
+        accs = tuple([acc - offset for acc in accs])
+    best = memo.get(key := (pids, accs, q, t))
+    if best is None:
+        best, row, last = L, rounds[t], t + 1 == L  # no option exceeds L
+        for miss in misses[t]:
+            nxt = tuple([acc + miss[pid] for pid, acc in zip(pids, accs)])
+            v = max(nxt) if last else _play(pids, nxt, q, t + 1, L, rounds, misses, memo)
+            if v < best:
+                best = v
+            if q > 0 and not last:  # a last-round query is folded: see game_value
+                branches: dict[tuple[str, Label], list[tuple[int, int]]] = {}
+                for pid, acc in zip(pids, nxt):
+                    branches.setdefault(row[pid], []).append((pid, acc))
+                if (v := max([_play(*zip(*b), q - 1, t + 1, L, rounds, misses, memo)
+                              for b in branches.values()])) < best:
                     best = v
-                if q > 0 and not last:  # a last-round query is folded: see the docstring
-                    branches: dict[tuple[str, Label], list[tuple[int, int]]] = {}
-                    for pid, acc in zip(pids, nxt):
-                        branches.setdefault(row[pid], []).append((pid, acc))
-                    if (v := max([value(*zip(*b), q - 1, t + 1) for b in branches.values()])) < best:
-                        best = v
-            memo[key] = best
-        return best + offset
-
-    try:
-        return value(tuple(range(len(P.patterns))), (0,) * len(P.patterns), Q, 0)
-    finally:
-        value = None  # its cell made a cycle: refcounting now frees it and memo
+        memo[key] = best
+    return best + offset

@@ -145,7 +145,7 @@ def cmd_unif_sim(args: argparse.Namespace) -> dict | str:
     delta = args.delta if args.delta is not None else Fraction(1)
     trials = args.trials if args.trials is not None else 10000
     if trials > MAX_ITEMS:
-        raise CliError(f"{trials} trials: at most {MAX_ITEMS} are allowed")
+        raise CliError(f"too many --trials: at most {MAX_ITEMS} are allowed")
 
     if args.stream:
         source = _load(args.stream, model.stream_from_json, "stream")
@@ -165,7 +165,7 @@ def cmd_unif_sim(args: argparse.Namespace) -> dict | str:
     steps = math.ceil(horizon / delta) if delta > 0 else 0
     if steps > MAX_ITEMS:
         raise CliError(
-            f"horizon {horizon} at delta {delta} gives {steps} query steps per "
+            f"the horizon at --delta gives more than {MAX_ITEMS} query steps per "
             f"trial; at most {MAX_ITEMS} are allowed"
         )
     if trials * steps > MAX_STEPS:
@@ -247,8 +247,8 @@ def cmd_adversary(args: argparse.Namespace) -> dict:
             count += adversaries._unit_pieces(budget, n)
             if count > MAX_ITEMS:
                 raise CliError(
-                    f"--units {args.units} gives more than {MAX_ITEMS} segments at slope "
-                    f"{budget.slope}; at most {MAX_ITEMS} are allowed"
+                    f"--units at this --slope gives more than {MAX_ITEMS} segments; "
+                    f"at most {MAX_ITEMS} are allowed"
                 )
         stream = adversaries.gen_two_point_stream(args.x1, args.x2, args.units, budget, seed)
         params.update({"units": args.units, "x1": args.x1, "x2": args.x2})
@@ -291,7 +291,7 @@ def cmd_blind_bound(args: argparse.Namespace) -> str:
     _fill_from_config(args, {"slope": model.as_fraction})
     budget = _budget_policy(args)
     if args.units > MAX_ITEMS:
-        raise CliError(f"--units {args.units}: at most {MAX_ITEMS} units are allowed")
+        raise CliError(f"too many --units: at most {MAX_ITEMS} are allowed")
     if args.placement:
         doc = _load_json(args.placement)
         try:

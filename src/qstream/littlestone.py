@@ -132,29 +132,27 @@ def build_littlestone_tree(H: ConceptClass, d: int) -> ShatteredTree | None:
         raise ValueError(f"tree depth must be positive, got {d}")
     solver = LittlestoneSolver.of(H)
     trees = solver._trees
-    if d in trees:  # None too
-        return trees[d]
+    if d not in trees:  # a cached None (LD(H) < d) is a hit too
+        trees[d] = _grow(solver, solver.full(), d)
+    return trees[d]
 
-    def grow(ids: int, depth: int) -> ShatteredTree | None:
-        for xi in range(len(solver.label_masks)):
-            zeros = solver.restrict_ids(ids, xi, 0)
-            ones = solver.restrict_ids(ids, xi, 1)
-            if not (zeros and ones):
-                continue
-            if depth == 1:
-                return ShatteredTree(H.space.instances[xi], None, None)
-            if min(solver.dimension(zeros), solver.dimension(ones)) >= depth - 1:
-                left = grow(zeros, depth - 1)
-                right = grow(ones, depth - 1)
-                assert left is not None and right is not None
-                return ShatteredTree(H.space.instances[xi], left, right)
-        return None
 
-    try:
-        tree = trees[d] = grow(solver.full(), d)
-    finally:
-        grow = None  # its cell made a cycle: refcounting now frees it
-    return tree
+def _grow(solver: LittlestoneSolver, ids: int, depth: int) -> ShatteredTree | None:
+    """``build_littlestone_tree``'s recursion: a depth-``depth`` shattered
+    tree of the subset ``ids``, or None."""
+    for xi, (zeros_mask, ones_mask) in enumerate(solver.label_masks):
+        zeros, ones = ids & zeros_mask, ids & ones_mask
+        if not (zeros and ones):
+            continue
+        x = solver.root.space.instances[xi]
+        if depth == 1:
+            return ShatteredTree(x, None, None)
+        if min(solver.dimension(zeros), solver.dimension(ones)) >= depth - 1:
+            left = _grow(solver, zeros, depth - 1)
+            right = _grow(solver, ones, depth - 1)
+            assert left is not None and right is not None
+            return ShatteredTree(x, left, right)
+    return None
 
 
 def soa_predict(H: ConceptClass, x: str, ids: int | None = None) -> Label:

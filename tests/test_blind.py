@@ -669,6 +669,35 @@ def test_leaf_value_equals_the_budget_zero_solve(monkeypatch):
     assert futures == {1, 2, 3, 4}
 
 
+def test_search_work_is_pinned(monkeypatch):
+    # The calls one Q = 2 solve makes from a fresh solver, per class: a search
+    # that visits other prefixes or memo keys shows here even with equal
+    # outputs, such as a 1-child tested when deferred instead of when popped
+    # (more leaf calls), or a memo key left unshifted (more _solve_shifted calls)
+    calls = dict.fromkeys(["_solve_shifted", "_leaf_value", "_weighted_one_center"], 0)
+
+    def counted(owner, name):
+        f = getattr(owner, name)
+
+        def count(*args):
+            calls[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(owner, name, count)
+
+    counted(QldSolver, "_solve_shifted")
+    counted(QldSolver, "_leaf_value")
+    counted(blind, "_weighted_one_center")
+    rng = random.Random(4)
+    want = {8: (3, 9, 43, 2), 9: (4, 24, 173, 8), 10: (4, 26, 268, 16)}
+    for L, counts in want.items():
+        P = two_instance_class(rng, L)
+        calls.update(dict.fromkeys(calls, 0))
+        solver = QldSolver(P)
+        value = solver.solve(solver.initial_state(), 2, 0)[0]
+        assert (value, *calls.values()) == counts, L
+
+
 def decode_state(solver, state):
     """The packed (ones, accs) information set as (pattern id, accrual)
     pairs in pid order, read one field at a time; accs must be 0 outside
@@ -911,6 +940,25 @@ def test_validate_witness_tree_names_each_broken_invariant(mutate, problems):
     tree = qld(make_class([(0, 0, 0, 0), (1, 1, 1, 1)]), 1).witness["tree"]
     mutate(tree)
     assert validate_witness_tree(tree, 1, 4) == problems
+
+
+def test_validate_witness_tree_reports_in_preorder():
+    # at Q = 2 the tree has query nodes at paths 0 and 1: a node's problems
+    # come before its subtree's, and the 0-subtree's before the 1-edge's
+    from qstream.blind import validate_witness_tree
+
+    P = make_class([(0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 0, 0), (1, 1, 1, 1)])
+    tree = qld(P, 2).witness["tree"]
+    zero, one = tree["children"]["0"], tree["children"]["1"]
+    assert "time" in zero and "time" in one
+    zero["interim"] = [0]
+    zero["children"]["1"].pop("blind")
+    one["interim"] = [1]
+    assert validate_witness_tree(tree, 2, 4) == [
+        "path 0: interim length != 0",
+        "path 01: leaf carries no suffix vector",
+        "path 1: interim length != 0",
+    ]
 
 
 def test_replan_strategy_rejects_an_observation_off_its_plan():

@@ -421,6 +421,33 @@ def test_adversary_reveal_count_refusal_stays_short(files, capsys, flags):
     assert not (tmp / "s.json").exists()
 
 
+BIG = "1" + "0" * 4000  # a 4,001-digit count
+UNIF = ["unif-sim", "--class", "{cls}", "--adversary", "littlestone-branch", "--slope", "1/4",
+        "--seed", "0"]
+TWO_POINT = ["adversary", "--kind", "two-point", "--seed", "0", "--out", "{out}"]
+
+
+@pytest.mark.parametrize("argv", [
+    # a 4,001-digit step count from a 4,001-digit delta denominator
+    [*UNIF, "--delta", "1e-4000"],
+    # past Python's 4,300-digit int-to-str limit, which once replaced the refusal
+    [*UNIF, "--delta", "1e-5000"],
+    [*UNIF, "--trials", BIG],
+    [*TWO_POINT, "--units", "100001", "--slope", "1e-4000"],  # a 4,001-digit slope denominator
+    [*TWO_POINT, "--units", BIG, "--slope", "1"],
+    ["blind-bound", "--units", BIG, "--slope", "1"],
+], ids=["unif-sim-delta", "unif-sim-delta-past-limit", "unif-sim-trials", "two-point-slope",
+        "two-point-units", "blind-bound-units"])
+def test_cap_refusals_stay_short(files, capsys, argv):
+    # each refusal names the flag and the cap, not the numbers it was given
+    tmp, write = files
+    cls, out = write("cls.json", FULL_AB), tmp / "s.json"
+    code, stdout, err = run(capsys, *[a.format(cls=cls, out=out) for a in argv])
+    assert_single_error(code, err)
+    assert len(err.encode()) < 200 and "at most 100000" in err
+    assert stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     # sum over n <= 20000 of 2 budget(n) at slope 1: about 4 * 10^8 segments
     ["adversary", "--kind", "two-point", "--units", "20000", "--slope", "1",

@@ -324,6 +324,25 @@ def test_every_public_member_is_used():
     assert members and unused == []
 
 
+def test_no_nested_function_calls_itself():
+    # a nested function that calls itself holds itself through its closure
+    # cell, a cycle that keeps what it references (a solver, a memo) alive
+    # until the cyclic collector runs; the library recurses through
+    # module-level functions and methods, or walks an explicit stack
+    found = []
+    for f in sorted((ROOT / "src" / "qstream").glob("*.py")):
+        for outer in ast.walk(ast.parse(f.read_text())):
+            if not isinstance(outer, ast.FunctionDef):
+                continue
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == inner.name for call in ast.walk(inner)
+                ):
+                    found.append(f"{f.name}: {outer.name}.{inner.name}")
+    assert found == []
+
+
 def test_readme_library_sketch_runs_and_its_comments_hold():
     # README's python block runs in a fresh namespace; each bare expression
     # is evaluated, keyed by its source text, to check the value its
