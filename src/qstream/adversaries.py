@@ -4,7 +4,9 @@ Three generators: the shattered-branch painting over [0, 4n), the two-point
 random painting that defeats blind prediction, and self-revealing streams
 whose segment-initial instance encodes the segment's full schedule plus the
 next reveal time.  ``exact_blind_error`` evaluates the two-point expected
-error analytically, with no sampling.  Self-revealing streams over one
+error analytically, with no sampling.  Branch streams come from a cached
+layout per class and (depth, n, horizon): bounds and segments built once
+per tree node, one stream per drawn path.  Self-revealing streams over one
 (depth-2 tree, den, reveal grid) share one cached layout, kept once two
 calls in a row use it: its bounds and at most four (token, branch) segment
 pairs per reveal.
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .littlestone import LittlestoneSolver, build_littlestone_tree
+from .littlestone import LittlestoneSolver, ShatteredTree, build_littlestone_tree
 from .model import (
     BudgetViolationError,
     ConceptClass,
@@ -133,6 +135,14 @@ def gen_littlestone_branch_stream(
     interval of width 2n/k.  Beyond 4n (when a larger horizon is requested)
     the stream holds a fixed pair consistent with every surviving concept,
     so the whole stream stays realizable.
+
+    The branch takes one scalar draw per step and reads as a heap index
+    (node i's b-child is 2 i + b).  Streams come from one cached layout,
+    held by ``LittlestoneSolver.of(H)`` for the last (2k, n, horizon) key:
+    the bounds from one ``_grid_times``, one segment per (tree node, bit)
+    shared by every path through the node, and one stream per drawn leaf,
+    tail included.  Streams are frozen, so a path drawn again returns the
+    same stream.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -145,22 +155,62 @@ def gen_littlestone_branch_stream(
             f"class too shallow: needs Littlestone dimension >= {2 * k}"
         )
     rng = np.random.default_rng(seed)
-    path: list[tuple[str, Label]] = []
-    node = tree
-    while node is not None:
-        b = int(rng.integers(0, 2))
-        path.append((node.x, b))
-        node = node.right if b else node.left
+    leaf = 1  # the drawn path as a heap index: node i's b-child is 2 i + b
+    for _ in range(2 * k):
+        leaf = 2 * leaf + int(rng.integers(0, 2))
 
     p, q = (4 * n, 1) if horizon is None else as_fraction(horizon).as_integer_ratio()
     if p < 4 * n * q:
         raise ValueError(f"horizon {Fraction(p, q)} shorter than the painted prefix {4 * n}")
-    # the horizon is p / q; over den = k q, each step's width 2n / k is 2n q
-    cuts = list(range(0, 2 * n * q * len(path) + 1, 2 * n * q))
-    if p > 4 * n * q:
-        cuts.append(p * k)
-        path.append(_consistent_tail(H, path))
-    return PiecewiseStream._on_grid(k * q, cuts, path)
+    solver = LittlestoneSolver.of(H)
+    key = (2 * k, n, p, q)
+    layout = solver._branch
+    if layout is None or layout[0] != key:
+        # the horizon is p / q; over den = k q, each step's width 2n / k is 2n q
+        cuts = list(range(0, 2 * n * q * 2 * k + 1, 2 * n * q))
+        if p > 4 * n * q:
+            cuts.append(p * k)
+        # the segment of the edge into node c and the stream of leaf c, by
+        # heap index c: 2^(2k + 1) slots each, twice the 2^2k concepts a
+        # class needs at the least to shatter the tree
+        edges, streams = [None] * (2 << 2 * k), [None] * (2 << 2 * k)
+        layout = solver._branch = (key, *PiecewiseStream._grid_times(k * q, cuts), edges, streams)
+    _, grid, times, edges, streams = layout
+    stream = streams[leaf]
+    if stream is None:
+        stream = streams[leaf] = _branch_stream(H, tree, leaf, grid, times, edges)
+    return stream
+
+
+def _branch_stream(H: ConceptClass, tree: ShatteredTree, leaf: int, grid, times, edges
+                   ) -> PiecewiseStream:
+    """The branch stream of heap index ``leaf`` in ``tree``, its bounds
+    ``times`` over ``grid``.  The segment of the edge into node c comes
+    from ``edges[c]``, built there on first use; a tail past the branch is
+    the leaf's own."""
+    depth = leaf.bit_length() - 1
+    segments, node = [], tree
+    for j in range(depth):
+        child = leaf >> (depth - 1 - j)
+        seg = edges[child]
+        if seg is None:
+            seg = edges[child] = _segment(times[j], times[j + 1], node.x, child & 1)
+        segments.append(seg)
+        node = node.right if child & 1 else node.left
+    if len(times) > depth + 1:  # a horizon past 4n
+        x, y = _consistent_tail(H, [(seg.x, seg.y) for seg in segments])
+        segments.append(_segment(times[depth], times[depth + 1], x, y))
+    return PiecewiseStream._from_parts(times[-1], segments, grid)
+
+
+def _segment(start: Fraction, end: Fraction, x: str, y: Label) -> Segment:
+    """A Segment past ``as_fraction``, its fields set one by one as the
+    dataclass's own ``__init__`` does, which keeps them in the object
+    (about 110 bytes on CPython 3.11, against 250 through ``vars()``)."""
+    seg = object.__new__(Segment)
+    for name, value in (("start", start), ("end", end), ("x", x), ("y", y)):
+        object.__setattr__(seg, name, value)
+    return seg
 
 
 def _consistent_tail(H: ConceptClass, path: list[tuple[str, Label]]) -> tuple[str, Label]:
@@ -309,9 +359,7 @@ def gen_self_revealing_stream(
             node, lo, mid, hi = tree.right if bit else tree.left, 2 * i, 2 * i + 1, 2 * i + 2
             token = _token(((rows[0][bit], text[lo], text[mid]),
                             (rows[1 + bit][bit2], text[mid], text[hi])), text[hi])
-            pair = object.__new__(Segment), object.__new__(Segment)
-            vars(pair[0]).update(start=times[lo], end=times[mid], x=token, y=bit)
-            vars(pair[1]).update(start=times[mid], end=times[hi], x=node.x, y=bit2)
-            pairs[k] = pair
+            pair = pairs[k] = (_segment(times[lo], times[mid], token, bit),
+                               _segment(times[mid], times[hi], node.x, bit2))
         segments += pair
     return PiecewiseStream._from_parts(times[-1], segments, stream_grid)

@@ -10,9 +10,11 @@ over one unit per run, 1 / (den << shift), and builds each Fraction once,
 at the end.  The adaptive sampler follows schedules on the grid, each
 distinct token parsed once by the cache behind ``read_reveal_token``,
 keeps its predictions as integer pieces over the same unit and builds
-one Fraction per query time.  Runs on a class share its ``LittlestoneSolver``;
-the uniform sampler makes its SOA prediction and restriction once per
-(segment, version space), not once per query.
+one Fraction per query time.  Both build each query event straight from
+its tuple (``_event``), past the namedtuple's Python-level ``__new__``.
+Runs on a class share its ``LittlestoneSolver``; the uniform sampler makes
+its SOA prediction and restriction once per (segment, version space), not
+once per query.
 No Fraction goes through its constructor: each is an integer pair over one gcd
 (``_reduced_fraction``), or a query time's reduced float ratio (``_coprime_fraction``).
 """
@@ -20,8 +22,10 @@ No Fraction goes through its constructor: each is an integer pair over one gcd
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
@@ -52,6 +56,11 @@ class QueryEvent(NamedTuple):
 
     def to_json(self) -> dict:
         return {**self._asdict(), "time": fraction_to_json(self.time)}
+
+
+# a QueryEvent from its (time, x, y, success) tuple, past the namedtuple's
+# Python-level __new__
+_event = partial(tuple.__new__, QueryEvent)
 
 
 class EpochError(NamedTuple):
@@ -123,11 +132,13 @@ def _delta_float(delta: RationalLike) -> float:
     try:
         delta_f = float(as_fraction(delta))
     except OverflowError:
-        raise ValueError(f"delta {delta} does not fit a float") from None
+        raise ValueError("delta does not fit a float: the largest float is "
+                         f"{sys.float_info.max!r}") from None
     if delta_f <= 0:
         if as_fraction(delta) > 0:  # float() rounded it to 0.0, a step that never advances
-            raise ValueError(f"delta {delta} underflows a float to 0.0")
-        raise ValueError(f"delta must be positive, got {delta}")
+            raise ValueError("delta underflows a float to 0.0: the smallest positive float "
+                             f"is {math.ulp(0.0)!r}")
+        raise ValueError("delta must be positive")
     return delta_f
 
 
@@ -258,7 +269,7 @@ def run_uniform_sampler(
                         )
                     nxt = solver.full()
             looked_si = si
-        events.append(QueryEvent(t_q, x, y, success))
+        events.append(_event((t_q, x, y, success)))
         if success or nxt != ids:
             settle(seg, t)
             if nxt != ids:
@@ -386,7 +397,7 @@ def run_adaptive_sampler(stream: PiecewiseStream) -> RunReport:
         if not is_reveal_token(x):
             raise MalformedTokenError(f"not a self-revealing stream at t={t_q}")
         schedule, (p_next, q_next) = read_reveal_token(x)
-        events.append(QueryEvent(t_q, x, y, success=last_label != y))
+        events.append(_event((t_q, x, y, last_label != y)))
         cursor = t
         for _, sy, (p_lo, q_lo), (p_hi, q_hi) in schedule:
             if den % q_lo or den % q_hi:

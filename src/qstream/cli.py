@@ -63,11 +63,35 @@ def _load(path: str, from_json: Callable[[dict], Any], what: str) -> Any:
     return obj
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals are CliErrors, so they print as one
+    ``error:`` line and exit 2, as every other refusal does."""
+
+    def error(self, message: str):
+        # an invalid choice or an unrecognized argument is quoted as given
+        raise CliError(message if len(message) <= 160 else message[:157] + "...")
+
+
+def _refusal(expected: str) -> argparse.ArgumentTypeError:
+    """A flag value's refusal: what the flag expects, never the value, which
+    can run to thousands of digits."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    return argparse.ArgumentTypeError(
+        f"expected {expected}" + (f" ({limit} digits at most)" if limit else ""))
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _refusal("an integer") from None
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return model.as_fraction(text)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r} ({exc})")
+    except (ValueError, ZeroDivisionError, TypeError):
+        raise _refusal("a rational number such as 3, 0.25 or 1/4") from None
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -322,7 +346,7 @@ def cmd_blind_bound(args: argparse.Namespace) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qstream",
         description="query-bounded online learning laboratory",
     )
@@ -336,12 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="class_file", required=True)
     p.add_argument("--stream")
     p.add_argument("--adversary", choices=["littlestone-branch"])
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_integer, default=1)
     p.add_argument("--delta", type=_fraction)
     p.add_argument("--slope", type=_fraction)
     p.add_argument("--horizon", type=_fraction)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=_integer)
+    p.add_argument("--seed", type=_integer)
     p.add_argument("--on-empty", dest="on_empty", choices=["error", "reset"], default="error")
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -349,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qld", help="query learning distance of a pattern class")
     p.add_argument("--patterns", required=True)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_integer)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_qld)
@@ -358,20 +382,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=["littlestone-branch", "two-point", "self-revealing"])
     p.add_argument("--class", dest="class_file")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--units", type=int, default=1)
+    p.add_argument("--n", type=_integer, default=1)
+    p.add_argument("--units", type=_integer, default=1)
     p.add_argument("--x1", default="x1")
     p.add_argument("--x2", default="x2")
     p.add_argument("--slope", type=_fraction)
     p.add_argument("--horizon", type=_fraction)
     p.add_argument("--reveal-times", dest="reveal_times")
     p.add_argument("--reveal-every", dest="reveal_every", type=_fraction, default=Fraction(1))
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_integer)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_adversary)
 
     p = sub.add_parser("blind-bound", help="exact blind error of a query placement")
-    p.add_argument("--units", type=int, required=True)
+    p.add_argument("--units", type=_integer, required=True)
     p.add_argument("--slope", type=_fraction)
     p.add_argument("--placement")
     p.set_defaults(fn=cmd_blind_bound)
@@ -380,9 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         result = args.fn(args)
         text = result if isinstance(result, str) else json.dumps(result, indent=2, sort_keys=True)
         if getattr(args, "out", None):

@@ -37,7 +37,8 @@ class LittlestoneSolver:
     ``root.concepts[i]`` survives.  Restricting to a label is one ``&`` with
     a mask precomputed per (instance, label), and the dimension memo and the
     SOA label tables are keyed by the subset mask, so every run that shares
-    the solver shares them, as it shares the shattered tree of each depth.
+    the solver shares them, as it shares the shattered tree of each depth
+    and the last branch-stream layout.
     """
 
     def __init__(self, root: ConceptClass):
@@ -53,6 +54,9 @@ class LittlestoneSolver:
         self._memo: dict[int, int] = {}
         self._soa: dict[int, tuple[Label, ...]] = {}
         self._trees: dict[int, ShatteredTree | None] = {}  # by depth
+        # gen_littlestone_branch_stream's layout for the last (depth, n,
+        # horizon) key it met; a call with another key replaces it
+        self._branch: tuple | None = None
 
     @classmethod
     def of(cls, H: ConceptClass) -> "LittlestoneSolver":

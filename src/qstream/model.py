@@ -224,9 +224,12 @@ class PiecewiseStream:
 
     @classmethod
     def _from_parts(cls, horizon: Fraction, segments, grid) -> PiecewiseStream:
-        """The stream of built segments and their ``grid``, unchecked."""
+        """The stream of built segments and their ``grid``, unchecked.  The
+        fields are set one by one, as the dataclass's own ``__init__`` sets
+        them, which keeps them in the object rather than in a ``vars()`` dict."""
         stream = object.__new__(cls)
-        vars(stream).update(horizon=horizon, segments=tuple(segments), grid=grid)
+        for name, value in (("horizon", horizon), ("segments", tuple(segments)), ("grid", grid)):
+            object.__setattr__(stream, name, value)
         return stream
 
     def value_at(self, t: Fraction) -> tuple[str, Label]:

@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qstream.adversaries import (
+    _consistent_tail,
     _parse_time,
     _read_token,
     decode_reveal_token,
@@ -319,6 +320,85 @@ def test_branch_stream_too_shallow():
 def test_branch_stream_zero_budget():
     with pytest.raises(QstreamError, match="budget"):
         gen_littlestone_branch_stream(FULL2, 1, QueryBudgetPolicy(Fraction(1, 100)), 0)
+
+
+def _branch_on_grid(H, n, k, seed, horizon):
+    """Reference: the branch stream rebuilt afresh by ``_on_grid``, bounds,
+    segments and all, as every call built it before the layout."""
+    path = _branch_reference(H, k, seed)
+    p, q = (4 * n, 1) if horizon is None else Fraction(horizon).as_integer_ratio()
+    cuts = list(range(0, 2 * n * q * len(path) + 1, 2 * n * q))
+    if p > 4 * n * q:
+        cuts.append(p * k)
+        path.append(_consistent_tail(H, path))
+    return PiecewiseStream._on_grid(k * q, cuts, path)
+
+
+def _leaf(k, seed):
+    """The heap index of the seed's branch in a depth-2k tree."""
+    rng, leaf = np.random.default_rng(seed), 1
+    for _ in range(2 * k):
+        leaf = 2 * leaf + int(rng.integers(0, 2))
+    return leaf
+
+
+# (class, n, k, horizon); the third and fourth keys differ in n alone
+BRANCH_KEYS = [(FULL2, 1, 1, None), (FULL2, 1, 1, Fraction(13, 2)), (FULL2, 1, 1, 8),
+               (FULL2, 2, 1, None), (FULL2, 4, 1, 20),
+               (full_class(4), 1, 2, None), (full_class(4), 2, 2, Fraction(41, 3))]
+
+
+def test_branch_stream_on_every_path_equals_a_fresh_build():
+    # depth-2 and depth-4 trees, with and without a tail past 4n, each key
+    # met in turn, so every round replaces the slot at every key
+    for round_ in range(2):
+        for H, n, k, horizon in BRANCH_KEYS:
+            leaves = set()
+            for seed in range(200):
+                stream = gen_littlestone_branch_stream(
+                    H, n, QueryBudgetPolicy(Fraction(k, 4 * n)), seed, horizon=horizon)
+                ref = _branch_on_grid(H, n, k, seed, horizon)
+                assert stream.segments == ref.segments
+                assert stream.grid == ref.grid and stream.horizon == ref.horizon
+                assert_public_stream(stream)
+                leaves.add(_leaf(k, seed))
+            assert len(leaves) == 4 ** k  # every path was drawn
+
+
+def test_branch_layout_slot_is_replaced_by_another_key():
+    H, budget = full_class(4), QueryBudgetPolicy(Fraction(1, 4))
+    solver = LittlestoneSolver.of(H)
+    first = gen_littlestone_branch_stream(H, 1, budget, 0)
+    assert solver._branch[0] == (2, 1, 4, 1)  # (depth, n, horizon as p, q)
+    refs = [weakref.ref(seg) for seg in first.segments]
+    del first
+    gen_littlestone_branch_stream(H, 1, budget, 0, horizon=Fraction(9, 2))
+    assert solver._branch[0] == (2, 1, 9, 2)
+    gc.collect()
+    assert all(ref() is None for ref in refs)  # the old layout died with the slot
+    gen_littlestone_branch_stream(H, 2, QueryBudgetPolicy(Fraction(1, 8)), 0)
+    assert solver._branch[0] == (2, 2, 8, 1)
+
+
+def test_branch_layout_holds_two_segments_per_node_and_one_stream_per_drawn_leaf():
+    H, k = full_class(4), 2
+    budget = QueryBudgetPolicy(Fraction(k, 4))
+    streams = {}
+    for seed in range(40):
+        stream = gen_littlestone_branch_stream(H, 1, budget, seed, horizon=5)
+        assert streams.setdefault(_leaf(k, seed), stream) is stream  # one per leaf
+    _, _, _, edges, held = LittlestoneSolver.of(H)._branch
+    assert len(streams) < 4 ** k  # some leaf was never drawn
+    assert {i for i, s in enumerate(held) if s is not None} == set(streams)
+    built = [i for i, seg in enumerate(edges) if seg is not None]
+    assert len(built) <= 2 * (2 ** (2 * k) - 1)  # at most two per tree node
+    for leaf, stream in streams.items():
+        # the segment of a step is the layout's one for its edge, the tail the leaf's own
+        path = [leaf >> (2 * k - 1 - j) for j in range(2 * k)]
+        assert all(seg is edges[c] for seg, c in zip(stream.segments, path))
+        assert len(stream.segments) == 2 * k + 1
+        assert all(stream.segments[-1] is not seg for seg in edges)
+    assert set(built) == {leaf >> s for leaf in streams for s in range(2 * k)}
 
 
 # --- two-point streams ------------------------------------------------------------

@@ -448,6 +448,33 @@ def test_cap_refusals_stay_short(files, capsys, argv):
     assert stdout == "" and not out.exists()
 
 
+LONG = "1" * 5001  # past Python's 4,300-digit int-to-str limit
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["blind-bound", "--units", "abc"], "argument --units: expected an integer"),
+    (["blind-bound", "--units", LONG], "argument --units: expected an integer"),
+    ([*UNIF, "--trials", LONG], "argument --trials: expected an integer"),
+    ([*UNIF[:-2], "--seed", LONG], "argument --seed: expected an integer"),
+    ([*UNIF, "--slope", "1/" + LONG], "argument --slope: expected a rational number"),
+    ([*UNIF, "--delta", "1e4000"], "delta does not fit a float"),
+    # past the int-to-str limit, which once replaced the refusal
+    ([*UNIF, "--delta", "1e5000"], "delta does not fit a float"),
+    ([*UNIF, "--delta=-1e-4000"], "delta must be positive"),  # a 4,001-digit denominator
+    ([*TWO_POINT[:2], LONG], "argument --kind: invalid choice"),
+], ids=["units-abc", "units-long", "trials-long", "seed-long", "slope-long", "delta-1e4000",
+        "delta-1e5000", "delta-minus-1e-4000", "kind-long"])
+def test_flag_refusals_stay_short(files, capsys, argv, named):
+    # each refusal is one line that names the flag and what it expects,
+    # never the value it was given
+    tmp, write = files
+    cls, out = write("cls.json", FULL_AB), tmp / "s.json"
+    code, stdout, err = run(capsys, *[a.format(cls=cls, out=out) for a in argv])
+    assert_single_error(code, err)
+    assert len(err.encode()) < 200 and named in err
+    assert stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     # sum over n <= 20000 of 2 budget(n) at slope 1: about 4 * 10^8 segments
     ["adversary", "--kind", "two-point", "--units", "20000", "--slope", "1",
@@ -659,9 +686,9 @@ def test_non_string_instance_in_a_step_exit_2(files, capsys, command, doc, messa
     (["adversary", "--kind", "self-revealing", "--horizon", "-1", "--reveal-every", "1",
       "--out", "s.json"], "horizon must be positive, got -1"),
     (["unif-sim", "--adversary", "littlestone-branch", "--delta", "0"],
-     "delta must be positive, got 0"),
+     "delta must be positive"),
     (["unif-sim", "--adversary", "littlestone-branch", "--delta", "1e400"],
-     f"delta {10**400} does not fit a float"),
+     "delta does not fit a float: the largest float is 1.7976931348623157e+308"),
 ], ids=["self-revealing-horizon", "unif-sim-delta", "unif-sim-delta-1e400"])
 def test_bad_value_is_the_one_named(files, capsys, monkeypatch, argv, message):
     tmp, write = files
