@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +42,7 @@ _TOKEN_PREFIX = "SEG("
 _TOKEN_JOINT = ")|next="
 _TOKEN_JSON = json.JSONEncoder(separators=(",", ":"))
 Time = tuple[int, int]  # a token time p / q as (p, q), reduced, q > 0
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")  # Fraction builds 10^|exponent|
 # gen_self_revealing_stream's slot: the last call's (depth-2 tree, den, bounds
 # over den) key and, once a second call in a row meets that key, its layout:
 # the stream grid, each cut's Fraction and text, the tree's row texts and
@@ -54,11 +56,14 @@ def _frac_str(value: Fraction) -> str:
 
 
 def _parse_time(value) -> Time:
-    """A time string as the reduced pair (p, q) of ``Fraction(value)``, or
-    what that raises.  The encoder writes only strings, so any other type is
-    a TypeError."""
+    """A time string as the reduced pair (p, q) of ``Fraction(value)``, or what
+    that raises.  The encoder writes only p/q strings, so any other type is a
+    TypeError, and an exponent over 4300 (the int-to-str limit) a ValueError."""
     if not isinstance(value, str):
         raise TypeError(f"time must be a string, got {value!r}")
+    exponent = _EXPONENT.search(value)
+    if exponent and (len(exponent[1]) > 4300 or int(exponent[1]) > 4300):
+        raise ValueError(f"time exponent over 4300 in magnitude: {value!r}")
     return Fraction(value).as_integer_ratio()
 
 

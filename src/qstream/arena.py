@@ -2,21 +2,20 @@
 
 Mistake integrals are computed on the common refinement of segment
 boundaries in integers over one common denominator, never by quadrature.
-Both samplers start from the stream's integer grid, ``PiecewiseStream.grid``.
+Both samplers start from the stream's integer grid, ``PiecewiseStream.grid``,
+which ``mistake_integral`` rescales only for a finer den.
 Query times drawn from the RNG are binary floats n / 2^k, so a seeded run
 has one well-defined exact mistake integral.  The uniform sampler draws
-its uniforms 64 at a time, holds its times and epoch sums as integers
-over one unit per run, 1 / (den << shift), and builds each Fraction once,
-at the end.  The adaptive sampler follows schedules on the grid, each
-distinct token parsed once by the cache behind ``read_reveal_token``,
-keeps its predictions as integer pieces over the same unit and builds
-one Fraction per query time.  Both build each query event straight from
-its tuple (``_event``), past the namedtuple's Python-level ``__new__``.
-Runs on a class share its ``LittlestoneSolver``; the uniform sampler makes
-its SOA prediction and restriction once per (segment, version space), not
-once per query.
-No Fraction goes through its constructor: each is an integer pair over one gcd
-(``_reduced_fraction``), or a query time's reduced float ratio (``_coprime_fraction``).
+its uniforms 64 at a time and holds times and epoch sums as integers over
+one unit per run, 1 / (den << shift).  Its one loop walks a segment cursor
+forward, to each query time and last to the horizon, and makes the SOA
+prediction and restriction once per (segment, version space).  The adaptive
+sampler follows schedules on the grid, each distinct token parsed once by
+the cache behind ``read_reveal_token``.  Query events and epochs are built
+straight from their tuples (``_event``, ``_epoch``), past the namedtuple's
+Python-level ``__new__``, and no Fraction goes through its constructor: each
+is an integer pair over one gcd (``_reduced_fraction``), or a query time's
+reduced float ratio (``_coprime_fraction``).
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .model import (
     NonRealizableError,
     PiecewiseStream,
     RationalLike,
-    Segment,
     _coprime_fraction,
     _reduced_fraction,
     as_fraction,
@@ -73,6 +71,10 @@ class EpochError(NamedTuple):
         return {"epoch": self.epoch, "error": fraction_to_json(self.error)}
 
 
+# an EpochError from its (epoch, error) tuple, as ``_event`` builds events
+_epoch = partial(tuple.__new__, EpochError)
+
+
 @dataclass(frozen=True)
 class RunReport:
     mistake_integral: Fraction
@@ -102,43 +104,48 @@ def mistake_integral(
 
     ``pieces`` are the realized predictions, (start, end, label) rows in time
     order with bounds as integers over ``den``, a positive multiple of the
-    stream's grid den; the sweep runs in those integers."""
+    stream's grid den, which is rescaled to it; the sweep runs in integers."""
     den_s, starts, ends, end = stream.grid
     if den <= 0 or den % den_s:
         raise ValueError(f"den must be a positive multiple of the grid's {den_s}, got {den}")
     up = den // den_s
-    starts, ends, end = [v * up for v in starts], [v * up for v in ends], end * up
+    if up != 1:
+        starts, ends, end = [v * up for v in starts], [v * up for v in ends], end * up
     segments = stream.segments
+    n_segments, n_pieces = len(segments), len(pieces)
     total = cursor = si = ti = 0
     while cursor < end:
-        while si < len(segments) and ends[si] <= cursor:
+        while si < n_segments and ends[si] <= cursor:
             si += 1
-        while ti < len(pieces) and pieces[ti][1] <= cursor:
+        while ti < n_pieces and pieces[ti][1] <= cursor:
             ti += 1
-        if si >= len(segments) or ti >= len(pieces):
+        if si == n_segments or ti == n_pieces:
             raise ValueError(f"coverage ends before horizon at {Fraction(cursor, den)}")
         p_start, p_end, label = pieces[ti]
         if starts[si] > cursor or p_start > cursor:
             raise ValueError(f"coverage gap at {Fraction(cursor, den)}")
-        stop = min(ends[si], p_end, end)
+        stop = ends[si] if ends[si] < p_end else p_end
+        if end < stop:
+            stop = end
         if label != segments[si].y:
             total += stop - cursor
         cursor = stop
     return _reduced_fraction(total, den)
 
 
-def _delta_float(delta: RationalLike) -> float:
-    """The sampler's window width as a float: positive and finite."""
+def _delta_float(delta: Fraction) -> float:
+    """The sampler's window width, the exact ``delta``, as a float: positive
+    and finite.  The sign is read before the float, which can overflow."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
     try:
-        delta_f = float(as_fraction(delta))
+        delta_f = float(delta)
     except OverflowError:
         raise ValueError("delta does not fit a float: the largest float is "
                          f"{sys.float_info.max!r}") from None
-    if delta_f <= 0:
-        if as_fraction(delta) > 0:  # float() rounded it to 0.0, a step that never advances
-            raise ValueError("delta underflows a float to 0.0: the smallest positive float "
-                             f"is {math.ulp(0.0)!r}")
-        raise ValueError("delta must be positive")
+    if delta_f == 0:  # float() rounded it to 0.0, a step that never advances
+        raise ValueError("delta underflows a float to 0.0: the smallest positive float "
+                         f"is {math.ulp(0.0)!r}")
     return delta_f
 
 
@@ -166,79 +173,96 @@ def run_uniform_sampler(
     the full class and continues (pattern-class streams).  A stream that
     does not cover [0, horizon) raises ValueError at its first gap.
 
-    Every run on H shares ``LittlestoneSolver.of(H)``, its dimension memo
-    and SOA tables.  One segment cursor moves forward over the whole run.
-    Between queries the deployed predictor is the SOA table of the current
-    version space, so the error of a segment is accounted once, when the
-    cursor leaves it, and the open part of the current segment only when a
-    query ends an epoch or changes the table.  A query's instance, label,
-    SOA prediction and restricted version space depend only on (cursor,
-    version space), so they are looked up at the first query of each such
-    key and reused by the queries that follow at it; each query still adds
-    its own event, and each success its own epoch.  Times are integers over one
-    unit: den is the lcm of the stream's denominators and the horizon's, and
-    a query time n / 2^k with k > shift rescales every held integer (segment
-    bounds, horizon, ``mark``, epoch sums) by 2^(k - shift) and sets shift = k.
+    Every run on H shares ``LittlestoneSolver.of(H)`` and its SOA tables.
+    The run's one loop walks a segment cursor to t = 0, to each drawn query
+    time and last to the horizon, accounting each segment that ends by the
+    target and entering the next, which must exist and start where the last
+    one ended; ends are clipped to the horizon, so the last walk accounts
+    the tail.  The deployed predictor changes only at a query, so the open
+    part of a segment is accounted only when a query ends an epoch or
+    changes the version space.  A query's SOA prediction and restriction
+    depend only on (segment, version space), so they are made at its first
+    query and reused by the next ones; each query still adds its own event,
+    and each success its own epoch.  Times are integers over one unit, 1 /
+    (den << shift), den the lcm of the stream's denominators: a query time
+    n / 2^k with k > shift rescales every held integer by 2^(k - shift).
     """
     if on_empty not in ("error", "reset"):
         raise ValueError(f"on_empty must be 'error' or 'reset', got {on_empty!r}")
+    delta = as_fraction(delta)
     delta_f = _delta_float(delta)
     rng = np.random.default_rng(seed)
     # the doubles of successive rng.random() calls, drawn 64 at a time
     draw = chain.from_iterable(iter(lambda: rng.random(64).tolist(), None)).__next__
     solver = LittlestoneSolver.of(H)
     segments = stream.segments
-    # position of each segment's instance in the space; -1 (outside the
-    # space) indexes the trailing 0 of every padded label table
+    n_segments = len(segments)
+    # position of each instance in the space; -1 (outside the space) indexes
+    # the trailing 0 of every padded label table
     position = {x: i for i, x in enumerate(solver.root.space.instances)}
-    seg_xi = [position.get(seg.x, -1) for seg in segments]
     # times as integers over 1 / (den << shift); see the docstring
     den, starts, ends, end = stream.grid
     shift = 0
-    ids = solver.full()  # the version space
+    ids = full = solver.full()  # the version space
     labels = solver.soa_labels(ids) + (0,)
 
-    epoch_acc = [0]
+    closed: list[int] = []  # the error of each closed epoch
+    acc = 0  # the open epoch's error before `mark`
     events: list[QueryEvent] = []
-    si = 0  # the cursor: the segment holding `mark`
-    mark = 0  # error before `mark` is already in epoch_acc
-
-    def enter() -> None:
-        """Check that segment si exists and starts by ``mark``."""
-        if si == len(segments):
-            raise ValueError(f"coverage ends before horizon at {Fraction(mark, den << shift)}")
-        if starts[si] > mark:
-            raise ValueError(f"coverage gap at {Fraction(mark, den << shift)}")
-
-    def seek(t: int) -> Segment:
-        """Account every segment that ends by t and return the one holding it."""
-        nonlocal si, mark
-        while ends[si] <= t:
-            if labels[seg_xi[si]] != segments[si].y:
-                epoch_acc[-1] += ends[si] - mark
-            mark = ends[si]
-            si += 1
-            enter()
-        return segments[si]
-
-    def settle(seg: Segment, t: int) -> None:
-        """Account [mark, t) inside ``seg``, the segment holding both."""
-        nonlocal mark
-        if labels[seg_xi[si]] != seg.y:
-            epoch_acc[-1] += t - mark
-        mark = t
-
-    if end > 0:
-        enter()
-    anchor = 0.0
-    queried = False
+    # the cursor: segment si, pair (x, y), instance position xi, end seg_end,
+    # from an empty segment before segment 0; acc holds the error before mark
+    si, x, y, xi, seg_end, mark = -1, None, 0, -1, 0, 0
+    t, drawn, anchor = 0, False, 0.0  # the walk's target, whether drawn, the last query's float
     looked_si = -1  # the segment of the lookups below, made for the current ids
     while True:
+        while seg_end <= t:  # the walk
+            if labels[xi] != y:
+                acc += seg_end - mark
+            mark = seg_end
+            si += 1
+            if mark >= end:  # the last walk, at the horizon
+                break
+            if si == n_segments:
+                raise ValueError(f"coverage ends before horizon at {Fraction(mark, den << shift)}")
+            if starts[si] > mark:
+                raise ValueError(f"coverage gap at {Fraction(mark, den << shift)}")
+            seg = segments[si]
+            x, y, xi, seg_end = seg.x, seg.y, position.get(seg.x, -1), ends[si]
+            if seg_end > end:
+                seg_end = end
+        if drawn:
+            if t == end:
+                break
+            t_q = _coprime_fraction(n, d)  # as_integer_ratio's pair is reduced
+            if si != looked_si:  # the lookups depend only on (si, ids)
+                success = (soa_predict(H, x, ids) if xi >= 0 else 0) != y
+                nxt = ids
+                if xi >= 0:
+                    nxt = solver.restrict_ids(ids, xi, y)
+                    if not nxt:
+                        if on_empty == "error":
+                            raise NonRealizableError(f"stream not realizable: ({x!r}, {y}) "
+                                                     f"at {t_q} empties the version space")
+                        nxt = full
+                looked_si = si
+            events.append(_event((t_q, x, y, success)))
+            if success or nxt != ids:
+                if labels[xi] != y:
+                    acc += t - mark
+                mark = t
+                if nxt != ids:
+                    ids = nxt
+                    labels = solver.soa_labels(ids) + (0,)
+                    looked_si = -1  # a new version space, a new key
+                if success:
+                    closed.append(acc)
+                    acc = 0
+            anchor = t_float
         # numpy's uniform(anchor, anchor + delta_f) bit for bit; it includes
         # the lower endpoint, but query times must strictly increase
         span = (anchor + delta_f) - anchor
         t_float = anchor + span * draw()
-        while queried and t_float == anchor:
+        while drawn and t_float == anchor:
             t_float = anchor + span * draw()
         n, d = t_float.as_integer_ratio()
         k = d.bit_length() - 1
@@ -246,56 +270,24 @@ def run_uniform_sampler(
             up, shift = k - shift, k
             starts = [v << up for v in starts]
             ends = [v << up for v in ends]
-            epoch_acc = [v << up for v in epoch_acc]
-            end <<= up
-            mark <<= up
+            closed = [v << up for v in closed]
+            end, mark, acc, seg_end = end << up, mark << up, acc << up, seg_end << up
         t = n * den << (shift - k)
-        if t >= end:
-            break
-        t_q = _coprime_fraction(n, d)  # as_integer_ratio's pair is reduced
-        if ends[si] <= t:
-            seek(t)
-        if si != looked_si:  # the lookups depend only on (si, ids)
-            seg = segments[si]
-            x, y, xi = seg.x, seg.y, seg_xi[si]
-            success = (soa_predict(H, x, ids) if xi >= 0 else 0) != y
-            nxt = ids
-            if xi >= 0:
-                nxt = solver.restrict_ids(ids, xi, y)
-                if not nxt:
-                    if on_empty == "error":
-                        raise NonRealizableError(
-                            f"stream not realizable: ({x!r}, {y}) at {t_q} empties the version space"
-                        )
-                    nxt = solver.full()
-            looked_si = si
-        events.append(_event((t_q, x, y, success)))
-        if success or nxt != ids:
-            settle(seg, t)
-            if nxt != ids:
-                ids = nxt
-                labels = solver.soa_labels(ids) + (0,)
-                looked_si = -1  # a new version space, a new key
-            if success:
-                epoch_acc.append(0)
-        anchor = t_float
-        queried = True
-
-    while mark < end:
-        seg = seek(mark)
-        settle(seg, min(ends[si], end))
+        if t > end:  # past the horizon: the last walk accounts the tail
+            t = end
+        drawn = True
 
     # a trailing zero-error epoch carries no information and would push the
     # epoch count past LD(H) after the final successful query
+    if acc:
+        closed.append(acc)
     unit = den << shift
-    epochs = epoch_acc[:-1] if epoch_acc[-1] == 0 else epoch_acc
     return RunReport(
-        mistake_integral=_reduced_fraction(sum(epoch_acc), unit),
+        mistake_integral=_reduced_fraction(sum(closed), unit),
         query_events=tuple(events),
-        epoch_errors=tuple(EpochError(k + 1, _reduced_fraction(e, unit))
-                           for k, e in enumerate(epochs)),
+        epoch_errors=tuple(_epoch((k, _reduced_fraction(e, unit))) for k, e in enumerate(closed, 1)),
         seed=seed,
-        parameters={"delta": str(as_fraction(delta)), "horizon": str(stream.horizon)},
+        parameters={"delta": str(delta), "horizon": str(stream.horizon)},
     )
 
 
@@ -340,16 +332,15 @@ def monte_carlo_uniform(
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    _delta_float(delta)
+    _delta_float(delta := as_fraction(delta))
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     integrals: list[Fraction] = []
     epoch_values: dict[int, list[Fraction]] = {}
     for child in root.spawn(trials):
         stream_seed, run_seed = child.spawn(2)
-        if callable(stream_or_generator):
-            stream = stream_or_generator(stream_seed)
-        else:
-            stream = stream_or_generator
+        stream = stream_or_generator
+        if callable(stream):
+            stream = stream(stream_seed)
         report = run_uniform_sampler(H, stream, delta, run_seed, on_empty)
         integrals.append(report.mistake_integral)
         for rec in report.epoch_errors:
@@ -412,10 +403,8 @@ def run_adaptive_sampler(stream: PiecewiseStream) -> RunReport:
             regrid(q_next)
         next_reveal = p_next * (den // q_next)
         if cursor != min(next_reveal, end):
-            raise MalformedTokenError(
-                f"decoded schedule ends at {Fraction(cursor, den)}, "
-                f"expected {Fraction(next_reveal, den)}"
-            )
+            raise MalformedTokenError(f"decoded schedule ends at {Fraction(cursor, den)}, "
+                                      f"expected {Fraction(next_reveal, den)}")
         if next_reveal <= t:
             raise MalformedTokenError("next reveal does not advance time")
         t = next_reveal

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -66,6 +67,11 @@ def _load(path: str, from_json: Callable[[dict], Any], what: str) -> Any:
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose refusals are CliErrors, so they print as one
     ``error:`` line and exit 2, as every other refusal does."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # values such as -1/4 and -1e-3 too, not only argparse's own -12 and -1.5
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message: str):
         # an invalid choice or an unrecognized argument is quoted as given

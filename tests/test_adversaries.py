@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import re
 import weakref
 from fractions import Fraction
 from itertools import combinations, product
@@ -191,7 +192,20 @@ TIME_CHARS = "0123456789/-+._e \u0661\u0662\uff11\u00b2"
 @example("1.5")
 @example("-.25")
 @example("007/0010")
+@example("0e600000")  # Fraction takes a noticeable while to build 10^600000
+@example("1e-4301")
+@example("1e4300")
+@example("2E+\u0661\u0660\u0660\u0660\u0660 ")
 def test_parse_time_agrees_with_fraction(s):
+    # a decimal exponent over 4300 in magnitude is refused before Fraction
+    # runs; every other string agrees with Fraction
+    oversized = re.fullmatch(r"(?s).*[eE][+-]?((?:\d+_)*\d+)\s*", s)
+    if oversized and (len(oversized[1]) > 4300 or int(oversized[1]) > 4300):
+        with pytest.raises(ValueError, match="^time exponent over 4300 in magnitude: "):
+            _parse_time(s)
+        with pytest.raises(MalformedTokenError, match="time exponent over 4300"):
+            read_reveal_token(f'SEG([["a",0,"0","1"]])|next={s}')
+        return
     try:
         expected = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from qstream import arena
 from qstream.arena import (
+    EpochError,
     QueryEvent,
     RunReport,
     mistake_integral,
@@ -170,8 +171,11 @@ def _seeded_cover(rng, horizon):
     return rows
 
 
-def test_mistake_integral_matches_naive_reference():
-    rng = random.Random(17)
+def _assert_matches_naive(seed, scales=None):
+    """300 seeded cases of ``mistake_integral`` against the naive reference,
+    values and errors; with ``scales``, den and the pieces' bounds are scaled
+    by a factor drawn from it."""
+    rng = random.Random(seed)
     outcomes = dict.fromkeys(("value", "ends", "gap"), 0)
     for _ in range(300):
         horizon = rng.randint(1, 6)
@@ -179,19 +183,31 @@ def test_mistake_integral_matches_naive_reference():
             horizon, tuple(Segment(a, b, "a", y) for a, b, y in _seeded_cover(rng, horizon))
         )
         pieces = _seeded_cover(rng, horizon)
+        den, rows = on_grid(stream, pieces)
+        k = rng.choice(scales) if scales else 1
+        args = (stream, den * k, [(a * k, b * k, y) for a, b, y in rows])
         try:
             expected = _mistake_integral_naive(stream, pieces)
         except ValueError as exc:
-            outcomes[next(k for k in outcomes if k in str(exc))] += 1
+            outcomes[next(o for o in outcomes if o in str(exc))] += 1
             with pytest.raises(ValueError) as got:
-                mistake_integral(stream, *on_grid(stream, pieces))
+                mistake_integral(*args)
             assert str(got.value) == str(exc)
         else:
             outcomes["value"] += 1
-            got = mistake_integral(stream, *on_grid(stream, pieces))
+            got = mistake_integral(*args)
             assert got == expected and type(got) is Fraction
     assert all(outcomes.values()), outcomes
     assert outcomes["value"] >= 150, outcomes
+
+
+def test_mistake_integral_matches_naive_reference():
+    _assert_matches_naive(17)
+
+
+def test_mistake_integral_on_a_proper_multiple_of_the_pieces_den():
+    # den a proper multiple of the grid's, so the grid is rescaled (up > 1)
+    _assert_matches_naive(35, (2, 3, 10007, 2**61 - 1))
 
 
 # --- uniform sampler ---------------------------------------------------------
@@ -286,6 +302,17 @@ def test_event_is_the_named_tuple(fields):
     assert (event.time, event.x, event.y, event.success) == fields
     assert event.to_json() == named.to_json()
     assert json.dumps(event.to_json()) == json.dumps(named.to_json())
+
+
+@pytest.mark.parametrize("fields", [(1, Fraction(3, 8)), (2, Fraction(0)),
+                                    (7, Fraction(10**400 + 1, 2**70))])
+def test_epoch_is_the_named_tuple(fields):
+    # the uniform sampler builds epochs past the namedtuple's __new__
+    epoch, named = arena._epoch(fields), EpochError(*fields)
+    assert epoch == named and type(epoch) is EpochError and isinstance(epoch, EpochError)
+    assert (epoch.epoch, epoch.error) == fields
+    assert epoch.to_json() == named.to_json()
+    assert json.dumps(epoch.to_json()) == json.dumps(named.to_json())
 
 
 def test_monte_carlo_needs_two_trials():
@@ -835,6 +862,32 @@ def test_uniform_sampler_integer_accounting_matches_fraction_reference():
         assert [e.epoch for e in report.epoch_errors] == list(range(1, len(epochs) + 1))
     assert all(outcomes.values()), outcomes
     assert outcomes["value"] >= 150, outcomes
+
+
+@pytest.mark.parametrize("delta", [1, Fraction(1, 3)])
+def test_uniform_sampler_matches_reference_on_long_self_revealing_streams(delta):
+    # the criterion 4 shape: 32-segment self-revealing streams over the full
+    # 4-instance class, reset on an emptied version space, many seeds; half
+    # the segments are reveal tokens outside the space
+    solver = LittlestoneSolver.of(FULL_4)
+    tokens = resets = 0
+    for seed in range(60):
+        stream = _long_stream(seed)
+        value, events, epochs = _uniform_sampler_reference(FULL_4, stream, delta, 500 + seed, "reset")
+        report = run_uniform_sampler(FULL_4, stream, delta, 500 + seed, on_empty="reset")
+        assert report.mistake_integral == value
+        assert list(report.query_events) == events
+        assert list(report.epoch_errors) == [EpochError(k, e) for k, e in enumerate(epochs, 1)]
+        assert all(type(e) is EpochError for e in report.epoch_errors)
+        ids = solver.full()
+        for e in events:
+            if e.x in FULL_4.space.instances:
+                ids = solver.restrict_ids(ids, FULL_4.space.index_of(e.x), e.y)
+                resets += not ids
+                ids = ids or solver.full()
+            else:
+                tokens += 1
+    assert tokens >= 60 and resets >= 60
 
 
 def test_uniform_sampler_matches_reference_over_many_blocks_of_draws():

@@ -461,9 +461,17 @@ LONG = "1" * 5001  # past Python's 4,300-digit int-to-str limit
     # past the int-to-str limit, which once replaced the refusal
     ([*UNIF, "--delta", "1e5000"], "delta does not fit a float"),
     ([*UNIF, "--delta=-1e-4000"], "delta must be positive"),  # a 4,001-digit denominator
+    # a leading minus and a digit make a value, not a flag, with or without "="
+    ([*UNIF, "--delta", "-1/4"], "error: delta must be positive"),
+    ([*UNIF, "--delta", "-1e-3"], "error: delta must be positive"),
+    ([*UNIF, "--delta=-1/4"], "error: delta must be positive"),
+    # the sign is read before the float, which this one overflows
+    ([*UNIF, "--delta=-1e5000"], "error: delta must be positive"),
+    ([*UNIF, "--delta", "-1e5000"], "error: delta must be positive"),
     ([*TWO_POINT[:2], LONG], "argument --kind: invalid choice"),
 ], ids=["units-abc", "units-long", "trials-long", "seed-long", "slope-long", "delta-1e4000",
-        "delta-1e5000", "delta-minus-1e-4000", "kind-long"])
+        "delta-1e5000", "delta-minus-1e-4000", "delta-minus-quarter", "delta-minus-1e-3",
+        "delta-eq-minus-quarter", "delta-eq-minus-1e5000", "delta-minus-1e5000", "kind-long"])
 def test_flag_refusals_stay_short(files, capsys, argv, named):
     # each refusal is one line that names the flag and what it expects,
     # never the value it was given
