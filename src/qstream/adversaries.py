@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -32,8 +31,8 @@ from .model import (
     QstreamError,
     QueryBudgetPolicy,
     RationalLike,
-    Segment,
     _coprime_fraction,
+    _segment,
     as_fraction,
     as_int,
 )
@@ -42,7 +41,6 @@ _TOKEN_PREFIX = "SEG("
 _TOKEN_JOINT = ")|next="
 _TOKEN_JSON = json.JSONEncoder(separators=(",", ":"))
 Time = tuple[int, int]  # a token time p / q as (p, q), reduced, q > 0
-_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")  # Fraction builds 10^|exponent|
 # gen_self_revealing_stream's slot: the last call's (depth-2 tree, den, bounds
 # over den) key and, once a second call in a row meets that key, its layout:
 # the stream grid, each cut's Fraction and text, the tree's row texts and
@@ -56,15 +54,12 @@ def _frac_str(value: Fraction) -> str:
 
 
 def _parse_time(value) -> Time:
-    """A time string as the reduced pair (p, q) of ``Fraction(value)``, or what
-    that raises.  The encoder writes only p/q strings, so any other type is a
-    TypeError, and an exponent over 4300 (the int-to-str limit) a ValueError."""
+    """A time string as the reduced pair (p, q) of ``as_fraction(value)``, or
+    what that raises.  The encoder writes only p/q strings, so any other type
+    is a TypeError."""
     if not isinstance(value, str):
         raise TypeError(f"time must be a string, got {value!r}")
-    exponent = _EXPONENT.search(value)
-    if exponent and (len(exponent[1]) > 4300 or int(exponent[1]) > 4300):
-        raise ValueError(f"time exponent over 4300 in magnitude: {value!r}")
-    return Fraction(value).as_integer_ratio()
+    return as_fraction(value).as_integer_ratio()
 
 
 def _xy(x, y) -> str:  # a step's instance and label as JSON text, "x",y
@@ -206,16 +201,6 @@ def _branch_stream(H: ConceptClass, tree: ShatteredTree, leaf: int, grid, times,
         x, y = _consistent_tail(H, [(seg.x, seg.y) for seg in segments])
         segments.append(_segment(times[depth], times[depth + 1], x, y))
     return PiecewiseStream._from_parts(times[-1], segments, grid)
-
-
-def _segment(start: Fraction, end: Fraction, x: str, y: Label) -> Segment:
-    """A Segment past ``as_fraction``, its fields set one by one as the
-    dataclass's own ``__init__`` does, which keeps them in the object
-    (about 110 bytes on CPython 3.11, against 250 through ``vars()``)."""
-    seg = object.__new__(Segment)
-    for name, value in (("start", start), ("end", end), ("x", x), ("y", y)):
-        object.__setattr__(seg, name, value)
-    return seg
 
 
 def _consistent_tail(H: ConceptClass, path: list[tuple[str, Label]]) -> tuple[str, Label]:

@@ -7,9 +7,13 @@ Q queries by backward induction over information sets; ``game_value`` is an
 independent oracle that plays the same game one round at a time (predict,
 then query or not, a last-round query folded as no round is left to use it),
 shares no code with the solver and keeps, in a slot of its own, only the last
-class's memo, which serves every budget;
-``qld(P, Q).to_strategy()`` turns the solve into a playable strategy whose
-worst-case replay meets the computed value exactly.
+class's memo, which serves every budget.
+
+Each solve builds one strategy tree: a query node maps every observation its
+query round can reveal to the child played next.  The JSON witness reads the
+worst child per label off it, and ``qld(P, Q).to_strategy()`` plays it, with
+no solver behind it, to a worst-case replay that meets the computed value
+exactly.
 
 An information set is the set of patterns consistent with the observations
 so far, each carrying the mistakes the learner has already accrued against
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable
 
 from .model import (
     BudgetViolationError,
@@ -158,6 +161,52 @@ class BlindStrategy:
         self.history = self.history + ((t, x, y),)
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """One stage of play: next query time (None = go blind) plus vectors."""
+
+    time: int | None
+    interim: int  # rounds t_prev+1..time-1 (..L if blind), packed as _labels; bits only in JSON
+    predict: Label | None  # committed prediction for the query round
+
+
+# a strategy tree node: its plan and, in ``QldSolver._obs`` order, each observation (x, y)
+# its query round can reveal mapped to the child's (value, node); none under a blind plan
+_Node = tuple[_Plan, dict]
+
+
+class _TreeStrategy(BlindStrategy):
+    """Plays a strategy tree: the node's interim vector between queries, its
+    committed prediction and a query at its query round, then the child the
+    observation names.  ``reset`` goes back to the root."""
+
+    def __init__(self, root: _Node, budget: int, horizon: int):
+        super().__init__()
+        self.root = self.node = root
+        self.budget, self.horizon = budget, horizon
+
+    def reset(self) -> None:
+        super().reset()
+        self.node = self.root
+
+    def predict(self, t: int) -> tuple[Label, bool]:
+        plan = self.node[0]
+        if t == plan.time:
+            return plan.predict, True
+        end = self.horizon if plan.time is None else plan.time - 1  # last interim round
+        return (plan.interim >> (end - t)) & 1 if t <= end else 0, False
+
+    def observe(self, t: int, x: str, y: Label) -> None:
+        plan, children = self.node
+        if plan.time != t:
+            raise QstreamError(f"observation at {t} does not match plan {plan.time}")
+        child = children.get((x, y))
+        if child is None:
+            raise QstreamError("observation inconsistent with the pattern class")
+        super().observe(t, x, y)
+        self.node = child[1]
+
+
 @dataclass
 class DimensionWitness:
     """A solved value plus a replayable certificate achieving it.
@@ -165,14 +214,16 @@ class DimensionWitness:
     ``witness`` is the serializable form: the optimal prediction vector for
     the blind case, or the optimal query tree (timestamps, per-gap interim
     vectors, query-round predictions, blind suffixes) for the budgeted case.
+    Both are read off the solve's one strategy tree, which the witness keeps
+    as data (root node, budget, horizon) and ``to_strategy`` plays.
     """
 
     value: int
     witness: dict
-    _factory: Callable[[], BlindStrategy] = field(repr=False, compare=False)
+    _tree: tuple[_Node, int, int] = field(repr=False, compare=False)
 
     def to_strategy(self) -> BlindStrategy:
-        return self._factory()
+        return _TreeStrategy(*self._tree)
 
     def to_json(self) -> dict:
         return {"value": self.value, "witness": self.witness}
@@ -188,22 +239,10 @@ def blind_learning_dimension(P: PatternClass) -> DimensionWitness:
     counting frees it once the next class's solver replaces it.
     """
     solver = QldSolver.of(P)
-    value, plan = solver.solve(solver.initial_state(), 0, 0)
-    prediction = _int_to_bits(plan.interim, solver.L)
-    return DimensionWitness(
-        value=value,
-        witness={"kind": "bld", "window": [1, solver.L], "prediction": prediction},
-        _factory=lambda: TreeReplanStrategy(solver, 0),
-    )
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """One stage of play: next query time (None = go blind) plus vectors."""
-
-    time: int | None
-    interim: int  # rounds t_prev+1..time-1 (..L if blind), packed as _labels; bits only in JSON
-    predict: Label | None  # committed prediction for the query round
+    value, root = solver.strategy(solver.initial_state(), 0, 0)
+    prediction = _int_to_bits(root[0].interim, solver.L)
+    witness = {"kind": "bld", "window": [1, solver.L], "prediction": prediction}
+    return DimensionWitness(value, witness, (root, 0, solver.L))
 
 
 class QldSolver:
@@ -237,8 +276,9 @@ class QldSolver:
     without plans: a child with no query left costs ``_leaf_value``, which
     groups its members by distinct future and writes no memo entry, in
     closed form at up to three futures and by the kernel beyond.  Plans are
-    built, through ``solve``, only where one is played: ``witness_tree`` and
-    ``TreeReplanStrategy``.  The root solve at budget 0 is the blind
+    built, through ``solve``, only where one is played: ``strategy`` builds
+    a solve's one strategy tree from them, which the witness JSON and the
+    played strategy both read.  The root solve at budget 0 is the blind
     learning dimension.
     """
 
@@ -392,77 +432,37 @@ class QldSolver:
                     k, yh, x = k + 1, yh << 1, x + f0
         return best_val, best_plan
 
-    # -- witness serialization ----------------------------------------------
+    # -- the strategy tree --------------------------------------------------
 
-    def witness_tree(self, state: tuple[int, int], q_left: int, t_prev: int) -> dict:
-        """Adversary-canonical query tree: per label edge, the worst branch."""
+    def strategy(self, state: tuple[int, int], q_left: int, t_prev: int) -> tuple[int, _Node]:
+        """(value, node) of the strategy tree from ``state``: the node's plan
+        comes from ``solve`` and, for a query plan, its children from each
+        observation of the query round that some member shows."""
         value, plan = self.solve(state, q_left, t_prev)
-        if plan.time is None:
-            return {
-                "blind": _int_to_bits(plan.interim, self.L - t_prev),
-                "start_after": t_prev,
-                "unused_budget": q_left,
-            }
-        t = plan.time
-        children: dict[str, dict] = {}
-        for b in (0, 1):
-            options = [x for (x, y), group in self._obs[t - 1].items()
-                       if y == b and state[0] & group]
-            picked = max(  # the first of the worst branches
-                (self.advance(state, plan, t_prev, x, b) for x in options),
-                key=lambda child: self.solve(child, q_left - 1, t)[0], default=None,
-            )
-            if picked is None:
-                children[str(b)] = {"unreachable": True, "unused_budget": q_left - 1}
-            else:
-                children[str(b)] = self.witness_tree(picked, q_left - 1, t)
-        return {
-            "time": t,
-            "interim": _int_to_bits(plan.interim, t - t_prev - 1),
-            "predict": plan.predict,
-            "children": children,
-        }
+        children: dict[tuple[str, Label], tuple[int, _Node]] = {}
+        if plan.time is not None:
+            for (x, y), group in self._obs[plan.time - 1].items():
+                if state[0] & group:
+                    child = self.advance(state, plan, t_prev, x, y)
+                    children[x, y] = self.strategy(child, q_left - 1, plan.time)
+        return value, (plan, children)
 
 
-class TreeReplanStrategy(BlindStrategy):
-    """Minimax play from a solver: replan at every observation.
-
-    Between queries it plays the solved interim vector; at the query round
-    it plays the committed prediction (the larger-subtree label, ties to 0)
-    and queries; the observation advances the information set and the next
-    stage plan comes from the shared memo.  The root plan is solved once, at
-    construction, and ``reset`` restores it with the initial state.
-    """
-
-    def __init__(self, solver: QldSolver, budget: int):
-        super().__init__()
-        self.solver = solver
-        self.budget = budget
-        self._root = solver.initial_state()
-        _, self._root_plan = solver.solve(self._root, budget, 0)
-        self.reset()
-
-    def reset(self) -> None:
-        super().reset()
-        self.state, self.plan = self._root, self._root_plan
-
-    def predict(self, t: int) -> tuple[Label, bool]:
-        plan = self.plan
-        if t == plan.time:
-            return plan.predict, True
-        end = self.solver.L if plan.time is None else plan.time - 1  # last interim round
-        return (plan.interim >> (end - t)) & 1 if t <= end else 0, False
-
-    def observe(self, t: int, x: str, y: Label) -> None:
-        if self.plan.time != t:
-            raise QstreamError(f"observation at {t} does not match plan {self.plan.time}")
-        t_prev = self.history[-1][0] if self.history else 0
-        nxt = self.solver.advance(self.state, self.plan, t_prev, x, y)
-        if not nxt[0]:
-            raise QstreamError("observation inconsistent with the pattern class")
-        super().observe(t, x, y)
-        self.state = nxt
-        _, self.plan = self.solver.solve(nxt, self.budget - len(self.history), t)
+def _canonical_tree(node: _Node, q_left: int, t_prev: int, L: int) -> dict:
+    """The adversary-canonical query tree of a strategy tree: per label edge,
+    the first worst child in ``_obs`` order, or an unreachable leaf."""
+    plan, children = node
+    if (t := plan.time) is None:
+        return {"blind": _int_to_bits(plan.interim, L - t_prev), "start_after": t_prev,
+                "unused_budget": q_left}
+    edges: dict[str, dict] = {}
+    for b in (0, 1):
+        worst = max((vc for (_, y), vc in children.items() if y == b),
+                    key=lambda vc: vc[0], default=None)
+        edges[str(b)] = ({"unreachable": True, "unused_budget": q_left - 1} if worst is None
+                         else _canonical_tree(worst[1], q_left - 1, t, L))
+    return {"time": t, "interim": _int_to_bits(plan.interim, t - t_prev - 1),
+            "predict": plan.predict, "children": edges}
 
 
 def qld(P: PatternClass, Q: int) -> DimensionWitness:
@@ -474,20 +474,16 @@ def qld(P: PatternClass, Q: int) -> DimensionWitness:
     ``QldSolver.of(P)`` keeps the last class's solver, so one class is built
     once for its bld and every budget; at most one class's memo outlives a call,
     and reference counting frees it once the next class's solver replaces it.
+    The witness keeps only the strategy tree, none of the solver.
     """
     if type(Q) is not int:  # nor a bool
         raise TypeError(f"query budget must be an int, got {Q!r}")
     if Q < 0:
         raise ValueError(f"query budget must be >= 0, got {Q}")
     solver = QldSolver.of(P)
-    state = solver.initial_state()
-    value, _ = solver.solve(state, Q, 0)
-    tree = solver.witness_tree(state, Q, 0)
-    return DimensionWitness(
-        value=value,
-        witness={"kind": "qld", "budget": Q, "tree": tree},
-        _factory=lambda: TreeReplanStrategy(solver, Q),
-    )
+    value, root = solver.strategy(solver.initial_state(), Q, 0)
+    tree = _canonical_tree(root, Q, 0, solver.L)
+    return DimensionWitness(value, {"kind": "qld", "budget": Q, "tree": tree}, (root, Q, solver.L))
 
 
 def validate_witness_tree(tree: dict, Q: int, horizon: int) -> list[str]:

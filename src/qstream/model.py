@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,13 +41,16 @@ class BudgetViolationError(QstreamError):
 
 
 RationalLike = int | float | str | Fraction | dict
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")  # Fraction builds 10^|exponent|
 
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce a JSON-compatible number representation to an exact Fraction.
 
     Floats are read through their shortest decimal repr, so a JSON ``0.1``
-    means one tenth rather than the nearest binary double.
+    means one tenth rather than the nearest binary double.  A string with a
+    decimal exponent over 4300 in magnitude (the int-to-str limit) is a
+    ValueError, raised before ``Fraction`` builds 10^|exponent|.
     """
     if isinstance(value, Fraction):
         return value
@@ -57,6 +61,9 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         return Fraction(repr(value))
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent and (len(exponent[1]) > 4300 or int(exponent[1]) > 4300):
+            raise ValueError("decimal exponent over 4300 in magnitude")
         return Fraction(value)
     if isinstance(value, dict):
         return Fraction(as_int(value["num"]), as_int(value["den"]))
@@ -175,6 +182,16 @@ class Segment:
         object.__setattr__(self, "end", as_fraction(self.end))
 
 
+def _segment(start: Fraction, end: Fraction, x: str, y: Label) -> Segment:
+    """A Segment past ``as_fraction``, its fields set one by one as the
+    dataclass's own ``__init__`` does, which keeps them in the object
+    (about 110 bytes on CPython 3.11, against 250 through ``vars()``)."""
+    seg = object.__new__(Segment)
+    for name, value in (("start", start), ("end", end), ("x", x), ("y", y)):
+        object.__setattr__(seg, name, value)
+    return seg
+
+
 @dataclass(frozen=True)
 class PiecewiseStream:
     """Finite-horizon continuous stream as ordered constant segments.
@@ -217,9 +234,7 @@ class PiecewiseStream:
         segment; each bound is one ``_grid_times`` Fraction, shared by its
         segments, which skip ``as_fraction``."""
         grid, times = cls._grid_times(den, cuts)
-        segments = [object.__new__(Segment) for _ in pairs]
-        for seg, a, b, (x, y) in zip(segments, times, times[1:], pairs):
-            vars(seg).update(start=a, end=b, x=x, y=y)
+        segments = [_segment(a, b, x, y) for a, b, (x, y) in zip(times, times[1:], pairs)]
         return cls._from_parts(times[-1], segments, grid)
 
     @classmethod

@@ -402,15 +402,15 @@ def test_bld_then_every_budget_builds_one_solver(monkeypatch):
 def fresh_answers(P, budgets):
     """bld and each qld(P, Q) as JSON, each from a new solver with an empty memo."""
     solver = QldSolver(P)
-    value, plan = solver.solve(solver.initial_state(), 0, 0)
+    value, root = solver.strategy(solver.initial_state(), 0, 0)
     out = {"bld": {"value": value, "witness": {
-        "kind": "bld", "window": [1, P.horizon], "prediction": _int_to_bits(plan.interim, P.horizon),
+        "kind": "bld", "window": [1, P.horizon], "prediction": _int_to_bits(root[0].interim, P.horizon),
     }}}
     for Q in budgets:
         solver = QldSolver(P)
-        state = solver.initial_state()
-        out[Q] = {"value": solver.solve(state, Q, 0)[0], "witness": {
-            "kind": "qld", "budget": Q, "tree": solver.witness_tree(state, Q, 0),
+        value, root = solver.strategy(solver.initial_state(), Q, 0)
+        out[Q] = {"value": value, "witness": {
+            "kind": "qld", "budget": Q, "tree": blind._canonical_tree(root, Q, 0, P.horizon),
         }}
     return out
 
@@ -442,6 +442,28 @@ def test_shared_solver_of_an_earlier_class_dies(gc_off):
     ref = weakref.ref(QldSolver.of(first))
     qld(second, 2)
     assert ref() is None
+
+
+def test_witness_neither_needs_nor_holds_its_solver(monkeypatch, gc_off):
+    # the witness plays its strategy tree with every solver call refused, and
+    # its class's solver dies once another class takes the slot
+    def refuse(*args, **kwargs):
+        raise AssertionError("the replay called the solver")
+
+    rng = random.Random(89)
+    P, other = (random_class(rng, max_L=5, max_P=8, min_L=4) for _ in range(2))
+    solves = [(0, lambda: blind_learning_dimension(P))]
+    solves += [(Q, lambda Q=Q: qld(P, Q)) for Q in (0, 1, 2)]
+    for Q, solve in solves:
+        w = solve()
+        ref = weakref.ref(QldSolver._last[1])
+        with monkeypatch.context() as patch:
+            patch.setattr(QldSolver, "solve", refuse)
+            patch.setattr(QldSolver, "advance", refuse)
+            assert worst_case_mistakes(w.to_strategy(), P, Q) == w.value
+        qld(other, 0)
+        assert ref() is None
+        assert worst_case_mistakes(w.to_strategy(), P, Q) == w.value
 
 
 def test_library_calls_leave_no_cyclic_garbage(gc_off):
@@ -996,19 +1018,21 @@ def test_strategy_records_observation_history():
 
 
 def test_strategy_reset_restores_the_root_and_replays_the_same():
-    # reset reuses the root plan solved at construction; after a full play it
-    # must give back that plan, the initial state and an empty history
+    # reset goes back to the root of the strategy tree built by the solve;
+    # after a full play it must give back that root, whose plan is the
+    # initial state's, and an empty history
     rng = random.Random(59)
     for _ in range(20):
         P = random_class(rng, max_L=5, max_P=8, alphabet="abc")
         for Q in (0, 1, 2):
             strat = qld(P, Q).to_strategy()
-            solver = strat.solver
+            solver = QldSolver(P)
             first = worst_case_mistakes(strat, P, Q)
             strat.reset()
             assert strat.history == ()
-            assert strat.state == solver.initial_state()
-            assert strat.plan == solver.solve(solver.initial_state(), Q, 0)[1]
+            assert strat.node is strat.root
+            assert strat.root == solver.strategy(solver.initial_state(), Q, 0)[1]
+            assert strat.node[0] == solver.solve(solver.initial_state(), Q, 0)[1]
             assert worst_case_mistakes(strat, P, Q) == first
 
 

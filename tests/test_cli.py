@@ -431,7 +431,7 @@ TWO_POINT = ["adversary", "--kind", "two-point", "--seed", "0", "--out", "{out}"
     # a 4,001-digit step count from a 4,001-digit delta denominator
     [*UNIF, "--delta", "1e-4000"],
     # past Python's 4,300-digit int-to-str limit, which once replaced the refusal
-    [*UNIF, "--delta", "1e-5000"],
+    [*UNIF, "--delta", "1e-4300"],
     [*UNIF, "--trials", BIG],
     [*TWO_POINT, "--units", "100001", "--slope", "1e-4000"],  # a 4,001-digit slope denominator
     [*TWO_POINT, "--units", BIG, "--slope", "1"],
@@ -459,19 +459,24 @@ LONG = "1" * 5001  # past Python's 4,300-digit int-to-str limit
     ([*UNIF, "--slope", "1/" + LONG], "argument --slope: expected a rational number"),
     ([*UNIF, "--delta", "1e4000"], "delta does not fit a float"),
     # past the int-to-str limit, which once replaced the refusal
-    ([*UNIF, "--delta", "1e5000"], "delta does not fit a float"),
+    ([*UNIF, "--delta", "1e4300"], "delta does not fit a float"),
+    # an exponent over 4300 is refused before Fraction builds 10^exponent
+    ([*UNIF, "--delta", "1e5000"], "argument --delta: expected a rational number"),
     ([*UNIF, "--delta=-1e-4000"], "delta must be positive"),  # a 4,001-digit denominator
     # a leading minus and a digit make a value, not a flag, with or without "="
     ([*UNIF, "--delta", "-1/4"], "error: delta must be positive"),
     ([*UNIF, "--delta", "-1e-3"], "error: delta must be positive"),
     ([*UNIF, "--delta=-1/4"], "error: delta must be positive"),
     # the sign is read before the float, which this one overflows
-    ([*UNIF, "--delta=-1e5000"], "error: delta must be positive"),
-    ([*UNIF, "--delta", "-1e5000"], "error: delta must be positive"),
+    ([*UNIF, "--delta=-1e4300"], "error: delta must be positive"),
+    ([*UNIF, "--delta", "-1e4300"], "error: delta must be positive"),
+    ([*UNIF, "--delta=-1e5000"], "argument --delta: expected a rational number"),
+    ([*UNIF, "--delta", "-1e5000"], "argument --delta: expected a rational number"),
     ([*TWO_POINT[:2], LONG], "argument --kind: invalid choice"),
 ], ids=["units-abc", "units-long", "trials-long", "seed-long", "slope-long", "delta-1e4000",
-        "delta-1e5000", "delta-minus-1e-4000", "delta-minus-quarter", "delta-minus-1e-3",
-        "delta-eq-minus-quarter", "delta-eq-minus-1e5000", "delta-minus-1e5000", "kind-long"])
+        "delta-1e4300", "delta-1e5000", "delta-minus-1e-4000", "delta-minus-quarter",
+        "delta-minus-1e-3", "delta-eq-minus-quarter", "delta-eq-minus-1e4300",
+        "delta-minus-1e4300", "delta-eq-minus-1e5000", "delta-minus-1e5000", "kind-long"])
 def test_flag_refusals_stay_short(files, capsys, argv, named):
     # each refusal is one line that names the flag and what it expects,
     # never the value it was given
@@ -481,6 +486,40 @@ def test_flag_refusals_stay_short(files, capsys, argv, named):
     assert_single_error(code, err)
     assert len(err.encode()) < 200 and named in err
     assert stdout == "" and not out.exists()
+
+
+HUGE = "1e9999999"  # Fraction would build 10^9999999, about 8 s on a 2-core machine
+
+
+@pytest.mark.parametrize("argv, files_in", [
+    ([*UNIF, "--n", "1", "--delta", HUGE, "--trials", "2"], {}),
+    (["blind-bound", "--units", "1", "--slope", HUGE], {}),
+    (["adversary", "--kind", "self-revealing", "--class", "{cls}", "--horizon", HUGE,
+      "--seed", "0", "--out", "{out}"], {}),
+    (["adversary", "--kind", "self-revealing", "--class", "{cls}", "--horizon", "4",
+      "--reveal-times", "0," + HUGE, "--seed", "0", "--out", "{out}"], {}),
+    (["blind-bound", "--units", "1", "--placement", "{placement}"],
+     {"placement": {"query_times": [HUGE]}}),
+    (["blind-bound", "--units", "1"], {"config": {"slope": HUGE}}),
+    ([*UNIF[:5], "--stream", "{stream}", "--trials", "2", "--seed", "0"],
+     {"stream": {"horizon": HUGE, "segments": [{"start": 0, "end": 1, "x": "a", "y": 0}]}}),
+], ids=["unif-sim-delta", "blind-bound-slope", "adversary-horizon", "reveal-times",
+        "placement-file", "config-slope", "stream-horizon"])
+def test_huge_exponents_are_refused_at_once(files, monkeypatch, argv, files_in):
+    # every rational text goes through as_fraction, which refuses an
+    # exponent over 4300 before Fraction builds the power of ten
+    tmp, write = files
+    paths = {"cls": write("cls.json", FULL_AB), "out": tmp / "s.json"}
+    for name, doc in files_in.items():
+        paths[name] = write(f"{name}.json", json.dumps(doc))
+    if "config" in paths:
+        monkeypatch.setenv("QSTREAM_CONFIG", paths["config"])
+    proc = run_child(*[a.format(**paths) for a in argv], timeout=5)
+    assert_single_error(proc.returncode, proc.stderr)
+    err = proc.stderr
+    assert len(err.encode()) < 200
+    assert "decimal exponent over 4300" in err or "expected a rational number" in err
+    assert proc.stdout == "" and not (tmp / "s.json").exists()
 
 
 @pytest.mark.parametrize("argv", [

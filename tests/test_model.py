@@ -450,6 +450,19 @@ def test_fraction_helpers_match_the_constructor(n, d):
     assert_same_fraction(model._coprime_fraction(*ref.as_integer_ratio()), ref)
 
 
+@pytest.mark.parametrize("text", ["1e4301", "-1e-4301", "2E+99999999", "1e1_0000", " 1e9999999 "])
+def test_as_fraction_refuses_a_decimal_exponent_over_4300(text):
+    # refused before Fraction builds 10^exponent, in a text that leaves the value out
+    with pytest.raises(ValueError) as exc:
+        model.as_fraction(text)
+    assert str(exc.value) == "decimal exponent over 4300 in magnitude"
+
+
+def test_as_fraction_reads_a_decimal_exponent_up_to_4300():
+    assert model.as_fraction("1e4300") == 10**4300
+    assert model.as_fraction("-2.5E-4300") == Fraction(-25, 10**4301)
+
+
 @given(st.integers(1, 4), st.integers(1, 6))
 def test_concept_class_round_trip(n_inst, n_conc):
     space = InstanceSpace(tuple(f"x{i}" for i in range(n_inst)))
