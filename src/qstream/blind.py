@@ -5,9 +5,9 @@ results; the adversary must stay realizable with respect to the pattern
 class.  ``qld`` computes the optimal worst-case mistake count for a budget of
 Q queries by backward induction over information sets; ``game_value`` is an
 independent oracle that plays the same game one round at a time (predict,
-then query or not, a last-round query folded as no round is left to use it),
-shares no code with the solver and keeps, in a slot of its own, only the last
-class's memo, which serves every budget.
+then query or not, a last-round query folded as no round is left to use it
+and the budget capped at the rounds left), shares no code with the solver and
+keeps, in a slot of its own, only the last class's memo and partitions.
 
 Each solve builds one strategy tree: a query node maps every observation its
 query round can reveal to the child played next.  The JSON witness reads the
@@ -548,7 +548,7 @@ def worst_case_mistakes(strategy: BlindStrategy, P: PatternClass, Q: int) -> int
     return worst
 
 
-_game_last: tuple = (None,)  # game_value's slot: the last class, its rows, miss rows and memo
+_game_last: tuple = (None,)  # game_value's slot: the last class, rows, miss rows, memo, partitions
 
 
 def game_value(P: PatternClass, Q: int) -> int:
@@ -558,11 +558,14 @@ def game_value(P: PatternClass, Q: int) -> int:
     and the learner goes on unqueried or, with a query left, faces the worst
     observed (x, y) branch.  After round L the value is the largest accrual,
     so the last round is folded: its query branches partition the members,
-    and with no round left the worst of them is the largest accrual too.  Kept
+    and with no round left the worst of them is the largest accrual too.  So
+    a query counts only in a round of its own before the last, and q is capped
+    at those rounds, exactly: any Q >= L - 1 is the game of Q = L - 1.  Kept
     naive: no ``QldSolver`` code, pruning, one-center kernel or interim vector.
-    Its own slot, keyed by identity and holding P, keeps the last class's rows
-    and memo for every budget (keys carry q); at most one class's memo outlives a call,
-    freed by reference counting once the next class's slot replaces it.
+    Its own slot, keyed by identity and holding P, keeps the last class's rows,
+    memo (keys carry the capped q) and partitions for every budget; at most
+    one class's memo outlives a call, freed by reference counting once the
+    next class's slot replaces it.
     """
     global _game_last
     if type(Q) is not int:  # nor a bool
@@ -574,34 +577,40 @@ def game_value(P: PatternClass, Q: int) -> int:
             raise QstreamError("; ".join(problems))
         rounds = list(zip(*(p.steps for p in P.patterns)))  # rounds[t][pid]: round t + 1's (x, y)
         misses = [tuple(tuple(y != r for _, y in row) for r in (0, 1)) for row in rounds]
-        _game_last = (P, rounds, misses, {})
-    _, rounds, misses, memo = _game_last
+        _game_last = (P, rounds, misses, {}, {})
+    _, rounds, misses, memo, parts = _game_last
     n = len(P.patterns)
-    return _play(tuple(range(n)), (0,) * n, Q, 0, P.horizon, rounds, misses, memo)
+    return _play(tuple(range(n)), (0,) * n, Q, 0, P.horizon, rounds, misses, memo, parts)
 
 
 def _play(pids: tuple[int, ...], accs: tuple[int, ...], q: int, t: int, L: int,
-          rounds: list, misses: list, memo: dict) -> int:
+          rounds: list, misses: list, memo: dict, parts: dict) -> int:
     """``game_value``'s recursion: the members ``pids`` with accruals ``accs``
     and q queries left, before round t + 1, the memo keyed on accruals
-    shifted to a minimum of 0."""
+    shifted to a minimum of 0 and on the capped q.  ``parts`` maps (pids, t)
+    to the members grouped by round t + 1's observation, each group a pid
+    tuple and its positions in ``pids``, shared by every prediction and budget."""
     offset = min(accs)
     if offset:
         accs = tuple([acc - offset for acc in accs])
+    # each query takes a distinct round among t + 1..L - 1 (a last-round query
+    # is folded: see game_value), so budget past those rounds is never spent
+    q = min(q, L - 1 - t)
     best = memo.get(key := (pids, accs, q, t))
     if best is None:
-        best, row, last = L, rounds[t], t + 1 == L  # no option exceeds L
+        best, last = L, t + 1 == L  # no option exceeds L
+        if q and (groups := parts.get((pids, t))) is None:
+            row, by_obs = rounds[t], {}
+            for i, pid in enumerate(pids):
+                by_obs.setdefault(row[pid], []).append(i)
+            groups = parts[pids, t] = [(tuple([pids[i] for i in g]), g) for g in by_obs.values()]
         for miss in misses[t]:
             nxt = tuple([acc + miss[pid] for pid, acc in zip(pids, accs)])
-            v = max(nxt) if last else _play(pids, nxt, q, t + 1, L, rounds, misses, memo)
+            v = max(nxt) if last else _play(pids, nxt, q, t + 1, L, rounds, misses, memo, parts)
             if v < best:
                 best = v
-            if q > 0 and not last:  # a last-round query is folded: see game_value
-                branches: dict[tuple[str, Label], list[tuple[int, int]]] = {}
-                for pid, acc in zip(pids, nxt):
-                    branches.setdefault(row[pid], []).append((pid, acc))
-                if (v := max([_play(*zip(*b), q - 1, t + 1, L, rounds, misses, memo)
-                              for b in branches.values()])) < best:
-                    best = v
+            if q and (v := max([_play(g, tuple([nxt[i] for i in at]), q - 1, t + 1, L, rounds,
+                                      misses, memo, parts) for g, at in groups])) < best:
+                best = v
         memo[key] = best
     return best + offset

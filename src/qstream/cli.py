@@ -79,8 +79,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _refusal(expected: str) -> argparse.ArgumentTypeError:
-    """A flag value's refusal: what the flag expects, never the value, which
-    can run to thousands of digits."""
+    """A flag's or file's value refused: what is expected, never the value,
+    which can run to thousands of digits."""
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     return argparse.ArgumentTypeError(
         f"expected {expected}" + (f" ({limit} digits at most)" if limit else ""))
@@ -148,7 +148,7 @@ def _fill_from_config(args: argparse.Namespace, keys: dict[str, Callable[[Any], 
         if getattr(args, key, None) is None and key in config:
             try:
                 value = conv(config[key])
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            except (KeyError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                 raise CliError(f"bad {key} in config {os.environ[CONFIG_ENV]}: {exc}")
             setattr(args, key, value)
 
@@ -168,8 +168,8 @@ def _format_float(x: float) -> str:
 
 
 def cmd_unif_sim(args: argparse.Namespace) -> dict | str:
-    _fill_from_config(args, {"delta": model.as_fraction, "trials": model.as_int,
-                             "slope": model.as_fraction})
+    _fill_from_config(args, {"delta": _fraction, "trials": model.as_int,
+                             "slope": _fraction})
     seed = _require_seed(args)
     cls = _load(args.class_file, model.concept_class_from_json, "concept class")
     delta = args.delta if args.delta is not None else Fraction(1)
@@ -258,7 +258,7 @@ def cmd_qld(args: argparse.Namespace) -> dict:
 def cmd_adversary(args: argparse.Namespace) -> dict:
     if not args.out:
         raise CliError("--out is required")
-    _fill_from_config(args, {"slope": model.as_fraction, "horizon": model.as_fraction})
+    _fill_from_config(args, {"slope": _fraction, "horizon": _fraction})
     seed = _require_seed(args)
     budget = _budget_policy(args)
     params: dict = {"slope": str(budget.slope)}
@@ -290,9 +290,9 @@ def cmd_adversary(args: argparse.Namespace) -> dict:
             raise CliError("self-revealing needs --horizon")
         if args.reveal_times is not None:
             try:
-                reveals = [model.as_fraction(t) for t in args.reveal_times.split(",")]
-            except (ValueError, ZeroDivisionError) as exc:
-                raise CliError(f"bad --reveal-times {args.reveal_times!r}: {exc}")
+                reveals = [_fraction(t) for t in args.reveal_times.split(",")]
+            except argparse.ArgumentTypeError as exc:
+                raise CliError(f"bad --reveal-times, a comma-separated list: {exc}")
         else:
             step = args.reveal_every
             if step <= 0:
@@ -318,7 +318,7 @@ def cmd_adversary(args: argparse.Namespace) -> dict:
 
 
 def cmd_blind_bound(args: argparse.Namespace) -> str:
-    _fill_from_config(args, {"slope": model.as_fraction})
+    _fill_from_config(args, {"slope": _fraction})
     budget = _budget_policy(args)
     if args.units > MAX_ITEMS:
         raise CliError(f"too many --units: at most {MAX_ITEMS} are allowed")
@@ -327,9 +327,9 @@ def cmd_blind_bound(args: argparse.Namespace) -> str:
         try:
             times = doc["query_times"]
             if not isinstance(times, list):
-                raise TypeError(f"query_times must be a list, got {times!r}")
-            times = [model.as_fraction(t) for t in times]
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise TypeError("query_times must be a list")
+            times = [_fraction(t) for t in times]
+        except (KeyError, TypeError, argparse.ArgumentTypeError) as exc:
             raise CliError(f"bad placement file {args.placement}: {exc}")
     else:
         times = []

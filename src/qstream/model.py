@@ -487,13 +487,22 @@ def _same_json(a: Any, b: Any) -> bool:
         type(a) is not dict or all(type(a[k]) is type(b[k]) for k in ("num", "den")))
 
 
+def _time(value: Any, name: str) -> Fraction:
+    """A stream document's time: its refusal names the field, where Fraction's
+    own quote the text or numerator, which can run to any length."""
+    try:
+        return as_fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise type(exc)(f"expected a rational number such as 3, 0.25 or 1/4 as the {name}") from None
+
+
 def stream_from_json(doc: dict) -> PiecewiseStream:
     segments: list[Segment] = []
     for s in doc["segments"]:  # a start written as the last end reuses its value
-        start = end if segments and _same_json(s["start"], end_json) else as_fraction(s["start"])
-        end_json, end = s["end"], as_fraction(s["end"])
+        start = end if segments and _same_json(s["start"], end_json) else _time(s["start"], "start")
+        end_json, end = s["end"], _time(s["end"], "end")
         segments.append(Segment(start, end, s["x"], as_int(s["y"])))
-    return PiecewiseStream(as_fraction(doc["horizon"]), segments)
+    return PiecewiseStream(_time(doc["horizon"], "horizon"), segments)
 
 
 def budget_to_json(b: QueryBudgetPolicy) -> dict:

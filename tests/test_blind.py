@@ -590,7 +590,8 @@ def test_game_value_matches_the_pair_tuple_recursion(alphabet):
     rng = random.Random(89)
     for _ in range(40):
         P = random_class(rng, max_L=6, max_P=10, alphabet=alphabet)
-        for Q in (0, 1, 2, 3):
+        # the reference caps no budget, so L - 1, L and L + 1 check the cap
+        for Q in (0, 1, 2, 3, P.horizon - 1, P.horizon, P.horizon + 1):
             assert game_value(P, Q) == game_value_pairs(P, Q)
 
 
@@ -624,6 +625,38 @@ def test_game_value_slot_of_an_earlier_class_dies(gc_off):
     del first, probe
     game_value(second, 2)
     assert [ref() for ref in refs] == [None, None]
+
+
+def test_game_value_work_is_pinned():
+    # The memo entries and partitions the oracle's slot holds after Q = 0, 1
+    # and 2 in turn, per class: an uncapped budget (more entries at Q = 1 and
+    # 2) or a partition keyed past (members, round) shows here even with
+    # equal values
+    rng = random.Random(37)
+    classes = [two_instance_class(rng, 5, 12), two_instance_class(rng, 6, 16),
+               random_class(rng, max_L=5, max_P=10, alphabet="abc", min_L=5)]
+    want = [[(3, 31, 0), (3, 146, 4), (2, 243, 25)],
+            [(4, 63, 0), (3, 413, 5), (2, 781, 45)],
+            [(3, 31, 0), (2, 125, 4), (1, 186, 32)]]
+    for P, counts in zip(classes, want):
+        got = []
+        for Q in (0, 1, 2):
+            value = game_value(P, Q)
+            got.append((value, len(blind._game_last[3]), len(blind._game_last[4])))
+        assert got == counts, P.horizon
+
+
+@pytest.mark.parametrize("alphabet", ["a", "ab", "abc"])
+def test_game_value_solves_no_budget_past_the_rounds_left(alphabet):
+    # each query takes its own round among 1..L - 1, so every budget past
+    # L - 1 is the game of Q = L - 1 and finds its root in the memo; at
+    # L = 2 the Q = 2 call is one hit on the root of Q = 1
+    rng = random.Random(103)
+    for L in (2, 2, 3, 4, 5):
+        P = random_class(rng, max_L=L, max_P=8, alphabet=alphabet, min_L=L)
+        value, size = game_value(P, L - 1), len(blind._game_last[3])
+        for Q in (L, L + 3):
+            assert game_value(P, Q) == value and len(blind._game_last[3]) == size, (L, Q)
 
 
 def test_game_value_monotone_in_budget():

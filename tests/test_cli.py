@@ -449,6 +449,12 @@ def test_cap_refusals_stay_short(files, capsys, argv):
 
 
 LONG = "1" * 5001  # past Python's 4,300-digit int-to-str limit
+TEXT = "0," + "9" * 3000 + "x"  # no rational number, 3,003 characters long
+TEXT_FILES = {  # each read by as_fraction, which once quoted the whole text
+    "placement": {"query_times": [TEXT]},
+    "times": {"query_times": TEXT},
+    "stream": {"horizon": TEXT, "segments": [{"start": 0, "end": 1, "x": "a", "y": 0}]},
+}
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -473,19 +479,40 @@ LONG = "1" * 5001  # past Python's 4,300-digit int-to-str limit
     ([*UNIF, "--delta=-1e5000"], "argument --delta: expected a rational number"),
     ([*UNIF, "--delta", "-1e5000"], "argument --delta: expected a rational number"),
     ([*TWO_POINT[:2], LONG], "argument --kind: invalid choice"),
+    # a rational text in a flag or a file: the flag or file and what it expects
+    (["adversary", "--kind", "self-revealing", "--class", "{cls}", "--horizon", "4",
+      "--reveal-times", TEXT, "--seed", "0", "--out", "{out}"],
+     "bad --reveal-times, a comma-separated list: expected a rational number"),
+    (["blind-bound", "--units", "1", "--placement", "{placement}"],
+     "placement.json: expected a rational number"),
+    (["blind-bound", "--units", "1", "--placement", "{times}"],
+     "times.json: query_times must be a list"),
+    (["unif-sim", "--class", "{cls}", "--stream", "{stream}", "--trials", "2", "--seed", "0"],
+     "stream.json: expected a rational number such as 3, 0.25 or 1/4 as the horizon"),
 ], ids=["units-abc", "units-long", "trials-long", "seed-long", "slope-long", "delta-1e4000",
         "delta-1e4300", "delta-1e5000", "delta-minus-1e-4000", "delta-minus-quarter",
         "delta-minus-1e-3", "delta-eq-minus-quarter", "delta-eq-minus-1e4300",
-        "delta-minus-1e4300", "delta-eq-minus-1e5000", "delta-minus-1e5000", "kind-long"])
+        "delta-minus-1e4300", "delta-eq-minus-1e5000", "delta-minus-1e5000", "kind-long",
+        "reveal-times-text", "placement-text", "placement-not-a-list", "stream-horizon-text"])
 def test_flag_refusals_stay_short(files, capsys, argv, named):
-    # each refusal is one line that names the flag and what it expects,
-    # never the value it was given
+    # each refusal is one line that names the flag or file and what it
+    # expects, never the value it was given
     tmp, write = files
+    paths = {name: write(f"{name}.json", json.dumps(doc)) for name, doc in TEXT_FILES.items()}
     cls, out = write("cls.json", FULL_AB), tmp / "s.json"
-    code, stdout, err = run(capsys, *[a.format(cls=cls, out=out) for a in argv])
+    code, stdout, err = run(capsys, *[a.format(cls=cls, out=out, **paths) for a in argv])
     assert_single_error(code, err)
     assert len(err.encode()) < 200 and named in err
     assert stdout == "" and not out.exists()
+
+
+def test_config_rational_text_refusal_stays_short(files, capsys, monkeypatch):
+    _, write = files
+    monkeypatch.setenv("QSTREAM_CONFIG", write("cfg.json", json.dumps({"slope": TEXT})))
+    code, stdout, err = run(capsys, "blind-bound", "--units", "1")
+    assert_single_error(code, err)
+    assert len(err.encode()) < 200 and "bad slope in config" in err
+    assert "expected a rational number" in err and stdout == ""
 
 
 HUGE = "1e9999999"  # Fraction would build 10^9999999, about 8 s on a 2-core machine
