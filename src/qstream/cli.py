@@ -34,9 +34,7 @@ MAX_STEPS = 1_000_000
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """A refused input: main prints it as one ``error:`` line and exits 2."""
 
 
 def _load_json(path: str) -> dict:
@@ -100,6 +98,12 @@ def _fraction(text: str) -> Fraction:
         raise _refusal("a rational number such as 3, 0.25 or 1/4") from None
 
 
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path")
+    return text
+
+
 def _atomic_write(path: str, text: str) -> None:
     """Write text to path through a temp file beside it.  Any OSError, from
     mkstemp, the write or the replace, is a CliError; the temp file never
@@ -117,40 +121,32 @@ def _atomic_write(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
-def _require_seed(args: argparse.Namespace) -> int:
-    if args.seed is None:
-        raise CliError("this command is randomized; --seed is required")
-    return args.seed
-
-
-def _config_defaults() -> dict:
-    path = os.environ.get(CONFIG_ENV)
-    if not path:
-        return {}
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
+def _fill_from_config(args: argparse.Namespace) -> None:
+    """Set each flag of the command's config table left unset on the command
+    line: from the file named by QSTREAM_CONFIG, else to the table's default.
+    The file is read only by a command whose table names a key."""
+    path = os.environ.get(CONFIG_ENV) if args.config else None
+    config = _load_json(path) if path else {}
+    if not isinstance(config, dict):
         raise CliError(f"config {path} must be a JSON object")
-    return doc
+    for key, (conv, default) in args.config.items():
+        if getattr(args, key) is not None:
+            continue
+        if key in config:
+            try:
+                default = conv(config[key])
+            except (KeyError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+                raise CliError(f"bad {key} in config {path}: {exc}")
+        setattr(args, key, default)
 
 
 def _budget_policy(args: argparse.Namespace) -> model.QueryBudgetPolicy:
-    """The query budget from --slope or the config (default slope 1), validated."""
-    budget = model.QueryBudgetPolicy(args.slope if args.slope is not None else Fraction(1))
+    """The query budget of --slope, validated."""
+    budget = model.QueryBudgetPolicy(args.slope)
     problems = model.validate(budget)
     if problems:
         raise CliError("invalid query budget: " + "; ".join(problems))
     return budget
-
-
-def _fill_from_config(args: argparse.Namespace, keys: dict[str, Callable[[Any], Any]]) -> None:
-    config = _config_defaults()
-    for key, conv in keys.items():
-        if getattr(args, key, None) is None and key in config:
-            try:
-                value = conv(config[key])
-            except (KeyError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-                raise CliError(f"bad {key} in config {os.environ[CONFIG_ENV]}: {exc}")
-            setattr(args, key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +164,8 @@ def _format_float(x: float) -> str:
 
 
 def cmd_unif_sim(args: argparse.Namespace) -> dict | str:
-    _fill_from_config(args, {"delta": _fraction, "trials": model.as_int,
-                             "slope": _fraction})
-    seed = _require_seed(args)
     cls = _load(args.class_file, model.concept_class_from_json, "concept class")
-    delta = args.delta if args.delta is not None else Fraction(1)
-    trials = args.trials if args.trials is not None else 10000
+    delta, trials = args.delta, args.trials
     if trials > MAX_ITEMS:
         raise CliError(f"too many --trials: at most {MAX_ITEMS} are allowed")
 
@@ -205,7 +197,7 @@ def cmd_unif_sim(args: argparse.Namespace) -> dict | str:
         )
 
     stats = arena.monte_carlo_uniform(
-        cls, source, delta, trials, seed, on_empty=args.on_empty
+        cls, source, delta, trials, args.seed, on_empty=args.on_empty
     )
     dim = littlestone.littlestone_dimension(cls)
     bound = float(delta) * dim
@@ -234,17 +226,11 @@ def cmd_unif_sim(args: argparse.Namespace) -> dict | str:
 
 
 def cmd_qld(args: argparse.Namespace) -> dict:
-    _fill_from_config(args, {"budget": model.as_int})
     if args.budget is None:
         raise CliError("--budget is required")
     P = _load(args.patterns, model.pattern_class_from_json, "pattern class")
     witness = blind.qld(P, args.budget)
-    doc = {
-        "value": witness.value,
-        "witness": witness.witness,
-        "oracle_value": None,
-        "agree": None,
-    }
+    doc = {**witness.to_json(), "oracle_value": None, "agree": None}
     if args.verify:
         oracle = blind.game_value(P, args.budget)
         replay = blind.worst_case_mistakes(witness.to_strategy(), P, args.budget)
@@ -256,10 +242,7 @@ def cmd_qld(args: argparse.Namespace) -> dict:
 
 
 def cmd_adversary(args: argparse.Namespace) -> dict:
-    if not args.out:
-        raise CliError("--out is required")
-    _fill_from_config(args, {"slope": _fraction, "horizon": _fraction})
-    seed = _require_seed(args)
+    seed = args.seed
     budget = _budget_policy(args)
     params: dict = {"slope": str(budget.slope)}
 
@@ -311,14 +294,13 @@ def cmd_adversary(args: argparse.Namespace) -> dict:
         )
 
     if args.horizon is not None:
-        params["horizon"] = str(model.as_fraction(args.horizon))
+        params["horizon"] = str(args.horizon)
     doc = model.stream_to_json(stream)
     doc["provenance"] = {"kind": args.kind, "params": params, "seed": seed}
     return doc
 
 
 def cmd_blind_bound(args: argparse.Namespace) -> str:
-    _fill_from_config(args, {"slope": _fraction})
     budget = _budget_policy(args)
     if args.units > MAX_ITEMS:
         raise CliError(f"too many --units: at most {MAX_ITEMS} are allowed")
@@ -360,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ld", help="Littlestone dimension of a concept class")
     p.add_argument("--class", dest="class_file", required=True)
-    p.set_defaults(fn=cmd_ld)
+    p.set_defaults(fn=cmd_ld, config={})
 
     p = sub.add_parser("unif-sim", help="Monte Carlo of the uniform sampler")
     p.add_argument("--class", dest="class_file", required=True)
@@ -371,18 +353,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slope", type=_fraction)
     p.add_argument("--horizon", type=_fraction)
     p.add_argument("--trials", type=_integer)
-    p.add_argument("--seed", type=_integer)
+    p.add_argument("--seed", type=_integer, required=True)
     p.add_argument("--on-empty", dest="on_empty", choices=["error", "reset"], default="error")
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(fn=cmd_unif_sim)
+    p.set_defaults(fn=cmd_unif_sim, config={
+        "delta": (_fraction, Fraction(1)), "trials": (model.as_int, 10000),
+        "slope": (_fraction, Fraction(1))})
 
     p = sub.add_parser("qld", help="query learning distance of a pattern class")
     p.add_argument("--patterns", required=True)
     p.add_argument("--budget", type=_integer)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_qld)
+    p.set_defaults(fn=cmd_qld, config={"budget": (model.as_int, None)})
 
     p = sub.add_parser("adversary", help="generate an adversarial stream file")
     p.add_argument("--kind", required=True,
@@ -396,15 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=_fraction)
     p.add_argument("--reveal-times", dest="reveal_times")
     p.add_argument("--reveal-every", dest="reveal_every", type=_fraction, default=Fraction(1))
-    p.add_argument("--seed", type=_integer)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_adversary)
+    p.add_argument("--seed", type=_integer, required=True)
+    p.add_argument("--out", type=_path, required=True)
+    p.set_defaults(fn=cmd_adversary, config={
+        "slope": (_fraction, Fraction(1)), "horizon": (_fraction, None)})
 
     p = sub.add_parser("blind-bound", help="exact blind error of a query placement")
     p.add_argument("--units", type=_integer, required=True)
     p.add_argument("--slope", type=_fraction)
     p.add_argument("--placement")
-    p.set_defaults(fn=cmd_blind_bound)
+    p.set_defaults(fn=cmd_blind_bound, config={"slope": (_fraction, Fraction(1))})
 
     return parser
 
@@ -412,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _fill_from_config(args)
         result = args.fn(args)
         text = result if isinstance(result, str) else json.dumps(result, indent=2, sort_keys=True)
         if getattr(args, "out", None):
@@ -426,13 +412,10 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout closed before the output was written", file=sys.stderr)
         return 3
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except model.NonRealizableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (model.QstreamError, ValueError) as exc:
+    except (CliError, model.QstreamError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

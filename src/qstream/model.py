@@ -74,13 +74,14 @@ def as_int(value: Any) -> int:
     """Read a JSON integer exactly: an int, or a float with an integral value.
 
     Raises ValueError for a bool, a non-finite or fractional float, and any
-    other type, where ``int()`` would round, overflow or parse instead.
+    other type, where ``int()`` would round, overflow or parse instead.  The
+    message names the type found, never the value, which can run to any length.
     """
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ValueError(f"not an integer: {value!r}")
+    raise ValueError(f"expected an integer, got {type(value).__name__}")
 
 
 def _coprime_fraction(n: int, d: int) -> Fraction:
@@ -438,12 +439,13 @@ def concept_class_to_json(cls: ConceptClass) -> dict:
 
 
 def _strings(values: list, what: str) -> tuple[str, ...]:
-    """The values as a tuple; a TypeError names a non-list or its first non-string."""
+    """The values as a tuple; a TypeError names the type of a non-list or of
+    its first non-string, never the value."""
     if not isinstance(values, list):
-        raise TypeError(f"{what} must be a list of strings, got {values!r}")
+        raise TypeError(f"{what} must be a list of strings, got {type(values).__name__}")
     for v in values:
         if not isinstance(v, str):
-            raise TypeError(f"{what} must be strings, got {v!r}")
+            raise TypeError(f"{what} must be strings, got {type(v).__name__}")
     return tuple(values)
 
 

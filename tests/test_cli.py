@@ -1,3 +1,4 @@
+import argparse
 import errno
 import hashlib
 import io
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qstream import model
+from qstream import cli, model
 from qstream.arena import run_adaptive_sampler
 from qstream.cli import main
 from qstream.model import (
@@ -292,6 +293,78 @@ def test_config_env_supplies_defaults(files, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["value"] == 1
 
 
+# --- the parser's config tables: which flags QSTREAM_CONFIG fills, and their defaults --
+
+# each command's required flags and nothing else; the files are never read,
+# since the config is filled before the command runs
+CONFIG_ARGV = {
+    "ld": ["--class", "cls.json"],
+    "unif-sim": ["--class", "cls.json", "--seed", "0"],
+    "qld": ["--patterns", "p.json"],
+    "adversary": ["--kind", "two-point", "--seed", "0", "--out", "s.json"],
+    "blind-bound": ["--units", "1"],
+}
+# a config value each converter reads, and what it reads it as
+CONFIG_SAMPLE = {cli._fraction: ("3/4", Fraction(3, 4)), model.as_int: (7, 7)}
+
+
+def subparsers():
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def config_rows():
+    return [(name, key) for name, sp in sorted(subparsers().items())
+            for key in sp.get_default("config")]
+
+
+def filled(command, *flags):
+    args = cli.build_parser().parse_args([command, *CONFIG_ARGV[command], *flags])
+    cli._fill_from_config(args)
+    return args
+
+
+def test_config_tables_name_these_keys_and_defaults():
+    assert {name: {key: default for key, (_, default) in sp.get_default("config").items()}
+            for name, sp in subparsers().items()} == {
+        "ld": {}, "unif-sim": {"delta": 1, "trials": 10000, "slope": 1}, "qld": {"budget": None},
+        "adversary": {"slope": 1, "horizon": None}, "blind-bound": {"slope": 1}}
+
+
+@pytest.mark.parametrize("command, key", config_rows())
+def test_config_table_entry(tmp_path, capsys, monkeypatch, command, key):
+    sp = subparsers()[command]
+    conv, default = sp.get_default("config")[key]
+    flags = {a.dest: a.option_strings[0] for a in sp._actions if a.option_strings}
+    assert key in flags
+    monkeypatch.delenv("QSTREAM_CONFIG", raising=False)
+    assert getattr(filled(command), key) == default
+    text, value = CONFIG_SAMPLE[conv]
+    cfg = tmp_path / "cfg.json"
+    monkeypatch.setenv("QSTREAM_CONFIG", str(cfg))
+    cfg.write_text(json.dumps({key: text}))
+    assert getattr(filled(command), key) == value
+    assert getattr(filled(command, f"{flags[key]}=5"), key) == 5
+    cfg.write_text(json.dumps({key: "x" * 3000}))
+    code, out, err = run(capsys, command, *CONFIG_ARGV[command])
+    assert_single_error(code, err)
+    assert len(err.encode()) < 200 and f"bad {key} in config" in err and out == ""
+
+
+def test_ld_never_reads_the_config(files, capsys, monkeypatch):
+    tmp, write = files
+    monkeypatch.setenv("QSTREAM_CONFIG", str(tmp / "missing.json"))
+    code, out, _ = run(capsys, "ld", "--class", write("cls.json", SINGLETON))
+    assert code == 0 and out.strip() == "0"
+
+
+def test_seed_is_required_by_the_randomized_commands():
+    assert {name for name, sp in subparsers().items()
+            if any(a.dest == "seed" and a.required for a in sp._actions)} == {
+        "unif-sim", "adversary"}
+
+
 # --- zero denominators and bad numeric flags: exit 2, one error line -----------------
 
 ZERO_DEN = {"num": 1, "den": 0}
@@ -450,10 +523,14 @@ def test_cap_refusals_stay_short(files, capsys, argv):
 
 LONG = "1" * 5001  # past Python's 4,300-digit int-to-str limit
 TEXT = "0," + "9" * 3000 + "x"  # no rational number, 3,003 characters long
-TEXT_FILES = {  # each read by as_fraction, which once quoted the whole text
+TEXT_FILES = {  # each refusal once quoted the whole text
     "placement": {"query_times": [TEXT]},
     "times": {"query_times": TEXT},
     "stream": {"horizon": TEXT, "segments": [{"start": 0, "end": 1, "x": "a", "y": 0}]},
+    "patterns": {"instances": ["a"], "horizon": TEXT, "patterns": [[["a", 0]]]},
+    "instances": {"instances": TEXT, "concepts": [{"labels": [0]}]},
+    "label": {"instances": ["a"], "concepts": [{"labels": [TEXT]}]},
+    "name": {"instances": ["a"], "concepts": [{"labels": [0], "name": [TEXT]}]},
 }
 
 
@@ -489,11 +566,19 @@ TEXT_FILES = {  # each read by as_fraction, which once quoted the whole text
      "times.json: query_times must be a list"),
     (["unif-sim", "--class", "{cls}", "--stream", "{stream}", "--trials", "2", "--seed", "0"],
      "stream.json: expected a rational number such as 3, 0.25 or 1/4 as the horizon"),
+    # a string or list where an integer or a string belongs: the type, not the value
+    (["qld", "--patterns", "{patterns}", "--budget", "1"],
+     "patterns.json: expected an integer, got str"),
+    (["ld", "--class", "{instances}"],
+     "instances.json: instance identifiers must be a list of strings, got str"),
+    (["ld", "--class", "{label}"], "label.json: expected an integer, got str"),
+    (["ld", "--class", "{name}"], "name.json: concept names must be strings, got list"),
 ], ids=["units-abc", "units-long", "trials-long", "seed-long", "slope-long", "delta-1e4000",
         "delta-1e4300", "delta-1e5000", "delta-minus-1e-4000", "delta-minus-quarter",
         "delta-minus-1e-3", "delta-eq-minus-quarter", "delta-eq-minus-1e4300",
         "delta-minus-1e4300", "delta-eq-minus-1e5000", "delta-minus-1e5000", "kind-long",
-        "reveal-times-text", "placement-text", "placement-not-a-list", "stream-horizon-text"])
+        "reveal-times-text", "placement-text", "placement-not-a-list", "stream-horizon-text",
+        "pattern-horizon-text", "class-instances-text", "label-text", "name-list-text"])
 def test_flag_refusals_stay_short(files, capsys, argv, named):
     # each refusal is one line that names the flag or file and what it
     # expects, never the value it was given
@@ -736,9 +821,9 @@ def test_hostile_json_field_exit_2(files, capsys, monkeypatch, command, doc, con
     ("unif-sim", {**STREAM, "segments": [{**STREAM["segments"][0], "x": ["a"]}]},
      "segment 0 has non-string instance ['a']"),
     ("qld", {"instances": ["1"], "horizon": 1, "patterns": [[[1, 0]]]},
-     "pattern instances must be strings, got 1"),
+     "pattern instances must be strings, got int"),
     ("qld", {"instances": ["a"], "horizon": 1, "patterns": [[[["a"], 0]]]},
-     "pattern instances must be strings, got ['a']"),
+     "pattern instances must be strings, got list"),
 ], ids=["stream-int", "stream-list", "pattern-int", "pattern-list"])
 def test_non_string_instance_in_a_step_exit_2(files, capsys, command, doc, message):
     # read through str(), the first three values would match an instance
@@ -966,13 +1051,17 @@ def test_out_write_failure_exit_2(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.rglob(".qstream-*"))
 
 
-@pytest.mark.parametrize("argv", [
-    ["--kind", "littlestone-branch", "--class", "{cls}"],
+@pytest.mark.parametrize("argv, refusal", [
+    (["--kind", "littlestone-branch", "--class", "{cls}"], "required: --out"),
     # 90,300 segments at slope 1, under the cap
-    ["--kind", "two-point", "--units", "300"],
-    ["--kind", "self-revealing", "--class", "{cls}", "--horizon", "2"],
-], ids=["littlestone-branch", "two-point", "self-revealing"])
-def test_adversary_without_out_exit_2_before_building(files, capsys, monkeypatch, argv):
+    (["--kind", "two-point", "--units", "300"], "required: --out"),
+    (["--kind", "self-revealing", "--class", "{cls}", "--horizon", "2"], "required: --out"),
+    # an empty --out names no file: refused as the flags are read
+    (["--kind", "two-point", "--units", "300", "--out", ""],
+     "argument --out: expected a file path"),
+], ids=["littlestone-branch", "two-point", "self-revealing", "two-point-empty-out"])
+def test_adversary_without_out_exit_2_before_building(files, capsys, monkeypatch, argv,
+                                                      refusal):
     _, write = files
     cls = write("cls.json", FULL_AB)
 
@@ -985,7 +1074,7 @@ def test_adversary_without_out_exit_2_before_building(files, capsys, monkeypatch
     code, out, err = run(capsys, "adversary", *[a.format(cls=cls) for a in argv],
                          "--slope", "1", "--seed", "0")
     assert_single_error(code, err)
-    assert "--out is required" in err and out == ""
+    assert refusal in err and out == ""
 
 
 @pytest.mark.parametrize("units, built", [(315, True), (316, False)])
