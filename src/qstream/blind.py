@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from operator import add
 
 from .model import (
     BudgetViolationError,
@@ -161,7 +162,7 @@ class BlindStrategy:
         self.history = self.history + ((t, x, y),)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen __init__ sets each field by object.__setattr__
 class _Plan:
     """One stage of play: next query time (None = go blind) plus vectors."""
 
@@ -292,7 +293,12 @@ class QldSolver:
         self._fmask = (1 << w) - 1
         units = [1 << (w * pid) for pid in range(len(steps))]
         self._ones = sum(units)
-        self._labels = [sum(y << (L - 1 - t) for t, (_, y) in enumerate(st)) for st in steps]
+        self._labels = []
+        for st in steps:
+            packed = 0
+            for _, y in st:
+                packed = packed << 1 | y
+            self._labels.append(packed)
         self._flips: list[tuple[int, int]] = []
         self._obs: list[dict[tuple[str, Label], int]] = []
         for column in zip(*steps):  # one round's (x, y) per pattern
@@ -455,12 +461,12 @@ def _canonical_tree(node: _Node, q_left: int, t_prev: int, L: int) -> dict:
     if (t := plan.time) is None:
         return {"blind": _int_to_bits(plan.interim, L - t_prev), "start_after": t_prev,
                 "unused_budget": q_left}
-    edges: dict[str, dict] = {}
-    for b in (0, 1):
-        worst = max((vc for (_, y), vc in children.items() if y == b),
-                    key=lambda vc: vc[0], default=None)
-        edges[str(b)] = ({"unreachable": True, "unused_budget": q_left - 1} if worst is None
-                         else _canonical_tree(worst[1], q_left - 1, t, L))
+    worst = [None, None]  # per label, the first child of the largest value
+    for (_, y), vc in children.items():
+        if worst[y] is None or vc[0] > worst[y][0]:
+            worst[y] = vc
+    edges = {str(b): {"unreachable": True, "unused_budget": q_left - 1} if vc is None
+             else _canonical_tree(vc[1], q_left - 1, t, L) for b, vc in enumerate(worst)}
     return {"time": t, "interim": _int_to_bits(plan.interim, t - t_prev - 1),
             "predict": plan.predict, "children": edges}
 
@@ -578,39 +584,54 @@ def game_value(P: PatternClass, Q: int) -> int:
         rounds = list(zip(*(p.steps for p in P.patterns)))  # rounds[t][pid]: round t + 1's (x, y)
         misses = [tuple(tuple(y != r for _, y in row) for r in (0, 1)) for row in rounds]
         _game_last = (P, rounds, misses, {}, {})
-    _, rounds, misses, memo, parts = _game_last
     n = len(P.patterns)
-    return _play(tuple(range(n)), (0,) * n, Q, 0, P.horizon, rounds, misses, memo, parts)
+    pids, accs, q = tuple(range(n)), (0,) * n, min(Q, P.horizon - 1)
+    value = _game_last[3].get((pids, accs, q, 0))
+    return _play(pids, accs, q, 0, _game_last) if value is None else value
 
 
-def _play(pids: tuple[int, ...], accs: tuple[int, ...], q: int, t: int, L: int,
-          rounds: list, misses: list, memo: dict, parts: dict) -> int:
-    """``game_value``'s recursion: the members ``pids`` with accruals ``accs``
-    and q queries left, before round t + 1, the memo keyed on accruals
-    shifted to a minimum of 0 and on the capped q.  ``parts`` maps (pids, t)
-    to the members grouped by round t + 1's observation, each group a pid
-    tuple and its positions in ``pids``, shared by every prediction and budget."""
-    offset = min(accs)
-    if offset:
-        accs = tuple([acc - offset for acc in accs])
-    # each query takes a distinct round among t + 1..L - 1 (a last-round query
-    # is folded: see game_value), so budget past those rounds is never spent
-    q = min(q, L - 1 - t)
-    best = memo.get(key := (pids, accs, q, t))
-    if best is None:
-        best, last = L, t + 1 == L  # no option exceeds L
-        if q and (groups := parts.get((pids, t))) is None:
-            row, by_obs = rounds[t], {}
-            for i, pid in enumerate(pids):
-                by_obs.setdefault(row[pid], []).append(i)
-            groups = parts[pids, t] = [(tuple([pids[i] for i in g]), g) for g in by_obs.values()]
-        for miss in misses[t]:
-            nxt = tuple([acc + miss[pid] for pid, acc in zip(pids, accs)])
-            v = max(nxt) if last else _play(pids, nxt, q, t + 1, L, rounds, misses, memo, parts)
-            if v < best:
-                best = v
-            if q and (v := max([_play(g, tuple([nxt[i] for i in at]), q - 1, t + 1, L, rounds,
-                                      misses, memo, parts) for g, at in groups])) < best:
-                best = v
-        memo[key] = best
-    return best + offset
+def _play(pids: tuple[int, ...], accs: tuple[int, ...], q: int, t: int, tables: tuple) -> int:
+    """``game_value``'s recursion on a memo miss: the members ``pids`` with
+    accruals ``accs``, shifted to a minimum of 0, and q queries left, capped,
+    before round t + 1.  ``tables`` is ``game_value``'s slot.  Each child is
+    shifted and capped alike and looked up in the memo, keyed on (pids, accs,
+    q, t), before any call, so each call writes one new entry.  ``parts``
+    maps (pids, t) to the members grouped by round t + 1's observation, each
+    group a pid tuple and its positions in ``pids``, shared by every
+    prediction and budget."""
+    P, rounds, misses, memo, parts = tables
+    L, u = P.horizon, t + 1
+    # each query takes a distinct round before the last (a last-round query is
+    # folded: see game_value), so a child before round u + 1 spends at most L - 1 - u
+    q_on = q if q < L - 1 - u else L - 1 - u
+    if q and (groups := parts.get((pids, t))) is None:
+        row, by_obs = rounds[t], {}
+        for i, pid in enumerate(pids):
+            by_obs.setdefault(row[pid], []).append(i)
+        groups = parts[pids, t] = [(tuple([pids[i] for i in g]), g) for g in by_obs.values()]
+    best = L  # no option exceeds L
+    for miss in misses[t]:
+        nxt = tuple(map(add, accs, map(miss.__getitem__, pids)))
+        if u == L:
+            v = max(nxt)
+        else:  # the unqueried child, from the memo on a hit
+            child = tuple([acc - shift for acc in nxt]) if (shift := min(nxt)) else nxt
+            if (v := memo.get((pids, child, q_on, u))) is None:
+                v = _play(pids, child, q_on, u, tables)
+            v += shift
+        if v < best:
+            best = v
+        if q:  # the worst query branch, each from the memo on a hit
+            worst = 0
+            for g, at in groups:
+                child = tuple(map(nxt.__getitem__, at))
+                if shift := min(child):
+                    child = tuple([acc - shift for acc in child])
+                if (v := memo.get((g, child, q - 1, u))) is None:
+                    v = _play(g, child, q - 1, u, tables)
+                if v + shift > worst:
+                    worst = v + shift
+            if worst < best:
+                best = worst
+    memo[pids, accs, q, t] = best
+    return best

@@ -123,6 +123,21 @@ def fraction_to_json(value: Fraction) -> Any:
     return {"num": value.numerator, "den": den}
 
 
+def _shown(value: Any) -> str:
+    """A refused value as a problem text quotes it: its repr when that has at
+    most 40 characters, else its type and length, so the text stays short."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int past the int-to-str digit limit
+        return f"{type(value).__name__} of {value.bit_length()} bits"
+    if len(text) <= 40:
+        return text
+    try:
+        return f"{type(value).__name__} of length {len(value)}"
+    except TypeError:  # no length: name the repr's
+        return f"{type(value).__name__} with a {len(text)}-character repr"
+
+
 Label = int
 
 
@@ -143,7 +158,7 @@ class InstanceSpace:
         try:
             return self.instances.index(x)
         except ValueError:
-            raise UnknownInstanceError(f"instance not in space: {x!r}") from None
+            raise UnknownInstanceError(f"instance not in space: {_shown(x)}") from None
 
 
 @dataclass(frozen=True)
@@ -327,7 +342,7 @@ def _validate_concept_class(cls: ConceptClass) -> list[str]:
             out.append(f"concept {i} has {len(c)} labels, expected {n}")
         for y in c:
             if y not in (0, 1):
-                out.append(f"concept {i} has non-binary label {y!r}")
+                out.append(f"concept {i} has non-binary label {_shown(y)}")
                 break
     if len(set(cls.concepts)) != len(cls.concepts):
         out.append("concepts are not pairwise distinct as label vectors")
@@ -345,9 +360,9 @@ def _validate_stream(stream: PiecewiseStream) -> list[str]:
         if seg.start >= seg.end:
             out.append(f"segment {i} has start >= end ({seg.start} >= {seg.end})")
         if not isinstance(seg.x, str):
-            out.append(f"segment {i} has non-string instance {seg.x!r}")
+            out.append(f"segment {i} has non-string instance {_shown(seg.x)}")
         if seg.y not in (0, 1):
-            out.append(f"segment {i} has non-binary label {seg.y!r}")
+            out.append(f"segment {i} has non-binary label {_shown(seg.y)}")
         if seg.start > cursor:
             out.append(f"gap [{cursor},{seg.start})")
         elif seg.start < cursor:
@@ -366,7 +381,7 @@ def _validate_pattern(p: DiscretePattern) -> list[str]:
         out.append("pattern is empty")
     for t, (_, y) in enumerate(p.steps, start=1):
         if y not in (0, 1):
-            out.append(f"pattern step {t} has non-binary label {y!r}")
+            out.append(f"pattern step {t} has non-binary label {_shown(y)}")
     return out
 
 
@@ -388,10 +403,10 @@ def _validate_pattern_class(P: PatternClass) -> list[str]:
         if len(p) != P.horizon:
             out.append(f"pattern {i}: length mismatch ({len(p)} steps, horizon {P.horizon})")
         if not ok:
-            out.extend(f"pattern {i}: instance not in space: {x!r}" for x, _ in p.steps
+            out.extend(f"pattern {i}: instance not in space: {_shown(x)}" for x, _ in p.steps
                        if x not in space)
     try:
-        distinct = len(set(P.patterns)) == len(P.patterns)
+        distinct = len(set([p.steps for p in P.patterns])) == len(P.patterns)
     except TypeError:  # an unhashable step, named above
         distinct = all(p not in P.patterns[:i] for i, p in enumerate(P.patterns))
     if not distinct:

@@ -415,6 +415,20 @@ def fresh_answers(P, budgets):
     return out
 
 
+def test_canonical_tree_writes_the_first_of_tied_worst_children():
+    # under one label, the first child in _obs order of the largest value is
+    # written: a later tie keeps it, only a strictly larger value replaces it
+    def leaf(bit):
+        return _Plan(None, bit, None), {}
+
+    children = {("a", 0): (2, leaf(0)), ("a", 1): (1, leaf(0)),
+                ("b", 0): (2, leaf(1)), ("b", 1): (3, leaf(1)), ("c", 1): (3, leaf(0))}
+    tree = blind._canonical_tree((_Plan(1, 0, 1), children), 1, 0, 2)
+    blind_leaf = {"start_after": 1, "unused_budget": 0}
+    assert tree == {"time": 1, "interim": [], "predict": 1, "children": {
+        "0": {"blind": [0], **blind_leaf}, "1": {"blind": [1], **blind_leaf}}}
+
+
 @pytest.mark.parametrize("alphabet", ["ab", "abc"])
 def test_shared_solver_answers_as_fresh_solvers_in_any_budget_order(alphabet):
     # the memo a class's solver keeps from earlier budgets, and from its bld,
@@ -644,6 +658,37 @@ def test_game_value_work_is_pinned():
             value = game_value(P, Q)
             got.append((value, len(blind._game_last[3]), len(blind._game_last[4])))
         assert got == counts, P.horizon
+
+
+def test_game_value_recurses_only_on_a_memo_miss(monkeypatch):
+    # every child, and the root, is looked up in the memo before any call,
+    # so each _play call writes one new entry: the calls equal the memo
+    # entries after each budget, and a budget past L - 1 finds its root
+    # there.  A dropped probe leaves the values and the memo as they are
+    # and shows only here, as calls past the entries.
+    calls = 0
+    play = blind._play
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return play(*args)
+
+    monkeypatch.setattr(blind, "_play", counted)
+    rng = random.Random(37)  # the classes of test_game_value_work_is_pinned
+    classes = [two_instance_class(rng, 5, 12), two_instance_class(rng, 6, 16),
+               random_class(rng, max_L=5, max_P=10, alphabet="abc", min_L=5)]
+    want = [[31, 146, 243], [63, 413, 781], [31, 125, 186]]
+    for P, entries in zip(classes, want):
+        calls, got = 0, []
+        for Q in (0, 1, 2):
+            game_value(P, Q)
+            assert calls == len(blind._game_last[3]), (P.horizon, Q)
+            got.append(calls)
+        assert got == entries, P.horizon
+        for Q in (P.horizon - 1, P.horizon + 3):
+            game_value(P, Q)
+            assert calls == len(blind._game_last[3]), (P.horizon, Q)
 
 
 @pytest.mark.parametrize("alphabet", ["a", "ab", "abc"])

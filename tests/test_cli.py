@@ -841,6 +841,27 @@ def test_non_string_instance_in_a_step_exit_2(files, capsys, command, doc, messa
     assert out == "" and message in err
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("qld", {"instances": ["a"], "horizon": 1, "patterns": [[["9" * 3001, 0]]]}),
+    ("unif-sim", {**STREAM, "segments": [{**STREAM["segments"][0], "x": list(range(1000))}]}),
+], ids=["pattern-long-instance", "stream-long-x"])
+def test_validate_refusal_names_a_long_value_by_type_and_length(tmp_path, command, doc):
+    # validate quotes a refused value only up to 40 characters; past that its
+    # type and length stand in for it, so the error line stays short
+    path, cls = tmp_path / "doc.json", tmp_path / "cls.json"
+    path.write_text(json.dumps(doc))
+    cls.write_text(model.dumps(FULL_AB))
+    argv = {
+        "qld": ["qld", "--patterns", str(path), "--budget", "1"],
+        "unif-sim": ["unif-sim", "--class", str(cls), "--stream", str(path), "--trials", "2",
+                     "--seed", "0"],
+    }[command]
+    proc = run_child(*argv)
+    assert_single_error(proc.returncode, proc.stderr)
+    assert len(proc.stderr.encode()) < 200 and proc.stdout == ""
+    assert ("str of length 3001" if command == "qld" else "list of length 1000") in proc.stderr
+
+
 @pytest.mark.parametrize("argv, message", [
     (["adversary", "--kind", "self-revealing", "--horizon", "-1", "--reveal-every", "1",
       "--out", "s.json"], "horizon must be positive, got -1"),

@@ -114,6 +114,31 @@ def test_validate_pattern_class_matches_the_per_step_loop():
     assert validate(PatternClass(SPACE, 2, (pattern(("a", True), ("b", 1.0)),))) == []
 
 
+@pytest.mark.parametrize("value, shown", [
+    ("a" * 38, repr("a" * 38)),
+    ("a" * 39, "str of length 39"),
+    (list(range(1000)), "list of length 1000"),
+    (-(10**39 - 1), str(-(10**39 - 1))),
+    (10**40, "int with a 41-character repr"),
+    (10**5000, "int of 16610 bits"),  # past the int-to-str digit limit, where repr raises
+    (None, "None"),
+], ids=["str-40", "str-41", "list", "int-40", "int-41", "int-past-limit", "none"])
+def test_shown_quotes_up_to_40_characters(value, shown):
+    assert model._shown(value) == shown
+
+
+def test_long_values_in_problem_texts_are_named_not_quoted():
+    long = "x" * 3001
+    P = PatternClass(SPACE, 1, (pattern((long, 0)), pattern(("a", 10**50))))
+    assert validate(P) == ["pattern 0: instance not in space: str of length 3001",
+                           "pattern 1: pattern step 1 has non-binary label int with a 51-character repr"]
+    stream = PiecewiseStream(1, (Segment(0, 1, [long], [0] * 50),))
+    assert validate(stream) == ["segment 0 has non-string instance list of length 1",
+                                "segment 0 has non-binary label list of length 50"]
+    with pytest.raises(model.UnknownInstanceError, match=r"^instance not in space: str of length 3001$"):
+        SPACE.index_of(long)
+
+
 def test_validate_is_idempotent_and_total():
     bad = PiecewiseStream(2, (Segment(0, 1, "a", 0), Segment(0, 1, "a", 1)))
     assert validate(bad) == validate(bad)
